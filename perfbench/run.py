@@ -10,14 +10,16 @@ or all three, each in its own process, one after the other:
 
     python3 perfbench/run.py --workload all --seed 1 --seconds 36 --trace 1
 
-A run sets up its inputs three times, measures for ``--seconds``, checks
-every output and prints the workload's metrics one per line, an environment
-line, and last a JSON object ``{"correct", "attempted", "failed",
-"metrics"}``. With ``--trace 0`` the metrics are the end-to-end ones; with
-``--trace 1`` they are the per-layer ones of a traced run, whose spans are
-written to ``perfbench/out/``. A failed operation or check prints the JSON
-with ``"correct": false`` and exits 1; a missing package or a fixture whose
-hash differs exits 2 without a result.
+A run sets up its inputs five times, warms up untimed, times whole stream
+passes or epochs for up to ``--seconds``, checks every output and prints the
+workload's metrics one per line, an environment line, and last a JSON
+object ``{"correct", "attempted", "failed", "metrics"}``. With ``--trace 0``
+the metrics are the end-to-end ones; with ``--trace 1`` they are the
+per-layer ones of a traced run, whose spans are written to
+``perfbench/out/``. Bounded timings are scaled to reference speed (see
+perfbench/refspeed.py); the raw ones are printed too. A failed operation or
+check prints the JSON with ``"correct": false`` and exits 1; a missing
+package or a fixture whose hash differs exits 2 without a result.
 
 ``--seed`` picks the stream's gap lengths and noise (stream-*) or the batch
 order and chunk sizes (train-mtl). The corpora have their own seeds,
@@ -39,6 +41,7 @@ for _var in BLAS_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -53,8 +56,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = HERE / "out"
 
-SETUP_REPEATS = 3
-RTF_BLOCK_FRAMES = 250  # stream RTF is the median over 5 s blocks of audio
+SETUP_REPEATS = 5
+SETUP_REF_UNITS = 400  # about 30 ms of the reference loop before each set-up
 TUNING_SEEDS = tuple(range(1, 11))
 HELD_OUT_SEEDS = tuple(range(101, 111))
 HELD_OUT_DEV_SEED = 9
@@ -103,38 +106,35 @@ def environment(args, load_at_start) -> dict:
 # one workload in this process
 
 
-def stream_report(inp, passes, setup_s):
-    """End-to-end metrics of a stream run, plus the other figures printed."""
+def stream_report(inp, passes):
+    """Raw timings of a stream run, the same at reference speed, and the
+    other figures printed."""
     from vadasr.audio import FRAME_DURATION_S
     from vadasr.streamer import END_OF_UTT, FINALIZE, FORCED
     import workloads
 
-    frame_lat, event_lat, block_rtf, frames = [], [], [], 0
-    block_s = RTF_BLOCK_FRAMES * FRAME_DURATION_S
+    frame_lat, event_lat, event_norm = [], [], []
+    frames, busy, busy_norm = 0, 0.0, 0.0
     for p in passes:
         frames += p.frames
+        busy += sum(p.durations)
         for i, (d, e) in enumerate(zip(p.durations, p.emitted)):
+            busy_norm += d * p.ref_factor(i)
             if e:
                 event_lat.append(d)
+                event_norm.append(d * p.ref_factor(i))
             elif i < p.frames:
                 frame_lat.append(d)
-        for i in range(0, p.frames - RTF_BLOCK_FRAMES + 1, RTF_BLOCK_FRAMES):
-            block_rtf.append(sum(p.durations[i:i + RTF_BLOCK_FRAMES])
-                             / block_s)
+    audio_s = frames * FRAME_DURATION_S
     quality = workloads.stream_quality(inp, passes[0])
     causes = [ev.cause for ev in passes[0].streamer.events]
-    e2e = {
-        "setup_s": (setup_s, "s"),
-        "rtf": (statistics.median(block_rtf), "s/s"),
-        "result_latency_ms_p50": (percentile(event_lat, 50) * 1e3, "ms"),
-        "result_latency_ms_p90": (percentile(event_lat, 90) * 1e3, "ms"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
-    }
+    timings = latency_metrics(busy / audio_s, event_lat)
+    norm = latency_metrics(busy_norm / audio_s, event_norm)
     extra = {
         "frame_latency_us_p50": (percentile(frame_lat, 50) * 1e6, "us"),
         "frame_latency_us_p99": (percentile(frame_lat, 99) * 1e6, "us"),
-        "event_latency_ms_p50": (e2e["result_latency_ms_p50"][0], "ms"),
-        "event_latency_ms_p90": (e2e["result_latency_ms_p90"][0], "ms"),
+        "event_latency_ms_p50": (timings["result_latency_ms_p50"][0], "ms"),
+        "event_latency_ms_p90": (timings["result_latency_ms_p90"][0], "ms"),
         "cer": (quality["cer"], "ratio"),
         "deter": (quality["deter"], "ratio"),
         "frames_pushed": (frames, "count"),
@@ -144,28 +144,33 @@ def stream_report(inp, passes, setup_s):
         "events_end_of_utterance": (causes.count(END_OF_UTT), "count"),
         "events_finalize": (causes.count(FINALIZE), "count"),
     }
-    return e2e, extra
+    return timings, norm, extra
 
 
-def train_report(inp, epochs, setup_s):
+def train_report(inp, epochs):
+    """As stream_report, for a training run."""
     from vadasr.audio import FRAME_DURATION_S
 
     secs = [ep.seconds for ep in epochs]
-    e2e = {
-        "setup_s": (setup_s, "s"),
-        "rtf": (statistics.median(secs)
-                / (inp.frames_per_epoch * FRAME_DURATION_S), "s/s"),
-        "result_latency_ms_p50": (percentile(secs, 50) * 1e3, "ms"),
-        "result_latency_ms_p90": (percentile(secs, 90) * 1e3, "ms"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
-    }
+    audio_s = inp.frames_per_epoch * FRAME_DURATION_S
+    timings = latency_metrics(statistics.median(secs) / audio_s, secs)
+    secs_norm = [ep.seconds * ep.ref_factor for ep in epochs]
+    norm = latency_metrics(statistics.median(secs_norm) / audio_s, secs_norm)
     extra = {
         "epoch_s": (statistics.median(secs), "s"),
         "train_loss": (epochs[0].report.total_curve[-1], "loss"),
         "epochs": (len(epochs), "count"),
         "skipped_infeasible": (epochs[0].report.skipped_infeasible, "count"),
     }
-    return e2e, extra
+    return timings, norm, extra
+
+
+def latency_metrics(rtf, result_s):
+    return {
+        "rtf": (rtf, "s/s"),
+        "result_latency_ms_p50": (percentile(result_s, 50) * 1e3, "ms"),
+        "result_latency_ms_p90": (percentile(result_s, 90) * 1e3, "ms"),
+    }
 
 
 def peak_rss_mb() -> float:
@@ -232,13 +237,21 @@ def run_one(args) -> int:
     import_s = time.perf_counter() - _T0
     import fixture
     import workloads
+    from refspeed import RefClock
     from spans import Recorder
 
     seeds = workloads.Seeds(run=args.seed, dev=args.dev_seed,
                             train=args.train_seed)
     setup_times, gen_times = [], []
+    setup_ref, run_ref = RefClock(), RefClock()
+    inp = None
     try:
         for _ in range(SETUP_REPEATS):
+            # free the last repeat's inputs first, so peak RSS does not
+            # depend on when the collector runs
+            inp = None
+            gc.collect()
+            setup_ref.slice(SETUP_REF_UNITS)
             t = time.perf_counter()
             inp = workloads.setup(args.workload, seeds)
             setup_times.append(time.perf_counter() - t)
@@ -265,23 +278,38 @@ def run_one(args) -> int:
     attempted = failed = 0
     error = None
     try:
+        # untimed and outside setup_s: lazy set-up of the package, then a
+        # collection so that set-up garbage is not collected while timing
+        workloads.warm_up(inp)
+        gc.collect()
+        gc.freeze()
         try:
             if stream:
                 runs, attempted = workloads.run_stream(inp, args.seconds,
-                                                       set_tracing)
+                                                       run_ref, set_tracing)
             else:
                 runs, attempted = workloads.run_train(inp, args.seconds,
-                                                      set_tracing)
+                                                      run_ref, set_tracing)
         finally:
             if rec is not None:
                 rec.uninstall()
+        # before the checks, whose whole-stream oracle needs more memory
+        # than the workload
+        rss_mb = peak_rss_mb()
         for r in runs:
             if stream:
                 workloads.check_stream_pass(inp, r, runs[0])
             else:
                 workloads.check_epoch(r, runs[0])
-        e2e, extra = (stream_report if stream else train_report)(
-            inp, runs, setup_s)
+        timings, norm, extra = (stream_report if stream else train_report)(
+            inp, runs)
+        # the bounded metrics: timings at reference speed, and peak RSS
+        e2e = {"setup_s": (setup_s * setup_ref.factor(), "s"),
+               **{f"{k}_norm": v for k, v in norm.items()},
+               "peak_rss_mb": (rss_mb, "MB")}
+        extra.update({"setup_s_raw": (setup_s, "s"), **timings,
+                      "ref_unit_us_setup": (setup_ref.unit_us(), "us"),
+                      "ref_unit_us_run": (run_ref.unit_us(), "us")})
         metrics = (traced_metrics(args, inp, rec, runs, gen_s)
                    if rec is not None else e2e)
     except workloads.RunFailed as exc:

@@ -146,11 +146,22 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product; one operand may be a (T, m, n) stack of matrices, each
+    multiplied on its own, so an item's arithmetic does not depend on T."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim not in (2, 3) or b.ndim not in (2, 3) or a.ndim + b.ndim > 5
+            or a.shape[-1] != b.shape[-2]):
         raise DimensionError("matmul shapes incompatible", a.shape, b.shape)
-    return _op(a.data @ b.data, (a, b),
-               lambda g: (g @ b.data.T, a.data.T @ g))
+
+    def vjp(g):
+        # sum over the stack as one flat 2-D product, not T small ones
+        if a.ndim == 3:
+            return g @ b.data.T, np.tensordot(a.data, g, axes=([0, 1], [0, 1]))
+        if b.ndim == 3:
+            return np.tensordot(g, b.data, axes=([0, 2], [0, 2])), a.data.T @ g
+        return g @ b.data.T, a.data.T @ g
+
+    return _op(a.data @ b.data, (a, b), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -276,65 +287,33 @@ def mean_all(a) -> Tensor:
                lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
-def _conv1d_raw(xdata: np.ndarray, k: Tensor, x: Tensor, stride: int,
-                pad: tuple[int, int]) -> Tensor:
-    """Shared conv core. x: (C_in, L), k: (C_out, C_in, W)."""
-    c_in, L = xdata.shape
-    c_out, kc_in, W = k.shape
-    if kc_in != c_in:
-        raise DimensionError("conv1d channel mismatch", xdata.shape, k.shape)
-    pl, pr = pad
-    xp = np.pad(xdata, ((0, 0), (pl, pr)))
-    Lp = xp.shape[1]
-    if Lp < W:
-        raise DimensionError(f"conv1d input too short for kernel width {W}",
-                             xdata.shape)
-    L_out = (Lp - W) // stride + 1
-    idx = np.arange(L_out) * stride + np.arange(W)[:, None]  # (W, L_out)
-    cols = xp[:, idx].reshape(c_in * W, L_out)
-    kmat = k.data.reshape(c_out, c_in * W)
-    out = kmat @ cols
+def depthwise_conv1d(x, kernels) -> Tensor:
+    """Causal depthwise convolution over time. x: (T, C), kernels: (C, 1, W)
+    -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w] and x
+    zero before t = 0. Each row is a sum of elementwise products taken in w
+    order, so its value does not depend on T."""
+    x, kernels = _as_tensor(x), _as_tensor(kernels)
+    if (x.ndim != 2 or kernels.ndim != 3
+            or kernels.shape[:2] != (x.shape[1], 1)):
+        raise DimensionError("depthwise_conv1d expects (T,C) input and "
+                             "(C,1,W) kernels", x.shape, kernels.shape)
+    T, C = x.shape
+    W = kernels.shape[2]
+    taps = kernels.data[:, 0, :].T  # (W, C)
+    xp = np.concatenate([np.zeros((W - 1, C)), x.data])
+    out = xp[:T] * taps[0]
+    for w in range(1, W):
+        out += xp[w:w + T] * taps[w]
 
     def vjp(g):
-        dk = (g @ cols.T).reshape(k.shape)
-        dcols = (kmat.T @ g).reshape(c_in, W, L_out)
         dxp = np.zeros_like(xp)
-        np.add.at(dxp, (np.arange(c_in)[:, None, None], idx[None, :, :]), dcols)
-        dx = dxp[:, pl:Lp - pr] if pr else dxp[:, pl:]
-        return dx, dk
+        dtaps = np.empty_like(taps)
+        for w in range(W):
+            dxp[w:w + T] += g * taps[w]
+            dtaps[w] = (g * xp[w:w + T]).sum(axis=0)
+        return dxp[W - 1:], dtaps.T.reshape(kernels.shape)
 
-    return _op(out, (x, k), vjp)
-
-
-def conv1d(x, kernels, stride: int = 1, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """1-D convolution (cross-correlation). x: (C_in, L) -> (C_out, L_out)."""
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
-    if x.ndim != 2 or kernels.ndim != 3:
-        raise DimensionError("conv1d expects (C,L) input and (Co,Ci,W) kernels",
-                             x.shape, kernels.shape)
-    return _conv1d_raw(x.data, kernels, x, stride, padding)
-
-
-def grouped_conv1d(x, kernels, groups: int, stride: int = 1,
-                   padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """Grouped 1-D convolution. kernels: (C_out, C_in/groups, W)."""
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
-    c_in = x.shape[0]
-    c_out = kernels.shape[0]
-    if c_in % groups or c_out % groups:
-        raise DimensionError(
-            f"groups={groups} must divide both channel counts",
-            x.shape, kernels.shape)
-    if kernels.shape[1] != c_in // groups:
-        raise DimensionError("grouped kernel channel mismatch",
-                             x.shape, kernels.shape)
-    gin, gout = c_in // groups, c_out // groups
-    parts = []
-    for gi in range(groups):
-        xs = slice_rows(x, gi * gin, (gi + 1) * gin)
-        ks = slice_rows(kernels, gi * gout, (gi + 1) * gout)
-        parts.append(_conv1d_raw(xs.data, ks, xs, stride, padding))
-    return concat(parts, axis=0) if groups > 1 else parts[0]
+    return _op(out, (x, kernels), vjp)
 
 
 def custom(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:

@@ -37,11 +37,9 @@ from .errors import (
 from .metrics import edit_counts, error_report_from_counts, segments_to_mask, vad_metrics
 from .model import ModelParams, PosteriorGrid
 from .streamer import (
-    ModelDecoder,
-    ModelScorer,
-    Streamer,
     StreamerConfig,
     read_events,
+    run_stream,
     validate_events,
     write_events,
 )
@@ -253,11 +251,8 @@ def _run_stream(args, with_decoder: bool):
     buf = read_wav(o["wav"])
     frames = frame_stream(buf)
     cfg = _streamer_config(o)
-    decoder = ModelDecoder(model, _beam_config(o)) if with_decoder else None
-    streamer = Streamer(cfg, ModelScorer(model), decoder)
-    for fr in frames.frames:
-        streamer.push_frame(fr)
-    streamer.finalize()
+    beam = _beam_config(o) if with_decoder else None
+    streamer = run_stream(model, frames, cfg, beam, decode=with_decoder)
     if o["validate"]:
         validate_events(streamer.events, cfg)
     if o["out"]:

@@ -1,10 +1,11 @@
 """Toy two-branch network: a convolutional feature encoder feeding a cheap
-VAD head (grouped temporal conv + sigmoid FC) and a transformer context block
+VAD head (depthwise temporal conv + sigmoid FC) and a transformer context block
 whose output queries the VAD features through cross-task attention before the
 CTC prediction head.
 
 The encoder's receptive field is exactly one 20 ms frame (kernel == stride in
-both conv layers), so VAD scores are computable frame-by-frame online.
+both conv layers), so each conv is a per-frame matrix product and VAD scores
+are computable frame by frame online, bit-identical to whole-sequence ones.
 """
 
 from __future__ import annotations
@@ -157,11 +158,6 @@ class ModelParams:
     VAD_BRANCH = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g",
                   "enc_ln_b", "vad_k", "vad_b", "vad_fc_w", "vad_fc_b")
 
-    CROSS_TASK = ("xattn_wq", "xattn_wk", "xattn_wv", "xattn_wo")
-
-    def vad_subset(self) -> dict[str, ad.Tensor]:
-        return {k: self.params[k] for k in self.VAD_BRANCH}
-
     def copy(self) -> "ModelParams":
         cloned = {k: ad.Tensor(v.data.copy(), name=k)
                   for k, v in self.params.items()}
@@ -205,26 +201,27 @@ def encode_features(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
         raise DimensionError("expected 320-sample frames (16 kHz, 20 ms)",
                              frames.frames.shape)
     p = model.params
-    x = ad.Tensor(frames.frames.reshape(1, T * FRAME_SAMPLES))
-    h1 = ad.relu(ad.add(ad.conv1d(x, p["enc1_k"], stride=CONV1_WIDTH),
-                        p["enc1_b"]))
-    h2 = ad.relu(ad.add(ad.conv1d(h1, p["enc2_k"], stride=CONV2_WIDTH),
-                        p["enc2_b"]))
-    return ad.layer_norm(ad.transpose(h2), p["enc_ln_g"], p["enc_ln_b"])
+    d, c1 = model.dims.d_model, model.dims.conv1_channels
+    # (T, CONV1_WIDTH, CONV2_WIDTH): column j holds conv1 position j's samples
+    x = ad.Tensor(frames.frames.reshape(T, CONV2_WIDTH, CONV1_WIDTH)
+                  .transpose(0, 2, 1))
+    k1 = ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH))
+    h1 = ad.relu(ad.add(ad.matmul(k1, x), p["enc1_b"]))  # (T, c1, CONV2_WIDTH)
+    k2 = ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH)))
+    h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2)  # (T, 1, d)
+    h2 = ad.relu(ad.add(ad.reshape(h2, (T, d)), ad.reshape(p["enc2_b"], (d,))))
+    return ad.layer_norm(h2, p["enc_ln_g"], p["enc_ln_b"])
 
 
 def vad_forward(Z: ad.Tensor, model: ModelParams) -> tuple[ad.Tensor, ad.Tensor]:
     """Cheap VAD branch: causal depthwise temporal conv + per-frame sigmoid."""
     p = model.params
-    d = model.dims.d_model
-    width = model.dims.vad_kernel_width
-    zt = ad.transpose(Z)  # (d, T)
-    h = ad.relu(ad.add(
-        ad.grouped_conv1d(zt, p["vad_k"], groups=d, padding=(width - 1, 0)),
-        p["vad_b"]))
-    h_vad = ad.transpose(h)  # (T, d)
-    logits = ad.add(ad.matmul(h_vad, p["vad_fc_w"]), p["vad_fc_b"])
-    probs = ad.reshape(ad.sigmoid(logits), (Z.shape[0],))
+    T, d = Z.shape
+    h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, p["vad_k"]),
+                           ad.reshape(p["vad_b"], (d,))))
+    logits = ad.add(ad.matmul(ad.reshape(h_vad, (T, 1, d)), p["vad_fc_w"]),
+                    p["vad_fc_b"])
+    probs = ad.reshape(ad.sigmoid(logits), (T,))
     return h_vad, probs
 
 
@@ -235,6 +232,18 @@ def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
     _, probs = vad_forward(Z, model)
     assert model.attention_evals == before  # structural guarantee
     return probs
+
+
+def vad_score_step(frame: np.ndarray, rows: np.ndarray,
+                   model: ModelParams) -> float:
+    """Online VAD score of one new frame, equal to its whole-sequence score.
+    ``rows`` holds the encoder rows of the last ``vad_kernel_width`` frames
+    (zeros before the stream starts, as the causal pad); the new frame is
+    encoded alone and shifted in, in place."""
+    z = encode_features(FrameSequence(np.asarray(frame)[None, :]), model)
+    rows[:-1] = rows[1:]
+    rows[-1] = z.data[0]
+    return float(vad_forward(ad.Tensor(rows), model)[1].data[-1])
 
 
 def _mha(x_q: ad.Tensor, x_kv: ad.Tensor, wq, wk, wv, wo, n_heads: int,

@@ -25,7 +25,7 @@ import numpy as np
 from .audio import FRAME_DURATION_S, FrameSequence
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InvalidSpecError
-from .model import ModelParams, PosteriorGrid, forward, vad_score_frames
+from .model import ModelParams, PosteriorGrid, forward, vad_score_step
 from . import autodiff as ad
 
 FORCED = "forced-length"
@@ -91,20 +91,17 @@ class ExternalScores:
 class ModelScorer:
     """Cheap VAD path of the model, evaluated frame-by-frame.
 
-    Keeps only the last few frames: the encoder is frame-local and the VAD
-    conv is causal, so the newest probability needs just its receptive field.
+    Encodes each new frame once and keeps the encoder rows of the VAD conv's
+    receptive field: the encoder is frame-local and the VAD conv is causal.
     """
 
     def __init__(self, model: ModelParams):
         self.model = model
-        self._buf: list[np.ndarray] = []
+        self._rows = np.zeros((model.dims.vad_kernel_width,
+                               model.dims.d_model))
 
     def __call__(self, frame, index: int) -> float:
-        self._buf.append(np.asarray(frame, dtype=np.float64))
-        width = self.model.dims.vad_kernel_width
-        self._buf = self._buf[-width:]
-        probs = vad_score_frames(FrameSequence(np.stack(self._buf)), self.model)
-        return float(probs.data[-1])
+        return vad_score_step(frame, self._rows, self.model)
 
 
 class ModelDecoder:
@@ -237,6 +234,19 @@ class Streamer:
         self._speaking = False
         self._reset_window()
         return event
+
+
+def run_stream(model: ModelParams, frames: FrameSequence,
+               config: StreamerConfig, beam: Optional[BeamConfig] = None,
+               decode: bool = True) -> Streamer:
+    """Push every frame through a model-scored streamer, then finalize it.
+    With ``decode``, flushed spans are decoded greedily or with ``beam``."""
+    decoder = ModelDecoder(model, beam) if decode else None
+    streamer = Streamer(config, ModelScorer(model), decoder)
+    for fr in frames.frames:
+        streamer.push_frame(fr)
+    streamer.finalize()
+    return streamer
 
 
 def run_offline_reference(scores: Sequence[float],

@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .audio import FRAME_DURATION_S, SAMPLE_RATE, Utterance, frame_stream
+from .audio import (FRAME_DURATION_S, SAMPLE_RATE, SampleBuffer, Utterance,
+                    frame_stream)
 from .chunking import plan_chunks, sample_chunk_len
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InfeasibleTargetError, NumericError
 from .losses import bce_loss, ctc_loss, mtl_loss
 from .metrics import error_report_from_counts, edit_counts, segments_to_mask, vad_metrics
-from .model import (ModelDims, ModelParams, encode_features, forward,
-                    vad_forward, vad_score_frames)
-from .streamer import ModelDecoder, ModelScorer, Streamer, StreamerConfig
+from .model import ModelDims, ModelParams, forward, vad_score_frames
+from .streamer import StreamerConfig, run_stream
 
 
 @dataclass
@@ -62,7 +62,6 @@ class TrainReport:
     wall_clock_s: float = 0.0
     skipped_infeasible: int = 0
     param_count: int = 0
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -73,7 +72,6 @@ class TrainReport:
             "wall_clock_s": self.wall_clock_s,
             "skipped_infeasible": self.skipped_infeasible,
             "param_count": self.param_count,
-            **self.extras,
         }
 
 
@@ -151,9 +149,8 @@ def _utterance_loss(model: ModelParams, utt: Utterance, vad_weight: float,
 
 def _vad_only_loss(model: ModelParams, utt: Utterance) -> tuple[ad.Tensor, float]:
     frames = frame_stream(utt.audio)
-    z = encode_features(frames, model)
-    _, probs = vad_forward(z, model)
-    bce = bce_loss(probs, utt.speech_mask[:len(frames)])
+    bce = bce_loss(vad_score_frames(frames, model),
+                   utt.speech_mask[:len(frames)])
     return bce.node, bce.loss
 
 
@@ -246,7 +243,7 @@ def train_stage1_asr(model: ModelParams, corpus: Sequence[Utterance],
     with whatever the untrained VAD branch produces."""
     if config.stage != "asr_only":
         raise DataError("stage must be asr_only")
-    config.vad_weight = 0.0
+    config = replace(config, vad_weight=0.0)
     model = model.copy()
     report = _run_training(model, corpus, config,
                            trainable=list(model.params))
@@ -319,22 +316,33 @@ def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
     """
     rng = np.random.default_rng(seed)
     window = int(round(FRAME_DURATION_S * SAMPLE_RATE))
-    pieces, masks, ref = [], [], []
+    max_gap = max(1, int(round(max(gap_range_s) / FRAME_DURATION_S)))
+    # filled in place at an upper bound, so the stream is never held twice;
+    # the untouched tail is never resident
+    samples = np.empty((len(corpus) + 1) * max_gap * window
+                       + sum(len(u.audio.samples) for u in corpus))
+    n = 0
+    masks, ref = [], []
+
+    def put(audio):
+        nonlocal n
+        samples[n:n + len(audio)] = audio
+        n += len(audio)
 
     def gap():
         g_frames = max(1, int(round(rng.uniform(*gap_range_s) / FRAME_DURATION_S)))
-        pieces.append(rng.normal(0.0, noise_amplitude, g_frames * window)
-                      if noise_amplitude > 0 else np.zeros(g_frames * window))
+        put(rng.normal(0.0, noise_amplitude, g_frames * window)
+            if noise_amplitude > 0 else np.zeros(g_frames * window))
         masks.append(np.zeros(g_frames, dtype=bool))
 
     gap()
     for utt in corpus:
         n_frames = len(utt.speech_mask)
-        pieces.append(utt.audio.samples[:n_frames * window])
+        put(utt.audio.samples[:n_frames * window])
         masks.append(utt.speech_mask)
         ref.extend(utt.transcript)
         gap()
-    return np.concatenate(pieces), np.concatenate(masks), tuple(ref)
+    return samples[:n], np.concatenate(masks), tuple(ref)
 
 
 def evaluate(model: ModelParams, corpus: Sequence[Utterance],
@@ -369,14 +377,10 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     if mode != "streaming":
         raise DataError(f"unknown evaluation mode {mode!r}")
     samples, ref_mask, ref_tokens = build_dev_stream(corpus, seed=stream_seed)
-    window = int(round(FRAME_DURATION_S * SAMPLE_RATE))
-    frames = samples[:len(samples) // window * window].reshape(-1, window)
+    frames = frame_stream(SampleBuffer(samples))
     cfg = streamer_config or StreamerConfig(
         max_chunk_frames=max(int(round(l_asr_s / FRAME_DURATION_S)), 5))
-    streamer = Streamer(cfg, ModelScorer(model), ModelDecoder(model, beam))
-    for fr in frames:
-        streamer.push_frame(fr)
-    streamer.finalize()
+    streamer = run_stream(model, frames, cfg, beam)
     hyp_tokens: list[str] = []
     for ev in streamer.events:
         hyp_tokens.extend(ev.text)

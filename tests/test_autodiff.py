@@ -117,45 +117,65 @@ class TestOpGradients:
         with pytest.raises(DimensionError):
             ad.slice_cols(a, -1, 2)
 
-    def test_conv1d_strided_padded(self, rng):
-        x = ad.Tensor(rng.normal(size=(2, 11)))
-        k = ad.Tensor(rng.normal(size=(3, 2, 4)))
-        out = ad.conv1d(x, k, stride=2, padding=(1, 2))
-        assert out.shape == (3, (11 + 3 - 4) // 2 + 1)
-        w = rng.normal(size=out.shape)
+    def test_matmul_stacked(self, rng):
+        # one operand may be a stack of matrices, for both argument orders
+        stack = ad.Tensor(rng.normal(size=(4, 2, 3)))
+        mat = ad.Tensor(rng.normal(size=(3, 5)))
+        w = rng.normal(size=(4, 2, 5))
+        fd(lambda p: ad.sum_all(ad.mul(p[0] @ p[1], w)), [stack, mat])
+        left = ad.Tensor(rng.normal(size=(2, 4)))
+        rstack = ad.Tensor(rng.normal(size=(3, 4, 5)))
+        w = rng.normal(size=(3, 2, 5))
+        fd(lambda p: ad.sum_all(ad.mul(p[0] @ p[1], w)), [left, rstack])
 
-        def f(p):
-            return ad.sum_all(ad.mul(ad.conv1d(p[0], p[1], stride=2,
-                                               padding=(1, 2)), w))
+    def test_matmul_stacked_items_independent(self, rng):
+        # each item is multiplied on its own: a prefix of the stack gives
+        # bit-identical items, whatever the stack length
+        stack = rng.normal(size=(9, 1, 6))
+        mat = rng.normal(size=(6, 4))
+        whole = ad.matmul(ad.Tensor(stack), ad.Tensor(mat)).data
+        for t in range(9):
+            one = ad.matmul(ad.Tensor(stack[t:t + 1]), ad.Tensor(mat)).data
+            assert np.array_equal(one[0], whole[t])
 
-        fd(f, [x, k])
+    def test_matmul_two_stacks_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.matmul(ad.Tensor(np.ones((2, 2, 3))),
+                      ad.Tensor(np.ones((2, 3, 2))))
 
-    def test_conv1d_nonoverlap_equals_matmul(self, rng):
-        # kernel width == stride: each output column is an independent
-        # projection of one input block
-        x = rng.normal(size=(1, 12))
-        k = rng.normal(size=(4, 1, 3))
-        out = ad.conv1d(ad.Tensor(x), ad.Tensor(k), stride=3)
-        blocks = x.reshape(4, 3).T
-        assert np.allclose(out.data, k.reshape(4, 3) @ blocks)
-
-    def test_grouped_conv1d_depthwise(self, rng):
-        x = ad.Tensor(rng.normal(size=(4, 9)))
-        k = ad.Tensor(rng.normal(size=(4, 1, 3)))
-        out = ad.grouped_conv1d(x, k, groups=4, padding=(2, 0))
+    def test_depthwise_conv1d_causal(self, rng):
+        # integer values make every product and sum exact, so the causal
+        # np.convolve oracle must agree bit for bit
+        x = rng.integers(-9, 10, size=(9, 4)).astype(float)
+        k = rng.integers(-9, 10, size=(4, 1, 3)).astype(float)
+        out = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(k)).data
         # causal: output at t sees inputs t-2..t
-        for c in range(4):
-            ref = np.convolve(x.data[c], k.data[c, 0][::-1], mode="full")[:9]
-            assert np.allclose(out.data[c], ref)
-        w = rng.normal(size=out.shape)
-        fd(lambda p: ad.sum_all(ad.mul(
-            ad.grouped_conv1d(p[0], p[1], groups=4, padding=(2, 0)), w)),
+        ref = np.stack([np.convolve(x[:, c], k[c, 0][::-1])[:9]
+                        for c in range(4)], axis=1)
+        assert np.array_equal(out, ref)
+
+    def test_depthwise_conv1d_rows_independent_of_length(self, rng):
+        x = rng.normal(size=(12, 5))
+        k = rng.normal(size=(5, 1, 4))
+        whole = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(k)).data
+        for t in range(1, 12):
+            part = ad.depthwise_conv1d(ad.Tensor(x[:t]), ad.Tensor(k)).data
+            assert np.array_equal(part, whole[:t])
+
+    def test_depthwise_conv1d_gradient(self, rng):
+        x = ad.Tensor(rng.normal(size=(7, 3)))
+        k = ad.Tensor(rng.normal(size=(3, 1, 4)))
+        w = rng.normal(size=(7, 3))
+        fd(lambda p: ad.sum_all(ad.mul(ad.depthwise_conv1d(p[0], p[1]), w)),
            [x, k])
 
-    def test_grouped_conv1d_group_mismatch(self):
+    def test_depthwise_conv1d_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.grouped_conv1d(ad.Tensor(np.ones((3, 5))),
-                              ad.Tensor(np.ones((3, 1, 2))), groups=2)
+            ad.depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
+                                ad.Tensor(np.ones((2, 1, 2))))
+        with pytest.raises(DimensionError):
+            ad.depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
+                                ad.Tensor(np.ones((3, 2, 2))))
 
     def test_transpose_reshape_mean(self, rng):
         a = ad.Tensor(rng.normal(size=(3, 4)))

@@ -27,6 +27,15 @@ def small_model(seed=0, **dim_kwargs):
     return ModelParams.init(VOCAB, dims, seed=seed)
 
 
+def perturbed_model(seed=0):
+    """Small model with every parameter, biases too, randomly nonzero."""
+    model = small_model(seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in model.params.values():
+        t.data += rng.normal(0.0, 0.1, t.shape)
+    return model
+
+
 def random_frames(rng, T):
     return FrameSequence(frames=rng.normal(0.0, 0.1, size=(T, FRAME_SAMPLES)))
 
@@ -84,6 +93,34 @@ class TestStructuralIdentities:
         changed = np.any(base != pert, axis=1)
         assert changed[3]
         assert not changed[:3].any() and not changed[4:].any()
+
+    def test_encoder_rows_independent_of_length(self, rng):
+        # encoding one frame alone gives that frame's row of a
+        # whole-sequence encode, bit for bit
+        model = perturbed_model()
+        frames = random_frames(rng, 9)
+        whole = encode_features(frames, model).data
+        for t in range(9):
+            one = encode_features(FrameSequence(frames.frames[t:t + 1]), model)
+            assert np.array_equal(one.data[0], whole[t])
+
+    def test_encoder_matches_strided_conv_reference(self, rng):
+        # both convs have kernel == stride: conv1 reads 16-sample blocks of
+        # the frame, conv2 all 20 conv1 positions, with the checkpoint's
+        # (C_out, C_in, W) kernel layout
+        model = perturbed_model()
+        p = {k: v.data for k, v in model.params.items()}
+        x = rng.normal(0.0, 0.1, size=(3, FRAME_SAMPLES))
+        blocks = x.reshape(3, 20, 16)
+        h1 = np.maximum(np.einsum("ci,tji->tcj", p["enc1_k"][:, 0], blocks)
+                        + p["enc1_b"][None], 0.0)
+        h2 = np.maximum(np.einsum("ocw,tcw->to", p["enc2_k"], h1)
+                        + p["enc2_b"][:, 0], 0.0)
+        mu = h2.mean(axis=1, keepdims=True)
+        ref = ((h2 - mu) / np.sqrt(h2.var(axis=1, keepdims=True) + 1e-5)
+               * p["enc_ln_g"] + p["enc_ln_b"])
+        out = encode_features(FrameSequence(frames=x), model).data
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
     def test_vad_conv_is_causal(self, rng):
         # perturbing frame j never changes VAD features before j
@@ -199,8 +236,9 @@ class TestGradients:
         model = ModelParams.init(["a", "b"], dims, seed=1)
         frames = FrameSequence(
             frames=rng.normal(0.0, 0.1, size=(4, FRAME_SAMPLES)))
-        names = ["enc2_k", "vad_k", "ctx_wq", "xattn_wv", "asr_w",
-                 "ctx_ln1_g", "vad_fc_w"]
+        names = ["enc1_k", "enc1_b", "enc2_k", "enc2_b", "vad_k", "vad_b",
+                 "ctx_wq", "xattn_wv", "asr_w", "ctx_ln1_g", "vad_fc_w",
+                 "vad_fc_b"]
         tensors = [model.params[n] for n in names]
         w = rng.normal(size=(4, 3))
         wp = rng.normal(size=4)

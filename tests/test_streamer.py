@@ -4,12 +4,15 @@ event file I/O."""
 import numpy as np
 import pytest
 
+from vadasr.audio import FrameSequence
 from vadasr.errors import DataError, InvalidSpecError
+from vadasr.model import ModelDims, ModelParams, vad_score_frames
 from vadasr.streamer import (
     END_OF_UTT,
     FINALIZE,
     FORCED,
     ExternalScores,
+    ModelScorer,
     SegmentEvent,
     Streamer,
     StreamerConfig,
@@ -135,6 +138,22 @@ class TestOfflineEquivalence:
                 if a.cause == END_OF_UTT:
                     assert b.start_frame - a.end_frame >= \
                         SMALL.min_silence_frames
+
+
+class TestModelScorer:
+    def test_frame_by_frame_equals_whole_sequence(self, rng):
+        # the README's claim, exactly: every online score, including the
+        # first W-1 that see the causal pad, equals the whole-sequence score
+        dims = ModelDims(vocab_size=3, vad_kernel_width=4)
+        model = ModelParams.init(["a", "b", "c"], dims, seed=5)
+        for t in model.params.values():
+            t.data += rng.normal(0.0, 0.1, t.shape)
+        frames = rng.normal(0.0, 0.1, size=(3 * dims.vad_kernel_width + 2,
+                                            320))
+        whole = vad_score_frames(FrameSequence(frames), model).data
+        scorer = ModelScorer(model)
+        online = np.array([scorer(fr, i) for i, fr in enumerate(frames)])
+        assert np.array_equal(online, whole)
 
 
 class TestScorerFailure:

@@ -119,6 +119,14 @@ class TestTraining:
         for k, v in before.items():
             assert np.array_equal(model.params[k].data, v)
 
+    def test_input_config_untouched(self, tiny_corpus):
+        model = ModelParams.init(default_vocab(5), seed=1)
+        config = TrainConfig(stage="asr_only", epochs=1, seed=0,
+                             vad_weight=0.7)
+        train_stage1_asr(model, tiny_corpus, config)
+        assert config == TrainConfig(stage="asr_only", epochs=1, seed=0,
+                                     vad_weight=0.7)
+
     def test_loss_decreases(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)
         _, rep = train_stage1_asr(model, tiny_corpus,
@@ -176,10 +184,42 @@ class TestDevStream:
         assert sum(len(u.transcript) for u in tiny_corpus) == len(ref)
         assert mask.sum() == sum(u.speech_mask.sum() for u in tiny_corpus)
 
+    @pytest.mark.parametrize("seed,noise", [(9, 0.005), (101, 0.005),
+                                            (9, 0.0)])
+    def test_matches_concatenation_reference(self, tiny_corpus, seed, noise):
+        samples, mask, ref = build_dev_stream(tiny_corpus, seed=seed,
+                                              noise_amplitude=noise)
+        r_samples, r_mask, r_ref = _dev_stream_by_concatenation(
+            tiny_corpus, seed, noise_amplitude=noise)
+        assert np.array_equal(samples, r_samples)
+        assert np.array_equal(mask, r_mask)
+        assert ref == r_ref
+
     def test_deterministic(self, tiny_corpus):
         a = build_dev_stream(tiny_corpus, seed=9)[0]
         b = build_dev_stream(tiny_corpus, seed=9)[0]
         assert np.array_equal(a, b)
+
+
+def _dev_stream_by_concatenation(corpus, seed, gap_range_s=(0.5, 2.0),
+                                 noise_amplitude=0.005):
+    """Reference: every piece kept in a list, then concatenated."""
+    rng = np.random.default_rng(seed)
+    pieces, masks, ref = [], [], []
+
+    def gap():
+        g = max(1, int(round(rng.uniform(*gap_range_s) / 0.02)))
+        pieces.append(rng.normal(0.0, noise_amplitude, g * 320)
+                      if noise_amplitude > 0 else np.zeros(g * 320))
+        masks.append(np.zeros(g, dtype=bool))
+
+    gap()
+    for utt in corpus:
+        pieces.append(utt.audio.samples[:len(utt.speech_mask) * 320])
+        masks.append(utt.speech_mask)
+        ref.extend(utt.transcript)
+        gap()
+    return np.concatenate(pieces), np.concatenate(masks), tuple(ref)
 
 
 class TestEvaluate:

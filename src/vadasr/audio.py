@@ -53,7 +53,6 @@ class SampleBuffer:
 class FrameSequence:
     frames: np.ndarray  # (T, samples_per_frame) or (T, feat_dim)
     frame_duration_s: float = FRAME_DURATION_S
-    origin_offset_s: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "frames",
@@ -63,9 +62,6 @@ class FrameSequence:
 
     def __len__(self):
         return self.frames.shape[0]
-
-    def frame_time_s(self, t: int) -> float:
-        return self.origin_offset_s + t * self.frame_duration_s
 
 
 @dataclass(frozen=True)
@@ -130,12 +126,15 @@ def read_wav(path) -> SampleBuffer:
             width = wf.getsampwidth()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise FormatError(f"{path}: malformed WAV ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # wave raises a bare RuntimeError for a chunk size past the file end
+        raise FormatError(f"{path}: malformed WAV ({exc!r})") from exc
     if channels != 1:
         raise UnsupportedFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise UnsupportedFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if len(raw) % 2:
+        raise FormatError(f"{path}: sample data truncated mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return SampleBuffer(samples=samples, sample_rate_hz=rate)
 
@@ -234,6 +233,9 @@ def read_mask(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != _MASK_MAGIC:
         raise FormatError(f"{path}: bad mask magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise FormatError(f"{path}: mask header truncated at "
+                          f"{len(blob)} bytes")
     (n,) = struct.unpack_from("<I", blob, 4)
     body = blob[8:]
     if len(body) != n:
@@ -273,16 +275,24 @@ def read_corpus(manifest_path) -> tuple[list[Utterance], list[str]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{manifest_path}: bad manifest line: {exc}")
-            buf = read_wav(base / rec["wav_path"])
-            mask = read_mask(base / rec["mask_path"])
-            transcript = tuple(rec["transcript"].split())
-            utts.append(Utterance(audio=buf, transcript=transcript,
-                                  speech_mask=mask, id=rec["id"]))
+                wav_path = base / rec["wav_path"]
+                mask_path = base / rec["mask_path"]
+                transcript = tuple(rec["transcript"].split())
+                utt_id = rec["id"]
+            except (json.JSONDecodeError, KeyError, TypeError,
+                    AttributeError) as exc:
+                raise FormatError(f"{manifest_path}: bad manifest line: "
+                                  f"{type(exc).__name__}: {exc}") from exc
+            utts.append(Utterance(audio=read_wav(wav_path),
+                                  transcript=transcript,
+                                  speech_mask=read_mask(mask_path), id=utt_id))
     vocab_file = base / "vocab.json"
     if vocab_file.exists():
-        vocab = json.loads(vocab_file.read_text())["vocab"]
+        try:
+            vocab = list(json.loads(vocab_file.read_text())["vocab"])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{vocab_file}: bad vocab file: "
+                              f"{type(exc).__name__}: {exc}") from exc
     else:
         vocab = sorted({tok for u in utts for tok in u.transcript})
     return utts, vocab

@@ -8,6 +8,7 @@ Tensors are immutable value holders; parameters are just long-lived tensors.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -418,10 +419,10 @@ def load_params(path) -> dict[str, Tensor]:
     if blob[:4] != _MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}")
     off = 4
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
     out: dict[str, Tensor] = {}
     try:
+        (count,) = struct.unpack_from("<I", blob, off)
+        off += 4
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", blob, off)
             off += 2
@@ -431,7 +432,7 @@ def load_params(path) -> dict[str, Tensor]:
             off += 1
             dims = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
+            n = math.prod(dims)  # a Python int: large dims cannot wrap
             if off + 8 * n > len(blob):
                 raise FormatError(
                     f"truncated checkpoint: tensor {name!r} needs {8 * n} "
@@ -441,6 +442,8 @@ def load_params(path) -> dict[str, Tensor]:
             out[name] = Tensor(arr.copy().reshape(dims), name=name)
     except struct.error as exc:
         raise FormatError(f"truncated checkpoint: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"bad tensor name in checkpoint: {exc}") from exc
     if off != len(blob):
         raise FormatError("trailing bytes after last tensor")
     return out

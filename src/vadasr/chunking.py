@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import FRAME_DURATION_S
 from .errors import InvalidSpecError, LayoutError
-
-FRAME_DURATION_S = 0.02
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,9 @@ def load_external_posteriors(path) -> PosteriorGrid:
         blob = fh.read()
     if blob[:4] != _POST_MAGIC:
         raise FormatError(f"{path}: bad posterior magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise FormatError(f"{path}: posterior header truncated at "
+                          f"{len(blob)} bytes")
     T, K = struct.unpack_from("<II", blob, 4)
     expected = 12 + 8 * T * K
     if len(blob) != expected:
@@ -77,9 +80,13 @@ def load_external_posteriors(path) -> PosteriorGrid:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise FormatError(f"missing posterior sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    vocab = list(sidecar["vocab"])
-    blank = int(sidecar["blank_index"])
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        vocab = list(sidecar["vocab"])
+        blank = int(sidecar["blank_index"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{sidecar_path}: bad posterior sidecar: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if K != len(vocab) + 1 or blank != len(vocab):
         raise FormatError(f"{path}: sidecar vocab inconsistent with K={K}")
     rowsums = np.exp(arr).sum(axis=1)
@@ -99,10 +106,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag_type(action: argparse.Action) -> type:
+    """The type a flag's value has after parsing."""
+    if action.type is not None:
+        return action.type
+    return str if action.const is None else type(action.const)
+
+
+def _check_config_value(key: str, value, kind: type, default) -> None:
+    """A config-file value must have the type its flag parses to; an int
+    stands for a float, and null only for a key whose default is null."""
+    if value is None and default is None:
+        return
+    if type(value) is kind or (kind is float and type(value) is int):
+        return
+    raise UsageError(f"config key {key!r} must be {kind.__name__}, "
+                     f"got {type(value).__name__} {value!r}")
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """flag > config file > default."""
     provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config") and v is not None}
+                if k not in ("func", "config", "flag_types") and v is not None}
     merged = dict(defaults)
     cfg_path = getattr(args, "config", None)
     if cfg_path:
@@ -110,9 +135,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             file_cfg = json.loads(Path(cfg_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read config {cfg_path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise DataError(f"config {cfg_path} must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, args.flag_types[key],
+                                defaults[key])
         merged.update(file_cfg)
     merged.update(provided)
     return merged
@@ -400,6 +430,8 @@ def build_parser() -> _Parser:
     for p_ in sub.choices.values():
         p_.add_argument("--config", help="JSON config file (flat, flag names "
                                          "without dashes)")
+        p_.set_defaults(flag_types={a.dest: _flag_type(a)
+                                    for a in p_._actions})
     return parser
 
 
@@ -419,6 +451,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
 

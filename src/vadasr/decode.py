@@ -75,8 +75,9 @@ class NgramLM:
             counts = {tuple(k.split(" ")): int(v)
                       for k, v in obj["counts"].items()}
             return cls(order=int(obj["order"]), counts=counts)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"malformed LM file: {exc}") from exc
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise DataError(f"malformed LM file: "
+                            f"{type(exc).__name__}: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -99,10 +100,6 @@ def train_ngram(transcripts: Sequence[Sequence[str]], order: int = 4) -> NgramLM
             for i in range(len(padded) - n + 1):
                 counts[tuple(padded[i:i + n])] += 1
     return NgramLM(order=order, counts=dict(counts))
-
-
-def lm_logprob(lm: NgramLM, history: Sequence[str], token: str) -> float:
-    return lm.score(history, token)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,84 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, DimensionError, InfeasibleTargetError, VocabularyError
-from .kernels import ctc_forward_backward
 
 PROB_CLAMP = 1e-7
 BRUTEFORCE_LIMIT = 10 ** 6
+NEG_INF = -np.inf
+
+
+def extend_with_blanks(targets: np.ndarray, blank: int) -> np.ndarray:
+    ext = np.full(2 * len(targets) + 1, blank, dtype=np.int64)
+    ext[1::2] = targets
+    return ext
+
+
+def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
+                         blank: int) -> tuple[float, np.ndarray]:
+    """log_probs: (T, K); targets: (L,) int indices, no blanks.
+
+    Log-space alpha/beta recursion over the blank-extended target (Graves et
+    al. 2006). Returns (loss, grad) where loss = -log p_CTC(targets |
+    log_probs) and grad = d loss / d log_probs. Infeasible targets yield
+    (inf, zeros).
+    """
+    T, K = log_probs.shape
+    ext = extend_with_blanks(np.asarray(targets, dtype=np.int64), blank)
+    S = len(ext)
+
+    # transitions: s -> s (stay), s-1 -> s, and s-2 -> s when the skip does
+    # not jump over a required blank (distinct consecutive labels)
+    can_skip = np.zeros(S, dtype=bool)
+    if S > 2:
+        can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+
+    emit = log_probs[:, ext]  # (T, S)
+
+    alpha = np.full((T, S), NEG_INF)
+    alpha[0, 0] = emit[0, 0]
+    if S > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        stay = prev
+        step = np.concatenate(([NEG_INF], prev[:-1]))
+        a = np.logaddexp(stay, step)
+        if S > 2:
+            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
+            skip = np.where(can_skip, skip, NEG_INF)
+            a = np.logaddexp(a, skip)
+        alpha[t] = a + emit[t]
+
+    tail = alpha[T - 1, S - 1]
+    if S > 1:
+        tail = np.logaddexp(tail, alpha[T - 1, S - 2])
+    log_z = tail
+    if not np.isfinite(log_z):
+        return float("inf"), np.zeros_like(log_probs)
+
+    beta = np.full((T, S), NEG_INF)
+    beta[T - 1, S - 1] = 0.0
+    if S > 1:
+        beta[T - 1, S - 2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1] + emit[t + 1]
+        stay = nxt
+        step = np.concatenate((nxt[1:], [NEG_INF]))
+        b = np.logaddexp(stay, step)
+        if S > 2:
+            skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
+            skip = np.where(np.concatenate((can_skip[2:], [False, False])),
+                            skip, NEG_INF)
+            b = np.logaddexp(b, skip)
+        beta[t] = b
+
+    # occupancy gamma[t, s] = P(path passes (t, s) | target) in log space
+    gamma = alpha + beta - log_z
+    occ = np.exp(gamma)
+    grad = np.zeros_like(log_probs)
+    # scatter-add marginals onto their emitting symbols
+    np.add.at(grad, (np.arange(T)[:, None], ext[None, :]), occ)
+    return float(-log_z), -grad
 
 
 @dataclass

@@ -20,7 +20,13 @@ import numpy as np
 from . import autodiff as ad
 from .audio import FrameSequence
 from .chunking import ChunkLayout, whole_utterance_layout
-from .errors import DataError, DimensionError, LayoutError, UsageError
+from .errors import (
+    DataError,
+    DimensionError,
+    FormatError,
+    LayoutError,
+    UsageError,
+)
 
 FRAME_SAMPLES = 320
 CONV1_WIDTH = 16   # stride 16: 320 -> 20 positions per frame
@@ -181,11 +187,31 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
+        """Read a checkpoint and its JSON sidecar; every tensor must have the
+        name and shape that ``init`` gives for the sidecar's vocab and dims."""
         path = Path(path)
         params = ad.load_params(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        dims = ModelDims(**sidecar["dims"])
-        return cls(sidecar["vocab"], dims, params)
+        sidecar_path = path.with_suffix(path.suffix + ".json")
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+            vocab = list(sidecar["vocab"])
+            dims = ModelDims(**sidecar["dims"])
+            expected = cls.init(vocab, dims).params
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                ZeroDivisionError, UsageError) as exc:
+            raise FormatError(f"{sidecar_path}: bad checkpoint sidecar: "
+                              f"{type(exc).__name__}: {exc}") from exc
+        for name, t in expected.items():
+            if name not in params:
+                raise FormatError(f"{path}: missing tensor {name!r}")
+            if params[name].shape != t.shape:
+                raise FormatError(
+                    f"{path}: tensor {name!r} has shape {params[name].shape}, "
+                    f"the sidecar's dims give {t.shape}")
+        extra = [name for name in params if name not in expected]
+        if extra:
+            raise FormatError(f"{path}: unexpected tensor {extra[0]!r}")
+        return cls(vocab, dims, params)
 
 
 # ---------------------------------------------------------------------------

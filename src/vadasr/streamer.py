@@ -323,6 +323,8 @@ def read_events(path) -> list[SegmentEvent]:
                 events.append(SegmentEvent(
                     start_s=float(rec["start_s"]), end_s=float(rec["end_s"]),
                     text=tuple(rec["text"].split()), cause=rec["cause"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataError(f"{path}: bad event line: {exc}") from exc
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+                    AttributeError) as exc:
+                raise DataError(f"{path}: bad event line: "
+                                f"{type(exc).__name__}: {exc}") from exc
     return events

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vadasr.audio import (
-    FRAME_DURATION_S,
     SAMPLE_RATE,
     CorpusSpec,
     SampleBuffer,
@@ -77,11 +76,6 @@ class TestFraming:
     def test_shorter_than_one_frame(self):
         frames = frame_stream(SampleBuffer(np.zeros(100)))
         assert len(frames) == 0
-
-    def test_frame_times(self):
-        frames = frame_stream(SampleBuffer(np.zeros(640)))
-        assert frames.frame_time_s(0) == 0.0
-        assert frames.frame_time_s(1) == pytest.approx(FRAME_DURATION_S)
 
     def test_bad_duration(self):
         with pytest.raises(InvalidSpecError):

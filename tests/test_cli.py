@@ -2,6 +2,8 @@
 and exit codes."""
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,120 @@ def model_ckpt(tmp_path_factory):
     return path
 
 
+# Each builder writes one malformed input under ``tmp`` and returns the
+# command line that reads it.
+
+def _manifest_line(tmp, corpus_dir, **fields):
+    root, manifest, _ = corpus_dir
+    rec = json.loads(manifest.read_text().splitlines()[0])
+    rec["wav_path"] = str(root / rec["wav_path"])
+    rec["mask_path"] = str(root / rec["mask_path"])
+    rec.update(fields)
+    rec = {k: v for k, v in rec.items() if v is not None}
+    path = tmp / "manifest.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    return ["train", "--corpus", str(path), "--out", str(tmp / "o.ckpt")]
+
+
+def _no_mask_path(tmp, corpus_dir, model_ckpt):
+    return _manifest_line(tmp, corpus_dir, mask_path=None)
+
+
+def _short_mask(tmp, corpus_dir, model_ckpt):
+    (tmp / "short.mask").write_bytes(b"VMSK\x01")
+    return _manifest_line(tmp, corpus_dir, mask_path=str(tmp / "short.mask"))
+
+
+def _bad_vocab_file(tmp, corpus_dir, model_ckpt):
+    argv = _manifest_line(tmp, corpus_dir)
+    (tmp / "vocab.json").write_text("{bad")
+    return argv
+
+
+def _string_for_int(tmp, corpus_dir, model_ckpt):
+    (tmp / "cfg.json").write_text(json.dumps({"beam_size": "20"}))
+    return ["decode-posteriors", "--posteriors", str(tmp / "p.bin"),
+            "--config", str(tmp / "cfg.json")]
+
+
+def _checkpoint_sidecar_not_json(tmp, corpus_dir, model_ckpt):
+    (tmp / "m.ckpt").write_bytes(model_ckpt.read_bytes())
+    (tmp / "m.ckpt.json").write_text("{bad")
+    return ["segment", "--model", str(tmp / "m.ckpt"),
+            "--wav", str(tmp / "x.wav")]
+
+
+def _checkpoint(blob):
+    def build(tmp, corpus_dir, model_ckpt):
+        (tmp / "m.ckpt").write_bytes(blob)
+        (tmp / "m.ckpt.json").write_text(
+            Path(str(model_ckpt) + ".json").read_text())
+        return ["segment", "--model", str(tmp / "m.ckpt"),
+                "--wav", str(tmp / "x.wav")]
+    return build
+
+
+def _wav(corrupt):
+    def build(tmp, corpus_dir, model_ckpt):
+        wav = corpus_dir[0] / "utt0000.wav"
+        (tmp / "x.wav").write_bytes(corrupt(wav.read_bytes()))
+        return ["segment", "--model", str(model_ckpt),
+                "--wav", str(tmp / "x.wav")]
+    return build
+
+
+def _posteriors(tmp, blob=None, sidecar=None, lm=None):
+    path = tmp / "p.bin"
+    save_posteriors(path, PosteriorGrid(
+        log_probs=ad.Tensor(np.log(np.full((3, 3), 1 / 3))),
+        vocab=["a", "b"], blank_index=2))
+    if blob is not None:
+        path.write_bytes(blob)
+    if sidecar is not None:
+        Path(str(path) + ".json").write_text(sidecar)
+    argv = ["decode-posteriors", "--posteriors", str(path)]
+    if lm is not None:
+        (tmp / "lm.json").write_bytes(lm)
+        argv += ["--lm-path", str(tmp / "lm.json")]
+    return argv
+
+
+def _event_line(line):
+    def build(tmp, corpus_dir, model_ckpt):
+        (tmp / "ev.jsonl").write_text(line + "\n")
+        return ["score", "--events", "--ref", str(tmp / "ev.jsonl"),
+                "--hyp", str(tmp / "ev.jsonl")]
+    return build
+
+
+_EVENT = {"start_s": 0.0, "end_s": 1.0, "cause": "end_of_utterance"}
+
+MALFORMED_INPUTS = [
+    ("manifest-no-mask-path", _no_mask_path, 2),
+    ("mask-5-bytes", _short_mask, 2),
+    ("vocab-file-not-json", _bad_vocab_file, 2),
+    ("config-string-for-int", _string_for_int, 1),
+    ("checkpoint-sidecar-not-json", _checkpoint_sidecar_not_json, 2),
+    ("checkpoint-4-bytes", _checkpoint(b"TNSR"), 2),
+    ("checkpoint-name-not-utf8",
+     _checkpoint(b"TNSR" + struct.pack("<IH", 1, 1) + b"\xff"), 2),
+    ("checkpoint-dims-overflow-int64",
+     _checkpoint(b"TNSR" + struct.pack("<IH", 1, 1) + b"a"
+                 + struct.pack("<B3I", 3, 2 ** 24, 2 ** 28, 2701131776)), 2),
+    ("wav-odd-data-length", _wav(lambda b: b[:-1]), 2),
+    ("wav-chunk-past-end", _wav(lambda b: b[:32] + b[33:]), 2),
+    ("posterior-sidecar-not-json",
+     lambda tmp, *_: _posteriors(tmp, sidecar="{bad"), 2),
+    ("posterior-4-bytes", lambda tmp, *_: _posteriors(tmp, blob=b"VAP1"), 2),
+    ("event-text-not-string",
+     _event_line(json.dumps({**_EVENT, "text": 5})), 2),
+    ("event-line-not-object", _event_line("[1]"), 2),
+    ("lm-counts-not-object",
+     lambda tmp, *_: _posteriors(tmp, lm=b'{"order":2,"counts":[1]}'), 2),
+    ("lm-not-utf8", lambda tmp, *_: _posteriors(tmp, lm=b'{"\xff'), 2),
+]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("gen-corpus", "--frobnicate") == 1
@@ -45,6 +161,16 @@ class TestExitCodes:
         assert run_cli("decode-posteriors",
                        "--posteriors", "/nonexistent/p.bin") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "build, code", [case[1:] for case in MALFORMED_INPUTS],
+        ids=[case[0] for case in MALFORMED_INPUTS])
+    def test_malformed_input(self, build, code, tmp_path, corpus_dir,
+                             model_ckpt, capsys):
+        assert run_cli(*build(tmp_path, corpus_dir, model_ckpt)) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_success_is_zero(self, tmp_path, capsys):
         assert run_cli("gen-corpus", "--out", str(tmp_path / "c"),
@@ -97,6 +223,18 @@ class TestConfigFile:
         assert run_cli("gen-corpus", "--out", str(tmp_path / "c"),
                        "--config", str(cfg)) == 1
         assert "no_such_option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, code", [
+        ({"count": 1, "noise": 0}, 0),  # an int stands for a float
+        ({"count": True}, 1),
+        ({"count": 1.0}, 1),
+    ])
+    def test_value_must_have_flag_type(self, cfg, code, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("gen-corpus", "--out", str(tmp_path / "c"),
+                       "--config", str(path)) == code
+        capsys.readouterr()
 
 
 class TestPosteriorFormat:

@@ -14,7 +14,6 @@ from vadasr.decode import (
     NgramLM,
     beam_search,
     greedy_decode,
-    lm_logprob,
     train_ngram,
 )
 from vadasr.errors import DataError, UsageError, VocabularyError
@@ -172,10 +171,6 @@ class TestNgram:
         lm = train_ngram([("a", "b"), ("a", "c")], order=2)
         # empty history means sentence start: both sentences begin with "a"
         assert lm.score([], "a") == pytest.approx(math.log(1.0))
-
-    def test_lm_logprob_wrapper(self):
-        lm = train_ngram([("a",)], order=1)
-        assert lm_logprob(lm, [], "a") == lm.score([], "a")
 
     def test_json_round_trip(self, tmp_path):
         lm = train_ngram([("a", "b", "a"), ("b", "a")], order=3)

@@ -14,8 +14,10 @@ from vadasr.errors import (
 )
 from vadasr.losses import (
     bce_loss,
+    ctc_forward_backward,
     ctc_loss,
     ctc_loss_bruteforce,
+    extend_with_blanks,
     min_frames_required,
     mtl_loss,
 )
@@ -198,3 +200,16 @@ class TestMtl:
             grads = ad.backward(tape, m.node)
         assert np.allclose(grads[grid.log_probs], ctc.grad_log_probs)
         assert np.allclose(grads[probs], w * ce.grad_probs)
+
+
+def test_extend_with_blanks():
+    ext = extend_with_blanks(np.array([0, 1]), blank=2)
+    assert list(ext) == [2, 0, 2, 1, 2]
+
+
+def test_infeasible_returns_inf(rng):
+    # the kernel itself, below ctc_loss's frame-count check
+    logp = random_grid(rng, 2, 2).array
+    loss, grad = ctc_forward_backward(logp, np.array([0, 0]), 2)
+    assert np.isinf(loss)
+    assert np.all(grad == 0.0)

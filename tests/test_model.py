@@ -1,12 +1,20 @@
 """Shape contracts, structural identities, and chunked-attention equivalence."""
 
+import json
+
 import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
 from vadasr.audio import FrameSequence
 from vadasr.chunking import plan_chunks, whole_utterance_layout
-from vadasr.errors import DataError, DimensionError, LayoutError, UsageError
+from vadasr.errors import (
+    DataError,
+    DimensionError,
+    FormatError,
+    LayoutError,
+    UsageError,
+)
 from vadasr.model import (
     FRAME_SAMPLES,
     ModelDims,
@@ -264,6 +272,18 @@ class TestSaveLoad:
         a = forward(frames, model).log_posteriors.array
         b = forward(frames, back).log_posteriors.array
         assert np.array_equal(a, b)
+
+    def test_tensors_checked_against_sidecar_dims(self, tmp_path):
+        # a d_model 16 sidecar over a d_model 32 checkpoint used to load and
+        # fail later inside the scorer with a reshape error
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        sidecar = path.with_suffix(".ckpt.json")
+        meta = json.loads(sidecar.read_text())
+        meta["dims"]["d_model"] = 16
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="'enc2_k'"):
+            ModelParams.load(path)
 
     def test_copy_is_deep(self):
         model = small_model()

@@ -106,46 +106,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flag_type(action: argparse.Action) -> type:
-    """The type a flag's value has after parsing."""
-    if action.type is not None:
-        return action.type
-    return str if action.const is None else type(action.const)
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: a flat JSON object keyed by flag names without
+    dashes. A value must have the type its flag parses to (an int stands for
+    a float); null leaves the default. Keys with no flag here are left to
+    ``_merge_config``."""
 
-
-def _check_config_value(key: str, value, kind: type, default) -> None:
-    """A config-file value must have the type its flag parses to; an int
-    stands for a float, and null only for a key whose default is null."""
-    if value is None and default is None:
-        return
-    if type(value) is kind or (kind is float and type(value) is int):
-        return
-    raise UsageError(f"config key {key!r} must be {kind.__name__}, "
-                     f"got {type(value).__name__} {value!r}")
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            cfg = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DataError(f"cannot read config {path}: {exc}")
+        if not isinstance(cfg, dict):
+            raise DataError(f"config {path} must be a JSON object")
+        kinds = {a.dest: a.type or (str if a.const is None else type(a.const))
+                 for a in parser._actions}
+        for key, value in cfg.items():
+            kind = kinds.get(key)
+            if (value is None or kind is None or type(value) is kind
+                    or (kind is float and type(value) is int)):
+                continue
+            raise UsageError(f"config key {key!r} must be {kind.__name__}, "
+                             f"got {type(value).__name__} {value!r}")
+        setattr(namespace, self.dest,
+                {k: v for k, v in cfg.items() if v is not None})
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """flag > config file > default."""
     provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config", "flag_types") and v is not None}
-    merged = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            file_cfg = json.loads(Path(cfg_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config {cfg_path}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise DataError(f"config {cfg_path} must be a JSON object")
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            _check_config_value(key, value, args.flag_types[key],
-                                defaults[key])
-        merged.update(file_cfg)
-    merged.update(provided)
-    return merged
+                if k not in ("func", "config") and v is not None}
+    file_cfg = args.config or {}
+    unknown = set(file_cfg) - set(defaults)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    return {**defaults, **file_cfg, **provided}
 
 
 def _streamer_config(opts: dict) -> StreamerConfig:
@@ -428,10 +423,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_decode_posteriors)
 
     for p_ in sub.choices.values():
-        p_.add_argument("--config", help="JSON config file (flat, flag names "
-                                         "without dashes)")
-        p_.set_defaults(flag_types={a.dest: _flag_type(a)
-                                    for a in p_._actions})
+        p_.add_argument("--config", action=_ConfigFile,
+                        help="JSON config file (flat, flag names without "
+                             "dashes)")
     return parser
 
 

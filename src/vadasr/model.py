@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,11 @@ class ModelDims:
     vad_kernel_width: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise UsageError(
+                    f"{f.name} must be a positive int, got {value!r}")
         if self.d_model % self.n_heads:
             raise UsageError(
                 f"n_heads={self.n_heads} must divide d_model={self.d_model}")
@@ -98,6 +103,44 @@ def positional_encoding(T: int, d: int) -> np.ndarray:
     return cached[:T]
 
 
+def param_layout(dims: ModelDims) -> dict[str, tuple[tuple, int | str]]:
+    """Every parameter's name -> (shape, fill), in draw order; fill is
+    "zeros", "ones", or the fan-in of a normal draw."""
+    d, c1, f = dims.d_model, dims.conv1_channels, dims.ffn_dim
+    K = dims.vocab_size + 1
+    w = dims.vad_kernel_width
+    return {
+        "enc1_k": ((c1, 1, CONV1_WIDTH), CONV1_WIDTH),
+        "enc1_b": ((c1, 1), "zeros"),
+        "enc2_k": ((d, c1, CONV2_WIDTH), c1 * CONV2_WIDTH),
+        "enc2_b": ((d, 1), "zeros"),
+        "enc_ln_g": ((d,), "ones"),
+        "enc_ln_b": ((d,), "zeros"),
+        "vad_k": ((d, 1, w), w),
+        "vad_b": ((d, 1), "zeros"),
+        "vad_fc_w": ((d, 1), d),
+        "vad_fc_b": ((1,), "zeros"),
+        "ctx_wq": ((d, d), d),
+        "ctx_wk": ((d, d), d),
+        "ctx_wv": ((d, d), d),
+        "ctx_wo": ((d, d), d),
+        "ctx_ln1_g": ((d,), "ones"),
+        "ctx_ln1_b": ((d,), "zeros"),
+        "ffn_w1": ((d, f), d),
+        "ffn_b1": ((f,), "zeros"),
+        "ffn_w2": ((f, d), f),
+        "ffn_b2": ((d,), "zeros"),
+        "ctx_ln2_g": ((d,), "ones"),
+        "ctx_ln2_b": ((d,), "zeros"),
+        "xattn_wq": ((d, d), d),
+        "xattn_wk": ((d, d), d),
+        "xattn_wv": ((d, d), d),
+        "xattn_wo": ((d, d), d),
+        "asr_w": ((d, K), d),
+        "asr_b": ((K,), "zeros"),
+    }
+
+
 class ModelParams:
     """Parameter store plus dims/vocab; mutation happens only in training."""
 
@@ -115,50 +158,16 @@ class ModelParams:
              seed: int = 0) -> "ModelParams":
         dims = dims or ModelDims(vocab_size=len(vocab))
         rng = np.random.default_rng(seed)
-        d, c1, f = dims.d_model, dims.conv1_channels, dims.ffn_dim
-        K = dims.vocab_size + 1
 
-        def w(name, shape, fan_in):
-            return ad.Tensor(rng.normal(0.0, math.sqrt(1.0 / fan_in), shape),
-                             name=name)
+        def draw(shape, fill):
+            if fill == "zeros":
+                return np.zeros(shape)
+            if fill == "ones":
+                return np.ones(shape)
+            return rng.normal(0.0, math.sqrt(1.0 / fill), shape)
 
-        def zeros(name, shape):
-            return ad.Tensor(np.zeros(shape), name=name)
-
-        def ones(name, shape):
-            return ad.Tensor(np.ones(shape), name=name)
-
-        p = {
-            "enc1_k": w("enc1_k", (c1, 1, CONV1_WIDTH), CONV1_WIDTH),
-            "enc1_b": zeros("enc1_b", (c1, 1)),
-            "enc2_k": w("enc2_k", (d, c1, CONV2_WIDTH), c1 * CONV2_WIDTH),
-            "enc2_b": zeros("enc2_b", (d, 1)),
-            "enc_ln_g": ones("enc_ln_g", (d,)),
-            "enc_ln_b": zeros("enc_ln_b", (d,)),
-            "vad_k": w("vad_k", (d, 1, dims.vad_kernel_width),
-                       dims.vad_kernel_width),
-            "vad_b": zeros("vad_b", (d, 1)),
-            "vad_fc_w": w("vad_fc_w", (d, 1), d),
-            "vad_fc_b": zeros("vad_fc_b", (1,)),
-            "ctx_wq": w("ctx_wq", (d, d), d),
-            "ctx_wk": w("ctx_wk", (d, d), d),
-            "ctx_wv": w("ctx_wv", (d, d), d),
-            "ctx_wo": w("ctx_wo", (d, d), d),
-            "ctx_ln1_g": ones("ctx_ln1_g", (d,)),
-            "ctx_ln1_b": zeros("ctx_ln1_b", (d,)),
-            "ffn_w1": w("ffn_w1", (d, f), d),
-            "ffn_b1": zeros("ffn_b1", (f,)),
-            "ffn_w2": w("ffn_w2", (f, d), f),
-            "ffn_b2": zeros("ffn_b2", (d,)),
-            "ctx_ln2_g": ones("ctx_ln2_g", (d,)),
-            "ctx_ln2_b": zeros("ctx_ln2_b", (d,)),
-            "xattn_wq": w("xattn_wq", (d, d), d),
-            "xattn_wk": w("xattn_wk", (d, d), d),
-            "xattn_wv": w("xattn_wv", (d, d), d),
-            "xattn_wo": w("xattn_wo", (d, d), d),
-            "asr_w": w("asr_w", (d, K), d),
-            "asr_b": zeros("asr_b", (K,)),
-        }
+        p = {name: ad.Tensor(draw(shape, fill), name=name)
+             for name, (shape, fill) in param_layout(dims).items()}
         return cls(vocab, dims, p)
 
     VAD_BRANCH = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g",
@@ -188,7 +197,7 @@ class ModelParams:
     @classmethod
     def load(cls, path) -> "ModelParams":
         """Read a checkpoint and its JSON sidecar; every tensor must have the
-        name and shape that ``init`` gives for the sidecar's vocab and dims."""
+        name and shape that ``param_layout`` gives for the sidecar's dims."""
         path = Path(path)
         params = ad.load_params(path)
         sidecar_path = path.with_suffix(path.suffix + ".json")
@@ -196,18 +205,21 @@ class ModelParams:
             sidecar = json.loads(sidecar_path.read_text())
             vocab = list(sidecar["vocab"])
             dims = ModelDims(**sidecar["dims"])
-            expected = cls.init(vocab, dims).params
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                ZeroDivisionError, UsageError) as exc:
+                UsageError) as exc:
             raise FormatError(f"{sidecar_path}: bad checkpoint sidecar: "
                               f"{type(exc).__name__}: {exc}") from exc
-        for name, t in expected.items():
+        if dims.vocab_size != len(vocab):
+            raise FormatError(f"{sidecar_path}: {len(vocab)} vocab entries, "
+                              f"dims say {dims.vocab_size}")
+        expected = param_layout(dims)
+        for name, (shape, _) in expected.items():
             if name not in params:
                 raise FormatError(f"{path}: missing tensor {name!r}")
-            if params[name].shape != t.shape:
+            if params[name].shape != shape:
                 raise FormatError(
                     f"{path}: tensor {name!r} has shape {params[name].shape}, "
-                    f"the sidecar's dims give {t.shape}")
+                    f"the sidecar's dims give {shape}")
         extra = [name for name in params if name not in expected]
         if extra:
             raise FormatError(f"{path}: unexpected tensor {extra[0]!r}")

@@ -77,6 +77,17 @@ def _checkpoint_sidecar_not_json(tmp, corpus_dir, model_ckpt):
             "--wav", str(tmp / "x.wav")]
 
 
+def _checkpoint_dims(**dims):
+    def build(tmp, corpus_dir, model_ckpt):
+        (tmp / "m.ckpt").write_bytes(model_ckpt.read_bytes())
+        meta = json.loads(Path(str(model_ckpt) + ".json").read_text())
+        meta["dims"].update(dims)
+        (tmp / "m.ckpt.json").write_text(json.dumps(meta))
+        return ["segment", "--model", str(tmp / "m.ckpt"),
+                "--wav", str(tmp / "x.wav")]
+    return build
+
+
 def _checkpoint(blob):
     def build(tmp, corpus_dir, model_ckpt):
         (tmp / "m.ckpt").write_bytes(blob)
@@ -128,6 +139,10 @@ MALFORMED_INPUTS = [
     ("vocab-file-not-json", _bad_vocab_file, 2),
     ("config-string-for-int", _string_for_int, 1),
     ("checkpoint-sidecar-not-json", _checkpoint_sidecar_not_json, 2),
+    # the shape check reads no more than the checkpoint holds, so a huge
+    # d_model fails as cheaply as a small one
+    ("checkpoint-sidecar-huge-d-model", _checkpoint_dims(d_model=100_000), 2),
+    ("checkpoint-sidecar-zero-heads", _checkpoint_dims(n_heads=0), 2),
     ("checkpoint-4-bytes", _checkpoint(b"TNSR"), 2),
     ("checkpoint-name-not-utf8",
      _checkpoint(b"TNSR" + struct.pack("<IH", 1, 1) + b"\xff"), 2),
@@ -226,6 +241,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("cfg, code", [
         ({"count": 1, "noise": 0}, 0),  # an int stands for a float
+        ({"count": 1, "noise": None}, 0),  # null leaves the default
         ({"count": True}, 1),
         ({"count": 1.0}, 1),
     ])
@@ -234,6 +250,19 @@ class TestConfigFile:
         path.write_text(json.dumps(cfg))
         assert run_cli("gen-corpus", "--out", str(tmp_path / "c"),
                        "--config", str(path)) == code
+        capsys.readouterr()
+
+
+    @pytest.mark.parametrize("cfg", [{"greedy": True}, {"beam_size": 20}])
+    def test_segment_takes_transcribe_config(self, cfg, tmp_path, corpus_dir,
+                                             model_ckpt, capsys):
+        # segment has no beam flags but shares transcribe's config keys
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("segment", "--model", str(model_ckpt),
+                       "--wav", str(corpus_dir[0] / "utt0000.wav"),
+                       "--out", str(tmp_path / "ev.jsonl"),
+                       "--config", str(path)) == 0
         capsys.readouterr()
 
 

@@ -49,6 +49,12 @@ def random_frames(rng, T):
 
 
 class TestDims:
+    @pytest.mark.parametrize("bad", [{"n_heads": 0}, {"d_model": -4},
+                                     {"ffn_dim": 64.0}, {"d_model": True}])
+    def test_dims_are_positive_ints(self, bad):
+        with pytest.raises(UsageError, match="positive int"):
+            ModelDims(vocab_size=3, **bad)
+
     def test_heads_must_divide(self):
         with pytest.raises(UsageError):
             ModelDims(vocab_size=3, d_model=32, n_heads=5)

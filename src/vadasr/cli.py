@@ -90,7 +90,7 @@ def load_external_posteriors(path) -> PosteriorGrid:
     if K != len(vocab) + 1 or blank != len(vocab):
         raise FormatError(f"{path}: sidecar vocab inconsistent with K={K}")
     rowsums = np.exp(arr).sum(axis=1)
-    if np.any(np.abs(rowsums - 1.0) > 1e-3):
+    if not np.all(np.abs(rowsums - 1.0) <= 1e-3):  # a NaN row fails too
         worst = float(np.abs(rowsums - 1.0).max())
         raise FormatError(f"{path}: rows not normalized (max dev {worst:.2e})")
     return PosteriorGrid(log_probs=ad.Tensor(arr), vocab=vocab,
@@ -235,13 +235,17 @@ def _cmd_train(args):
     # less.
     stage_epochs = {"asr_only": 24, "mtl": 8, "vad_only": 8}
     stage_lr = {"asr_only": 5e-3, "mtl": 2e-3, "vad_only": 5e-3}
-    epochs = o["epochs"] if o["epochs"] else stage_epochs[stage]
-    lr = o["lr"] if o["lr"] else stage_lr[stage]
-    config = TrainConfig(stage=stage, learning_rate=lr, epochs=epochs,
-                         batch_size=o["batch_size"], seed=o["seed"],
-                         vad_weight=o["vad_weight"],
-                         chunk_min_s=o["chunk_min_s"],
-                         chunk_max_s=o["chunk_max_s"], splice_s=o["splice_s"])
+    epochs = stage_epochs[stage] if o["epochs"] is None else o["epochs"]
+    lr = stage_lr[stage] if o["lr"] is None else o["lr"]
+    try:
+        config = TrainConfig(stage=stage, learning_rate=lr, epochs=epochs,
+                             batch_size=o["batch_size"], seed=o["seed"],
+                             vad_weight=o["vad_weight"],
+                             chunk_min_s=o["chunk_min_s"],
+                             chunk_max_s=o["chunk_max_s"],
+                             splice_s=o["splice_s"])
+    except DataError as exc:  # every value here came from a flag or config
+        raise UsageError(str(exc)) from exc
     if stage == "vad_only":
         model, report = train_vad_stl_baseline(corpus, config, vocab,
                                                dev_corpus=dev)

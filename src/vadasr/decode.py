@@ -7,10 +7,12 @@ non-blank probability mass separately in log space.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ NEG_INF = float("-inf")
 BOS = "<s>"
 EOS = "</s>"
 BACKOFF_LOG = math.log(0.4)
+LOG2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +117,21 @@ class BeamConfig:
     lm: Optional[NgramLM] = None
 
     def __post_init__(self):
+        # a bool is an int to Python, but never a beam width
+        if (isinstance(self.beam_size, bool)
+                or not isinstance(self.beam_size, int)):
+            raise UsageError(f"beam_size must be an int, "
+                             f"got {self.beam_size!r}")
         if self.beam_size < 1:
             raise UsageError("beam_size must be >= 1")
+        # one NaN or infinite weight makes every combined score NaN, and
+        # the beam order arbitrary
+        for name in ("lm_weight", "word_score"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise UsageError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,62 +160,86 @@ def greedy_decode(grid) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` for two Python floats. It copies numpy's
+    ``npy_logaddexp`` branch for branch, with the same libm ``exp`` and
+    ``log1p`` calls, so it returns the same bits without a numpy scalar."""
+    if x == y:
+        return x + LOG2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # NaN
+
+
 def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     """Prefix beam search with blank/non-blank mass merging; returns
-    hypotheses ranked by combined score."""
-    arr = _grid_array(grid)
+    hypotheses ranked by combined score.
+
+    Each frame works on Python floats only. A candidate's LM score is the
+    sum of increments along its prefix, and an increment depends only on the
+    last ``order - 1`` tokens, so increments are memoized per call and the
+    score travels with the beam."""
+    rows = _grid_array(grid).tolist()
     blank = grid.blank_index
     vocab = grid.vocab
     lm = config.lm
+    lm_weight, word_score = config.lm_weight, config.word_score
     if lm is not None:
         missing = [t for t in vocab if t not in lm.vocab]
         if missing:
             raise VocabularyError(f"grid tokens absent from LM: {missing}")
+        n_ctx = lm.order - 1
+    no_lm = [0.0] * blank
+    increments: dict[tuple[int, ...], list[float]] = {}
 
-    # prefix -> [log p(blank-terminated), log p(non-blank-terminated)]
-    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, NEG_INF]}
-    lm_scores: dict[tuple[int, ...], float] = {(): 0.0}
-
-    def combined(prefix, pb, pnb):
-        return (np.logaddexp(pb, pnb)
-                + config.lm_weight * lm_scores[prefix]
-                + config.word_score * len(prefix))
-
-    for t in range(arr.shape[0]):
-        row = arr[t]
-        nxt: dict[tuple[int, ...], list[float]] = defaultdict(
-            lambda: [NEG_INF, NEG_INF])
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            # blank keeps the prefix
-            cell = nxt[prefix]
-            cell[0] = np.logaddexp(cell[0], total + row[blank])
-            # repeated last symbol keeps the prefix (merge of repeats)
-            if prefix:
-                cell[1] = np.logaddexp(cell[1], pnb + row[prefix[-1]])
+    # (score, prefix, log p(blank-terminated), log p(non-blank-terminated),
+    #  lm score, log p(prefix)), best first
+    beams = [(0.0, (), 0.0, NEG_INF, 0.0, 0.0)]
+    for row in rows:
+        p_blank = row[blank]
+        # prefix -> [log p(blank-terminated), log p(non-blank), lm score]
+        nxt: dict[tuple[int, ...], list[float]] = {}
+        for _, prefix, pb, pnb, lm_sc, total in beams:
+            if lm is None:
+                inc = no_lm
+            else:
+                ctx = prefix[-n_ctx:] if n_ctx else ()
+                inc = increments.get(ctx)
+                if inc is None:
+                    hist = [vocab[i] for i in ctx]
+                    inc = increments[ctx] = [lm.score(hist, vocab[k])
+                                             for k in range(blank)]
+            # blank keeps the prefix; repeating the last symbol keeps it too
+            # (merge of repeats). A new cell's mass is stored as it is, since
+            # _logaddexp(-inf, v) is v + 0.0, which is v: no mass is -0.0.
+            last = prefix[-1] if prefix else -1
+            stay_pnb = pnb + row[last] if prefix else NEG_INF
+            cell = nxt.get(prefix)
+            if cell is None:
+                nxt[prefix] = [total + p_blank, stay_pnb, lm_sc]
+            else:  # an earlier beam's extension: no blank mass yet
+                cell[0] = total + p_blank
+                cell[1] = _logaddexp(cell[1], stay_pnb)
             for k in range(blank):
                 ext = prefix + (k,)
-                mass = pb + row[k] if prefix and k == prefix[-1] else total + row[k]
-                ecell = nxt[ext]
-                ecell[1] = np.logaddexp(ecell[1], mass)
-                if ext not in lm_scores:
-                    lm_scores[ext] = lm_scores[prefix] + (
-                        lm.score([vocab[i] for i in prefix], vocab[k])
-                        if lm is not None else 0.0)
-        ranked = sorted(nxt.items(),
-                        key=lambda kv: combined(kv[0], kv[1][0], kv[1][1]),
-                        reverse=True)
-        beams = dict(ranked[:config.beam_size])
+                mass = pb + row[k] if k == last else total + row[k]
+                cell = nxt.get(ext)
+                if cell is None:
+                    nxt[ext] = [NEG_INF, mass, lm_sc + inc[k]]
+                else:
+                    cell[1] = _logaddexp(cell[1], mass)
+        scored = []
+        for prefix, (pb, pnb, lm_sc) in nxt.items():
+            total = pnb if pb == NEG_INF else _logaddexp(pb, pnb)  # as above
+            scored.append((total + lm_weight * lm_sc
+                           + word_score * len(prefix),
+                           prefix, pb, pnb, lm_sc, total))
+        # stable like sorted(reverse=True): ties keep insertion order
+        beams = heapq.nlargest(config.beam_size, scored, key=itemgetter(0))
 
-    hyps = []
-    for prefix, (pb, pnb) in beams.items():
-        ctc = float(np.logaddexp(pb, pnb))
-        lmsc = lm_scores[prefix]
-        hyps.append(Hypothesis(
-            tokens=tuple(vocab[i] for i in prefix),
-            score=ctc + config.lm_weight * lmsc + config.word_score * len(prefix),
-            ctc_score=ctc,
-            lm_score=lmsc,
-        ))
-    hyps.sort(key=lambda h: h.score, reverse=True)
-    return hyps
+    return [Hypothesis(tokens=tuple(vocab[i] for i in prefix), score=score,
+                       ctc_score=total, lm_score=lm_sc)
+            for score, prefix, _, _, lm_sc, total in beams]

@@ -46,7 +46,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in ("asr_only", "mtl", "vad_only"):
             raise DataError(f"unknown training stage {self.stage!r}")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
+        if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("learning_rate, epochs, batch_size must be positive")
         if self.use_chunking is None:
             self.use_chunking = self.stage == "mtl"

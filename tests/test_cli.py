@@ -123,6 +123,15 @@ def _posteriors(tmp, blob=None, sidecar=None, lm=None):
     return argv
 
 
+def _nan_row_posteriors(tmp, *_):
+    argv = _posteriors(tmp)
+    lp = np.log(np.full((3, 3), 1 / 3))
+    lp[1] = np.nan
+    save_posteriors(tmp / "p.bin", PosteriorGrid(
+        log_probs=ad.Tensor(lp), vocab=["a", "b"], blank_index=2))
+    return argv
+
+
 def _event_line(line):
     def build(tmp, corpus_dir, model_ckpt):
         (tmp / "ev.jsonl").write_text(line + "\n")
@@ -154,6 +163,7 @@ MALFORMED_INPUTS = [
     ("posterior-sidecar-not-json",
      lambda tmp, *_: _posteriors(tmp, sidecar="{bad"), 2),
     ("posterior-4-bytes", lambda tmp, *_: _posteriors(tmp, blob=b"VAP1"), 2),
+    ("posterior-nan-row", _nan_row_posteriors, 2),
     ("event-text-not-string",
      _event_line(json.dumps({**_EVENT, "text": 5})), 2),
     ("event-line-not-object", _event_line("[1]"), 2),
@@ -186,6 +196,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["train", "--epochs", "0"], ["train", "--epochs", "-2"],
+        ["train", "--lr", "0"], ["train", "--lr", "-0.001"],
+        ["train", "--lr", "nan"],
+        ["transcribe", "--lm-weight", "nan"],
+        ["transcribe", "--word-score", "inf"],
+        ["transcribe", "--beam-size", "0"],
+        ["decode-posteriors", "--lm-weight=-inf"],
+    ], ids=" ".join)
+    def test_bad_value_is_usage_error(self, flags, tmp_path, corpus_dir,
+                                      model_ckpt, capsys):
+        # each value is rejected before any training or decoding starts
+        root, manifest, _ = corpus_dir
+        command, *values = flags
+        inputs = {
+            "train": ["--corpus", str(manifest),
+                      "--out", str(tmp_path / "o.ckpt")],
+            "transcribe": ["--model", str(model_ckpt),
+                           "--wav", str(root / "utt0000.wav")],
+            "decode-posteriors": _posteriors(tmp_path)[1:],
+        }[command]
+        assert run_cli(command, *inputs, *values) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.ckpt").exists()
 
     def test_success_is_zero(self, tmp_path, capsys):
         assert run_cli("gen-corpus", "--out", str(tmp_path / "c"),

@@ -3,6 +3,7 @@ stupid-backoff n-gram model."""
 
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 import vadasr.autodiff as ad
 from vadasr.decode import (
     BACKOFF_LOG,
+    NEG_INF,
     BeamConfig,
+    Hypothesis,
     NgramLM,
     beam_search,
     greedy_decode,
@@ -46,6 +49,66 @@ def exhaustive_prefix_scores(grid):
         lp = sum(arr[t, a] for t, a in enumerate(alignment))
         scores[key] = np.logaddexp(scores.get(key, -np.inf), lp)
     return scores
+
+
+def reference_beam_search(grid, config):
+    """Oracle: the prefix beam search as first written, on numpy scalars
+    with ``np.logaddexp``, a full sort per frame and an LM score kept for
+    every prefix ever extended. ``beam_search`` must return exactly this."""
+    arr = grid.log_probs.data
+    blank = grid.blank_index
+    vocab = grid.vocab
+    lm = config.lm
+
+    beams = {(): [0.0, NEG_INF]}
+    lm_scores = {(): 0.0}
+
+    def combined(prefix, pb, pnb):
+        return (np.logaddexp(pb, pnb)
+                + config.lm_weight * lm_scores[prefix]
+                + config.word_score * len(prefix))
+
+    for t in range(arr.shape[0]):
+        row = arr[t]
+        nxt = defaultdict(lambda: [NEG_INF, NEG_INF])
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            cell = nxt[prefix]
+            cell[0] = np.logaddexp(cell[0], total + row[blank])
+            if prefix:
+                cell[1] = np.logaddexp(cell[1], pnb + row[prefix[-1]])
+            for k in range(blank):
+                ext = prefix + (k,)
+                mass = pb + row[k] if prefix and k == prefix[-1] else total + row[k]
+                ecell = nxt[ext]
+                ecell[1] = np.logaddexp(ecell[1], mass)
+                if ext not in lm_scores:
+                    lm_scores[ext] = lm_scores[prefix] + (
+                        lm.score([vocab[i] for i in prefix], vocab[k])
+                        if lm is not None else 0.0)
+        ranked = sorted(nxt.items(),
+                        key=lambda kv: combined(kv[0], kv[1][0], kv[1][1]),
+                        reverse=True)
+        beams = dict(ranked[:config.beam_size])
+
+    hyps = []
+    for prefix, (pb, pnb) in beams.items():
+        ctc = float(np.logaddexp(pb, pnb))
+        lmsc = lm_scores[prefix]
+        hyps.append(Hypothesis(
+            tokens=tuple(vocab[i] for i in prefix),
+            score=ctc + config.lm_weight * lmsc + config.word_score * len(prefix),
+            ctc_score=ctc,
+            lm_score=lmsc,
+        ))
+    hyps.sort(key=lambda h: h.score, reverse=True)
+    return hyps
+
+
+def random_lm(rng, vocab, order):
+    sents = [tuple(rng.choice(vocab, size=int(rng.integers(1, 6))))
+             for _ in range(12)]
+    return train_ngram(sents, order=order)
 
 
 class TestGreedy:
@@ -144,6 +207,106 @@ class TestBeamOracle:
     def test_bad_beam_size(self):
         with pytest.raises(UsageError):
             BeamConfig(beam_size=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("beam_size", -3), ("beam_size", 2.0), ("beam_size", True),
+        ("beam_size", "20"),
+        ("lm_weight", float("nan")), ("lm_weight", float("inf")),
+        ("lm_weight", "0.5"),
+        ("word_score", float("-inf")), ("word_score", float("nan")),
+        ("word_score", None),
+    ])
+    def test_bad_config(self, name, value):
+        # a NaN or infinite weight makes every combined score NaN, so the
+        # ranking would be arbitrary
+        with pytest.raises(UsageError):
+            BeamConfig(**{name: value})
+
+    def test_int_weights_accepted(self):
+        assert BeamConfig(beam_size=3, lm_weight=1, word_score=0).lm_weight == 1
+
+
+class TestBeamMatchesReference:
+    """``beam_search`` returns the reference's hypotheses with the same
+    floats, field for field, not just close ones."""
+
+    @pytest.mark.parametrize("beam_size", [1, 2, 20, 256])
+    @pytest.mark.parametrize("order", [None, 1, 2, 3, 4])
+    def test_random_grids(self, rng, beam_size, order):
+        for _ in range(4):
+            T = int(rng.integers(0, 41))
+            grid = random_grid(rng, T, int(rng.integers(1, 5)))
+            lm = None if order is None else random_lm(rng, grid.vocab, order)
+            cfg = BeamConfig(beam_size=beam_size, lm=lm,
+                             lm_weight=float(rng.uniform(0, 2)),
+                             word_score=float(rng.uniform(-1, 1)))
+            assert beam_search(grid, cfg) == reference_beam_search(grid, cfg)
+
+    @pytest.mark.parametrize("beam_size", [1, 2, 20, 256])
+    @pytest.mark.parametrize("order", [None, 2])
+    def test_tied_rows(self, rng, beam_size, order):
+        # uniform and repeated rows tie many candidates exactly, so the
+        # order among equal scores decides which prefixes survive
+        vocab = ["a", "b", "c"]
+        lm = None if order is None else random_lm(rng, vocab, order)
+        uniform = [[0.25] * 4] * 12
+        repeated = [[0.1, 0.4, 0.1, 0.4], [0.4, 0.1, 0.4, 0.1]] * 6
+        for probs in (uniform, repeated):
+            grid = grid_from_probs(probs, vocab)
+            for lm_weight, word_score in ((0.0, 0.0), (0.46, 0.52)):
+                cfg = BeamConfig(beam_size=beam_size, lm=lm,
+                                 lm_weight=lm_weight, word_score=word_score)
+                assert (beam_search(grid, cfg)
+                        == reference_beam_search(grid, cfg))
+
+    def test_peaked_rows(self, rng):
+        # peaked rows, as a trained model gives them, with a 4-gram LM
+        vocab = ["a", "b", "c", "d", "e"]
+        lm = random_lm(rng, vocab, 4)
+        for _ in range(3):
+            logits = rng.normal(size=(101, 6)) * 4.0
+            logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab,
+                                 blank_index=5)
+            cfg = BeamConfig(beam_size=20, lm=lm)
+            assert beam_search(grid, cfg) == reference_beam_search(grid, cfg)
+
+
+class TestLmMemo:
+    @staticmethod
+    def count_score_calls(monkeypatch):
+        calls = []
+        score = NgramLM.score
+
+        def counted(self, history, token):
+            calls.append((tuple(history), token))
+            return score(self, history, token)
+
+        monkeypatch.setattr(NgramLM, "score", counted)
+        return calls
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_no_more_calls_than_reference(self, rng, monkeypatch, order):
+        calls = self.count_score_calls(monkeypatch)
+        for _ in range(3):
+            grid = random_grid(rng, 30, 3)
+            cfg = BeamConfig(beam_size=20,
+                             lm=random_lm(rng, grid.vocab, order))
+            calls.clear()
+            hyps = beam_search(grid, cfg)
+            ours = len(calls)
+            calls.clear()
+            assert hyps == reference_beam_search(grid, cfg)
+            assert 0 < ours <= len(calls)
+
+    def test_order1_scores_each_token_once(self, rng, monkeypatch):
+        # an order-1 LM has no context: prefix[-0:] would be the whole
+        # prefix, so the memo key must be () for every prefix
+        calls = self.count_score_calls(monkeypatch)
+        grid = random_grid(rng, 25, 3)
+        cfg = BeamConfig(beam_size=20, lm=random_lm(rng, grid.vocab, 1))
+        beam_search(grid, cfg)
+        assert calls == [((), t) for t in grid.vocab]
 
 
 class TestNgram:

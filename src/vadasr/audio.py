@@ -9,6 +9,7 @@ frame grid (tone and gap durations are quantized to whole frames).
 from __future__ import annotations
 
 import json
+import math
 import string
 import struct
 import wave
@@ -24,8 +25,11 @@ from .errors import (
     UnsupportedFormatError,
 )
 
+# The one frame clock: every VAD decision, mask entry and duration in the
+# package counts whole 20 ms frames of 16 kHz audio.
 SAMPLE_RATE = 16000
-FRAME_DURATION_S = 0.02  # 320 samples at 16 kHz
+FRAME_SAMPLES = 320
+FRAME_DURATION_S = FRAME_SAMPLES / SAMPLE_RATE
 TONE_AMPLITUDE = 0.5
 BASE_FREQ_HZ = 400.0
 FREQ_SPACING_HZ = 300.0
@@ -44,21 +48,14 @@ class SampleBuffer:
         if not np.all(np.isfinite(self.samples)):
             raise InvalidSpecError("samples must be finite")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class FrameSequence:
-    frames: np.ndarray  # (T, samples_per_frame) or (T, feat_dim)
-    frame_duration_s: float = FRAME_DURATION_S
+    frames: np.ndarray  # (T, FRAME_SAMPLES)
 
     def __post_init__(self):
         object.__setattr__(self, "frames",
                            np.asarray(self.frames, dtype=np.float64))
-        if self.frame_duration_s <= 0:
-            raise InvalidSpecError("frame duration must be positive")
 
     def __len__(self):
         return self.frames.shape[0]
@@ -68,13 +65,13 @@ class FrameSequence:
 class Utterance:
     audio: SampleBuffer
     transcript: tuple[str, ...]
-    speech_mask: np.ndarray  # bool, one entry per canonical frame
+    speech_mask: np.ndarray  # bool, one entry per whole frame
     id: str
 
     def __post_init__(self):
         object.__setattr__(self, "speech_mask",
                            np.asarray(self.speech_mask, dtype=bool))
-        n_frames = int(self.audio.duration_s / FRAME_DURATION_S + 0.5)
+        n_frames = len(frame_stream(self.audio))
         if len(self.speech_mask) != n_frames:
             raise DimensionError("speech_mask length does not match frames",
                                  len(self.speech_mask), n_frames)
@@ -149,28 +146,38 @@ def write_wav(path, buf: SampleBuffer) -> None:
 
 
 # ---------------------------------------------------------------------------
-# framing
+# the frame clock
 
 
-def frame_stream(buf: SampleBuffer,
-                 frame_duration_s: float = FRAME_DURATION_S) -> FrameSequence:
-    """Chop a buffer into non-overlapping fixed-duration windows; a trailing
-    partial window is dropped."""
-    if frame_duration_s <= 0:
-        raise InvalidSpecError("frame duration must be positive")
-    window = int(round(frame_duration_s * buf.sample_rate_hz))
-    n = len(buf.samples) // window if window > 0 else 0
-    frames = buf.samples[:n * window].reshape(n, window)
-    return FrameSequence(frames=frames, frame_duration_s=frame_duration_s)
+def frame_stream(buf: SampleBuffer) -> FrameSequence:
+    """Chop 16 kHz audio into non-overlapping ``FRAME_SAMPLES`` frames; a
+    trailing partial frame is dropped."""
+    if buf.sample_rate_hz != SAMPLE_RATE:
+        raise UnsupportedFormatError(f"expected {SAMPLE_RATE} Hz audio, got "
+                                     f"{buf.sample_rate_hz} Hz")
+    n = len(buf.samples) // FRAME_SAMPLES
+    return FrameSequence(buf.samples[:n * FRAME_SAMPLES]
+                         .reshape(n, FRAME_SAMPLES))
+
+
+def to_frames(seconds: float) -> int:
+    """A duration in seconds as the nearest whole number of frames."""
+    if not 0 <= seconds < math.inf:
+        raise InvalidSpecError(
+            f"a duration must be finite and >= 0 s, got {seconds!r}")
+    return int(round(seconds / FRAME_DURATION_S))
+
+
+def draw_frames(rng: np.random.Generator, lo_s: float, hi_s: float) -> int:
+    """A duration drawn uniformly from [lo_s, hi_s] seconds, in frames (at
+    least one)."""
+    if lo_s > hi_s:
+        raise InvalidSpecError(f"duration range [{lo_s}, {hi_s}] is inverted")
+    return max(1, to_frames(rng.uniform(lo_s, hi_s)))
 
 
 # ---------------------------------------------------------------------------
 # synthetic corpus
-
-
-def _frames_from_range(rng, lo_s: float, hi_s: float) -> int:
-    dur = rng.uniform(lo_s, hi_s)
-    return max(1, int(round(dur / FRAME_DURATION_S)))
 
 
 def gen_synthetic_corpus(spec: CorpusSpec) -> list[Utterance]:
@@ -178,7 +185,6 @@ def gen_synthetic_corpus(spec: CorpusSpec) -> list[Utterance]:
     emitted symbol, white noise over the whole signal."""
     rng = np.random.default_rng(spec.seed)
     vocab = default_vocab(spec.vocab_size)
-    window = int(round(FRAME_DURATION_S * SAMPLE_RATE))
     utts = []
     for u in range(spec.utterance_count):
         n_sym = int(rng.integers(spec.symbols_per_utterance[0],
@@ -187,15 +193,15 @@ def gen_synthetic_corpus(spec: CorpusSpec) -> list[Utterance]:
         mask: list[np.ndarray] = []
         transcript: list[str] = []
         for k in range(n_sym + 1):
-            gap_frames = _frames_from_range(rng, *spec.gap_duration_s)
-            pieces.append(np.zeros(gap_frames * window))
+            gap_frames = draw_frames(rng, *spec.gap_duration_s)
+            pieces.append(np.zeros(gap_frames * FRAME_SAMPLES))
             mask.append(np.zeros(gap_frames, dtype=bool))
             if k == n_sym:
                 break
             sym = int(rng.integers(0, spec.vocab_size))
             transcript.append(vocab[sym])
-            tone_frames = _frames_from_range(rng, *spec.tone_duration_s)
-            n_samp = tone_frames * window
+            tone_frames = draw_frames(rng, *spec.tone_duration_s)
+            n_samp = tone_frames * FRAME_SAMPLES
             t = np.arange(n_samp) / SAMPLE_RATE
             phase = rng.uniform(0.0, 2.0 * np.pi)
             pieces.append(TONE_AMPLITUDE

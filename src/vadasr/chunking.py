@@ -8,8 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FRAME_DURATION_S
+from . import autodiff as ad
+from .audio import draw_frames
 from .errors import InvalidSpecError, LayoutError
+
+# chunk-hopping body lengths are drawn like any other duration
+sample_chunk_len = draw_frames
 
 
 @dataclass(frozen=True)
@@ -75,28 +79,20 @@ def plan_chunks(total_T: int, body_len: int, left_len: int = 0,
     return ChunkLayout(chunks=tuple(chunks), total_T=total_T)
 
 
-def sample_chunk_len(rng: np.random.Generator, min_s: float = 0.5,
-                     max_s: float = 3.0,
-                     frame_duration_s: float = FRAME_DURATION_S) -> int:
-    """Random chunk length, uniform in seconds, converted to frames."""
-    if min_s > max_s:
-        raise InvalidSpecError("min_s must be <= max_s")
-    dur = rng.uniform(min_s, max_s)
-    return max(1, int(round(dur / frame_duration_s)))
-
-
-def stitch_outputs(per_chunk_outputs, layout: ChunkLayout) -> np.ndarray:
-    """Concatenate per-body outputs back to full stream length."""
+def stitch_outputs(per_chunk_outputs, layout: ChunkLayout) -> ad.Tensor:
+    """Join per-body outputs (tensors or arrays), in chunk order, into one
+    tensor of full stream length; on a tape, each body gets its rows of the
+    gradient. A lone tensor body is returned as it is, with no copy."""
     if len(per_chunk_outputs) != len(layout.chunks):
         raise LayoutError(f"{len(per_chunk_outputs)} outputs for "
                           f"{len(layout.chunks)} chunks")
-    rows = []
     for out, ch in zip(per_chunk_outputs, layout.chunks):
-        out = np.asarray(out)
         if out.shape[0] != ch.body[1] - ch.body[0]:
             raise LayoutError(f"chunk output rows {out.shape[0]} != body "
                               f"length {ch.body[1] - ch.body[0]}")
-        rows.append(out)
-    if not rows:
-        return np.zeros((0,))
-    return np.concatenate(rows, axis=0)
+    if not per_chunk_outputs:
+        return ad.Tensor(np.zeros((0,)))
+    if (len(per_chunk_outputs) == 1
+            and isinstance(per_chunk_outputs[0], ad.Tensor)):
+        return per_chunk_outputs[0]
+    return ad.concat(per_chunk_outputs, axis=0)

@@ -24,12 +24,14 @@ from .audio import (
     gen_synthetic_corpus,
     read_corpus,
     read_wav,
+    to_frames,
     write_corpus,
 )
 from .decode import BeamConfig, NgramLM, beam_search, greedy_decode, train_ngram
 from .errors import (
     DataError,
     FormatError,
+    InvalidSpecError,
     NumericError,
     UsageError,
     VadAsrError,
@@ -144,14 +146,16 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _streamer_config(opts: dict) -> StreamerConfig:
-    to_frames = lambda s: max(1, int(round(s / FRAME_DURATION_S)))
-    return StreamerConfig(
-        vad_threshold=opts["vad_threshold"],
-        min_speech_frames=to_frames(opts["min_speech_s"]),
-        min_silence_frames=to_frames(opts["min_silence_s"]),
-        max_chunk_frames=to_frames(opts["max_chunk_s"]),
-        splice_frames=to_frames(opts["splice_s"]),
-    )
+    try:
+        return StreamerConfig(
+            vad_threshold=opts["vad_threshold"],
+            min_speech_frames=to_frames(opts["min_speech_s"]),
+            min_silence_frames=to_frames(opts["min_silence_s"]),
+            max_chunk_frames=to_frames(opts["max_chunk_s"]),
+            splice_frames=to_frames(opts["splice_s"]),
+        )
+    except InvalidSpecError as exc:  # the values came from flags or config
+        raise UsageError(str(exc)) from exc
 
 
 def _beam_config(opts: dict) -> BeamConfig | None:
@@ -228,8 +232,6 @@ def _cmd_train(args):
     if o["stage"] not in stage_map:
         raise UsageError(f"unknown stage {o['stage']!r}")
     stage = stage_map[o["stage"]]
-    corpus, vocab = read_corpus(o["corpus"])
-    dev = read_corpus(o["dev_manifest"])[0] if o["dev_manifest"] else None
     # Per-stage recipes: the ASR stage needs many optimizer steps at a high
     # peak rate to escape the blank-heavy plateau; fine-tuning stages need
     # less.
@@ -246,6 +248,8 @@ def _cmd_train(args):
                              splice_s=o["splice_s"])
     except DataError as exc:  # every value here came from a flag or config
         raise UsageError(str(exc)) from exc
+    corpus, vocab = read_corpus(o["corpus"])
+    dev = read_corpus(o["dev_manifest"])[0] if o["dev_manifest"] else None
     if stage == "vad_only":
         model, report = train_vad_stl_baseline(corpus, config, vocab,
                                                dev_corpus=dev)
@@ -276,10 +280,9 @@ def _run_stream(args, with_decoder: bool):
     o = _merge_config(args, defaults)
     if not o["model"] or not o["wav"]:
         raise UsageError("--model and --wav are required")
-    model = ModelParams.load(o["model"])
-    buf = read_wav(o["wav"])
-    frames = frame_stream(buf)
     cfg = _streamer_config(o)
+    model = ModelParams.load(o["model"])
+    frames = frame_stream(read_wav(o["wav"]))
     beam = _beam_config(o) if with_decoder else None
     streamer = run_stream(model, frames, cfg, beam, decode=with_decoder)
     if o["validate"]:
@@ -320,7 +323,7 @@ def _cmd_score(args):
         ref_tokens = [t for ev in ref_ev for t in ev.text]
         hyp_tokens = [t for ev in hyp_ev for t in ev.text]
         horizon = max((ev.end_s for ev in ref_ev + hyp_ev), default=0.0)
-        n = max(1, int(round(horizon / FRAME_DURATION_S)))
+        n = max(1, to_frames(horizon))
         vr = vad_metrics(segments_to_mask(ref_ev, n, FRAME_DURATION_S),
                          segments_to_mask(hyp_ev, n, FRAME_DURATION_S))
         report.update({"deter": vr.deter, "fa": vr.fa, "miss": vr.miss})

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .audio import FrameSequence
-from .chunking import ChunkLayout, whole_utterance_layout
+from .audio import FRAME_SAMPLES, FrameSequence
+from .chunking import ChunkLayout, stitch_outputs, whole_utterance_layout
 from .errors import (
     DataError,
     DimensionError,
@@ -28,7 +28,6 @@ from .errors import (
     UsageError,
 )
 
-FRAME_SAMPLES = 320
 CONV1_WIDTH = 16   # stride 16: 320 -> 20 positions per frame
 CONV2_WIDTH = 20   # stride 20: 20 positions -> 1 latent per frame
 
@@ -328,7 +327,7 @@ def context_forward(Z: ad.Tensor, model: ModelParams,
         x2 = ad.layer_norm(ad.add(x1, ff), p["ctx_ln2_g"], p["ctx_ln2_b"])
         b0, b1 = ch.body
         bodies.append(ad.slice_rows(x2, b0 - ws, b1 - ws))
-    return bodies[0] if len(bodies) == 1 else ad.concat(bodies, axis=0)
+    return stitch_outputs(bodies, layout)
 
 
 def cross_task_attend(C: ad.Tensor, H_vad: ad.Tensor,

@@ -17,6 +17,7 @@ flushed span by capacity + min_silence frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +41,6 @@ class StreamerConfig:
     min_silence_frames: int = 30    # B: 0.6 s
     max_chunk_frames: int = 150     # l: ASR queue capacity, 3.0 s
     splice_frames: int = 32         # 0.64 s context on each side
-    frame_duration_s: float = FRAME_DURATION_S
 
     def __post_init__(self):
         if not (0.0 <= self.vad_threshold <= 1.0):
@@ -169,8 +169,8 @@ class Streamer:
             window = np.stack(self._frames[ws - self._frame_base:
                                            we - self._frame_base])
             text = self.decoder(window, start - ws, end - start)
-        ev = SegmentEvent(start_s=start * cfg.frame_duration_s,
-                          end_s=end * cfg.frame_duration_s,
+        ev = SegmentEvent(start_s=start * FRAME_DURATION_S,
+                          end_s=end * FRAME_DURATION_S,
                           text=text, cause=cause)
         self.events.append(ev)
         self.boundaries.append(BoundarySpan(start, end, cause))
@@ -284,7 +284,7 @@ def validate_events(events: Sequence[SegmentEvent],
                     config: StreamerConfig) -> None:
     """Raise DataError if the event stream violates the streamer contract."""
     prev_end = -1.0
-    dur = config.frame_duration_s
+    dur = FRAME_DURATION_S
     max_span = (config.max_chunk_frames + config.min_silence_frames) * dur
     for i, ev in enumerate(events):
         if ev.end_s <= ev.start_s:
@@ -320,11 +320,15 @@ def read_events(path) -> list[SegmentEvent]:
                 continue
             try:
                 rec = json.loads(line)
-                events.append(SegmentEvent(
+                ev = SegmentEvent(
                     start_s=float(rec["start_s"]), end_s=float(rec["end_s"]),
-                    text=tuple(rec["text"].split()), cause=rec["cause"]))
+                    text=tuple(rec["text"].split()), cause=rec["cause"])
             except (json.JSONDecodeError, KeyError, ValueError, TypeError,
                     AttributeError) as exc:
                 raise DataError(f"{path}: bad event line: "
                                 f"{type(exc).__name__}: {exc}") from exc
+            if not (0 <= ev.start_s <= ev.end_s < math.inf):
+                raise DataError(f"{path}: event times must be finite, >= 0 "
+                                f"and in order, got [{ev.start_s}, {ev.end_s})")
+            events.append(ev)
     return events

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .audio import (FRAME_DURATION_S, SAMPLE_RATE, SampleBuffer, Utterance,
-                    frame_stream)
+from .audio import (FRAME_DURATION_S, FRAME_SAMPLES, SampleBuffer, Utterance,
+                    draw_frames, frame_stream, to_frames)
 from .chunking import plan_chunks, sample_chunk_len
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InfeasibleTargetError, NumericError
@@ -48,6 +48,13 @@ class TrainConfig:
             raise DataError(f"unknown training stage {self.stage!r}")
         if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("learning_rate, epochs, batch_size must be positive")
+        if not 0 <= self.splice_s < math.inf:
+            raise DataError(f"splice_s must be finite and >= 0, "
+                            f"got {self.splice_s!r}")
+        if not 0 < self.chunk_min_s <= self.chunk_max_s < math.inf:
+            raise DataError(f"need 0 < chunk_min_s <= chunk_max_s, both "
+                            f"finite, got {self.chunk_min_s!r} and "
+                            f"{self.chunk_max_s!r}")
         if self.use_chunking is None:
             self.use_chunking = self.stage == "mtl"
 
@@ -141,16 +148,15 @@ def _utterance_loss(model: ModelParams, utt: Utterance, vad_weight: float,
     frames = frame_stream(utt.audio)
     art = forward(frames, model, layout)
     ctc = ctc_loss(art.log_posteriors, utt.transcript)
-    bce = bce_loss(art.speech_probs, utt.speech_mask[:len(frames)])
+    bce = bce_loss(art.speech_probs, utt.speech_mask)
     joint = mtl_loss(ctc, bce, vad_weight)
     node = ctc.node if vad_weight == 0.0 else joint.node
     return node, ctc.loss, bce.loss
 
 
 def _vad_only_loss(model: ModelParams, utt: Utterance) -> tuple[ad.Tensor, float]:
-    frames = frame_stream(utt.audio)
-    bce = bce_loss(vad_score_frames(frames, model),
-                   utt.speech_mask[:len(frames)])
+    bce = bce_loss(vad_score_frames(frame_stream(utt.audio), model),
+                   utt.speech_mask)
     return bce.node, bce.loss
 
 
@@ -164,7 +170,7 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
     n = len(corpus)
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    splice_frames = int(round(config.splice_s / FRAME_DURATION_S))
+    splice_frames = to_frames(config.splice_s)
     step = 0
     t0 = time.time()
     for _ in range(config.epochs):
@@ -277,9 +283,7 @@ def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
     report = _run_training(model, corpus, config,
                            trainable=list(ModelParams.VAD_BRANCH))
     if dev_corpus:
-        counts = _vad_counts(model, dev_corpus)
-        rep = _vad_report_from_counts(*counts)
-        report.final_dev_vad = rep
+        report.final_dev_vad = _vad_report(model, dev_corpus)
     return model, report
 
 
@@ -287,23 +291,15 @@ def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
 # evaluation
 
 
-def _vad_counts(model: ModelParams, corpus: Sequence[Utterance],
-                threshold: float = 0.5) -> tuple[int, int, int]:
-    n_fa = n_miss = n_total = 0
-    for utt in corpus:
-        frames = frame_stream(utt.audio)
-        probs = vad_score_frames(frames, model).data
-        hyp = probs >= threshold
-        ref = utt.speech_mask[:len(frames)]
-        n_fa += int(np.sum(hyp & ~ref))
-        n_miss += int(np.sum(~hyp & ref))
-        n_total += len(ref)
-    return n_fa, n_miss, n_total
-
-
-def _vad_report_from_counts(n_fa: int, n_miss: int, n_total: int) -> dict:
-    return {"deter": (n_fa + n_miss) / n_total, "fa": n_fa / n_total,
-            "miss": n_miss / n_total}
+def _vad_report(model: ModelParams, corpus: Sequence[Utterance],
+                threshold: float = 0.5) -> dict:
+    """DetER, FA and miss of each utterance's whole-sequence VAD scores at
+    ``threshold``, over the corpus's frames."""
+    hyp = [vad_score_frames(frame_stream(u.audio), model).data >= threshold
+           for u in corpus]
+    rep = vad_metrics(np.concatenate([u.speech_mask for u in corpus]),
+                      np.concatenate(hyp))
+    return {"deter": rep.deter, "fa": rep.fa, "miss": rep.miss}
 
 
 def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
@@ -315,11 +311,10 @@ def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
     Returns (samples, frame speech mask, reference token sequence).
     """
     rng = np.random.default_rng(seed)
-    window = int(round(FRAME_DURATION_S * SAMPLE_RATE))
-    max_gap = max(1, int(round(max(gap_range_s) / FRAME_DURATION_S)))
+    max_gap = max(1, to_frames(max(gap_range_s)))
     # filled in place at an upper bound, so the stream is never held twice;
     # the untouched tail is never resident
-    samples = np.empty((len(corpus) + 1) * max_gap * window
+    samples = np.empty((len(corpus) + 1) * max_gap * FRAME_SAMPLES
                        + sum(len(u.audio.samples) for u in corpus))
     n = 0
     masks, ref = [], []
@@ -330,15 +325,14 @@ def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
         n += len(audio)
 
     def gap():
-        g_frames = max(1, int(round(rng.uniform(*gap_range_s) / FRAME_DURATION_S)))
-        put(rng.normal(0.0, noise_amplitude, g_frames * window)
-            if noise_amplitude > 0 else np.zeros(g_frames * window))
+        g_frames = draw_frames(rng, *gap_range_s)
+        put(rng.normal(0.0, noise_amplitude, g_frames * FRAME_SAMPLES)
+            if noise_amplitude > 0 else np.zeros(g_frames * FRAME_SAMPLES))
         masks.append(np.zeros(g_frames, dtype=bool))
 
     gap()
     for utt in corpus:
-        n_frames = len(utt.speech_mask)
-        put(utt.audio.samples[:n_frames * window])
+        put(utt.audio.samples[:len(utt.speech_mask) * FRAME_SAMPLES])
         masks.append(utt.speech_mask)
         ref.extend(utt.transcript)
         gap()
@@ -347,8 +341,7 @@ def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
 
 def evaluate(model: ModelParams, corpus: Sequence[Utterance],
              beam: Optional[BeamConfig] = None, mode: str = "segmented",
-             l_asr_s: float = 3.0, stream_seed: int = 1234,
-             streamer_config: Optional[StreamerConfig] = None) -> dict:
+             l_asr_s: float = 3.0, stream_seed: int = 1234) -> dict:
     """Score a trained model.
 
     ``segmented``: decode each utterance whole (oracle segmentation).
@@ -371,15 +364,14 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
             n_ins += i
             ref_len += len(utt.transcript)
         rep = error_report_from_counts(n_sub, n_del, n_ins, ref_len)
-        vad = _vad_report_from_counts(*_vad_counts(model, corpus))
-        return {**rep.as_dict(), **vad, "n_utts": len(corpus)}
+        return {**rep.as_dict(), **_vad_report(model, corpus),
+                "n_utts": len(corpus)}
 
     if mode != "streaming":
         raise DataError(f"unknown evaluation mode {mode!r}")
     samples, ref_mask, ref_tokens = build_dev_stream(corpus, seed=stream_seed)
     frames = frame_stream(SampleBuffer(samples))
-    cfg = streamer_config or StreamerConfig(
-        max_chunk_frames=max(int(round(l_asr_s / FRAME_DURATION_S)), 5))
+    cfg = StreamerConfig(max_chunk_frames=max(to_frames(l_asr_s), 5))
     streamer = run_stream(model, frames, cfg, beam)
     hyp_tokens: list[str] = []
     for ev in streamer.events:
@@ -387,7 +379,7 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     s, d, i = edit_counts(ref_tokens, hyp_tokens)
     rep = error_report_from_counts(s, d, i, len(ref_tokens))
     ev_mask = segments_to_mask(streamer.events, len(frames), FRAME_DURATION_S)
-    vad = vad_metrics(ref_mask[:len(frames)], ev_mask)
+    vad = vad_metrics(ref_mask, ev_mask)
     return {**rep.as_dict(), "deter": vad.deter, "fa": vad.fa,
             "miss": vad.miss, "n_utts": len(corpus),
             "n_events": len(streamer.events),

@@ -4,21 +4,31 @@ import numpy as np
 import pytest
 
 from vadasr.audio import (
+    FRAME_DURATION_S,
+    FRAME_SAMPLES,
     SAMPLE_RATE,
     CorpusSpec,
     SampleBuffer,
+    Utterance,
     default_vocab,
+    draw_frames,
     frame_stream,
     gen_synthetic_corpus,
     read_corpus,
     read_mask,
     read_wav,
     symbol_frequency_hz,
+    to_frames,
     write_corpus,
     write_mask,
     write_wav,
 )
-from vadasr.errors import FormatError, InvalidSpecError, UnsupportedFormatError
+from vadasr.errors import (
+    DimensionError,
+    FormatError,
+    InvalidSpecError,
+    UnsupportedFormatError,
+)
 
 
 class TestWav:
@@ -77,9 +87,53 @@ class TestFraming:
         frames = frame_stream(SampleBuffer(np.zeros(100)))
         assert len(frames) == 0
 
-    def test_bad_duration(self):
+    @pytest.mark.parametrize("rate", [8000, 16001, 44100])
+    def test_only_16khz(self, rate):
+        with pytest.raises(UnsupportedFormatError, match=f"got {rate} Hz"):
+            frame_stream(SampleBuffer(np.zeros(2 * rate), sample_rate_hz=rate))
+
+
+class TestFrameClock:
+    def test_constants(self):
+        assert (SAMPLE_RATE, FRAME_SAMPLES) == (16000, 320)
+        assert FRAME_DURATION_S == 0.02
+
+    @pytest.mark.parametrize("seconds, frames", [
+        (0.0, 0), (0.009, 0), (0.011, 1), (0.1, 5), (0.5, 25), (0.64, 32),
+        (3.0, 150)])
+    def test_to_frames_rounds_to_nearest(self, seconds, frames):
+        assert to_frames(seconds) == frames
+
+    @pytest.mark.parametrize("seconds", [
+        float("nan"), float("inf"), float("-inf"), -1e-9, -5.0])
+    def test_to_frames_rejects(self, seconds):
         with pytest.raises(InvalidSpecError):
-            frame_stream(SampleBuffer(np.zeros(320)), frame_duration_s=0.0)
+            to_frames(seconds)
+
+    def test_draw_frames_is_the_inline_rule(self):
+        # the same draws, in the same order, as the expression it replaced
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for lo, hi in [(0.12, 0.40), (0.10, 0.24), (0.5, 3.0), (0.0, 0.01)]:
+            for _ in range(100):
+                assert draw_frames(a, lo, hi) == max(
+                    1, int(round(b.uniform(lo, hi) / 0.02)))
+
+    def test_draw_frames_inverted_range(self, rng):
+        with pytest.raises(InvalidSpecError):
+            draw_frames(rng, 2.0, 1.0)
+
+
+class TestUtterance:
+    def test_mask_has_one_entry_per_whole_frame(self):
+        audio = SampleBuffer(np.zeros(500))  # one frame and a 180-sample tail
+        assert len(Utterance(audio, ("a",), [True], "u").speech_mask) == 1
+        with pytest.raises(DimensionError):
+            Utterance(audio, ("a",), [True, False], "u")
+
+    def test_other_rate_rejected(self):
+        with pytest.raises(UnsupportedFormatError):
+            Utterance(SampleBuffer(np.zeros(320), sample_rate_hz=8000),
+                      ("a",), [True], "u")
 
 
 class TestCorpusSpec:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import vadasr.autodiff as ad
 from vadasr.chunking import (
     Chunk,
     ChunkLayout,
@@ -108,7 +109,21 @@ class TestStitch:
                                  int(rng.integers(0, 10)))
             full = rng.normal(size=(T, 3))
             parts = [full[c.body[0]:c.body[1]] for c in layout.chunks]
-            assert np.array_equal(stitch_outputs(parts, layout), full)
+            assert np.array_equal(stitch_outputs(parts, layout).data, full)
+
+    def test_tensors_join_on_the_tape(self, rng):
+        # the model stitches its chunk bodies with this function
+        layout = plan_chunks(10, 4, 2, 2)
+        full = rng.normal(size=(10, 3))
+        weights = rng.normal(size=(10, 3))
+        parts = [ad.Tensor(full[c.body[0]:c.body[1]]) for c in layout.chunks]
+        with ad.Tape() as tape:
+            out = stitch_outputs(parts, layout)
+            loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+        grads = ad.backward(tape, loss)
+        assert np.array_equal(out.data, full)
+        for part, c in zip(parts, layout.chunks):
+            assert np.array_equal(grads[part], weights[c.body[0]:c.body[1]])
 
     def test_wrong_chunk_count(self):
         layout = plan_chunks(10, 5)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
-from vadasr.audio import CorpusSpec, default_vocab, gen_synthetic_corpus, write_corpus, write_wav
-from vadasr.cli import load_external_posteriors, main, save_posteriors
+from vadasr.audio import (CorpusSpec, SampleBuffer, default_vocab,
+                          gen_synthetic_corpus, write_corpus, write_wav)
+from vadasr.cli import (_STREAM_DEFAULTS, _streamer_config,
+                        load_external_posteriors, main, save_posteriors)
 from vadasr.errors import FormatError
 from vadasr.model import ModelParams, PosteriorGrid
 
@@ -167,6 +169,16 @@ MALFORMED_INPUTS = [
     ("event-text-not-string",
      _event_line(json.dumps({**_EVENT, "text": 5})), 2),
     ("event-line-not-object", _event_line("[1]"), 2),
+    ("event-end-nan",
+     _event_line(json.dumps({**_EVENT, "text": "a", "end_s": float("nan")})),
+     2),
+    ("event-end-infinity",
+     _event_line(json.dumps({**_EVENT, "text": "a", "end_s": float("inf")})),
+     2),
+    ("event-start-negative",
+     _event_line(json.dumps({**_EVENT, "text": "a", "start_s": -0.5})), 2),
+    ("event-end-before-start",
+     _event_line(json.dumps({**_EVENT, "text": "a", "start_s": 2.0})), 2),
     ("lm-counts-not-object",
      lambda tmp, *_: _posteriors(tmp, lm=b'{"order":2,"counts":[1]}'), 2),
     ("lm-not-utf8", lambda tmp, *_: _posteriors(tmp, lm=b'{"\xff'), 2),
@@ -205,6 +217,15 @@ class TestExitCodes:
         ["transcribe", "--word-score", "inf"],
         ["transcribe", "--beam-size", "0"],
         ["decode-posteriors", "--lm-weight=-inf"],
+        ["train", "--splice-s", "nan"], ["train", "--splice-s", "-1"],
+        ["train", "--chunk-min-s", "-1"],
+        ["train", "--chunk-min-s", "2", "--chunk-max-s", "1"],
+        ["segment", "--max-chunk-s", "nan"],
+        ["segment", "--max-chunk-s", "0.02"],
+        ["segment", "--min-silence-s", "-5"],
+        ["segment", "--min-speech-s", "0.001"],
+        ["segment", "--splice-s=-inf"],
+        ["segment", "--vad-threshold", "2"],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, flags, tmp_path, corpus_dir,
                                       model_ckpt, capsys):
@@ -216,12 +237,31 @@ class TestExitCodes:
                       "--out", str(tmp_path / "o.ckpt")],
             "transcribe": ["--model", str(model_ckpt),
                            "--wav", str(root / "utt0000.wav")],
+            "segment": ["--model", str(model_ckpt),
+                        "--wav", str(root / "utt0000.wav")],
             "decode-posteriors": _posteriors(tmp_path)[1:],
         }[command]
         assert run_cli(command, *inputs, *values) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o.ckpt").exists()
+
+    @pytest.mark.parametrize("rate", [8000, 16001])
+    def test_wav_not_16khz(self, rate, tmp_path, model_ckpt, capsys):
+        write_wav(tmp_path / "x.wav",
+                  SampleBuffer(np.zeros(rate), sample_rate_hz=rate))
+        assert run_cli("segment", "--model", str(model_ckpt),
+                       "--wav", str(tmp_path / "x.wav")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{rate} Hz" in err
+
+    def test_stream_flags_in_frames(self):
+        cfg = _streamer_config(_STREAM_DEFAULTS)
+        assert (cfg.min_speech_frames, cfg.min_silence_frames,
+                cfg.max_chunk_frames, cfg.splice_frames) == (5, 30, 150, 32)
+        assert _streamer_config({**_STREAM_DEFAULTS,
+                                 "splice_s": 0.0}).splice_frames == 0
 
     def test_success_is_zero(self, tmp_path, capsys):
         assert run_cli("gen-corpus", "--out", str(tmp_path / "c"),

@@ -4,7 +4,7 @@ event file I/O."""
 import numpy as np
 import pytest
 
-from vadasr.audio import FrameSequence
+from vadasr.audio import FRAME_DURATION_S, FrameSequence
 from vadasr.errors import DataError, InvalidSpecError
 from vadasr.model import ModelDims, ModelParams, vad_score_frames
 from vadasr.streamer import (
@@ -169,7 +169,7 @@ class TestValidateEvents:
         return SegmentEvent(start_s=start, end_s=end, text=text, cause=cause)
 
     def test_accepts_valid(self):
-        dur = SMALL.frame_duration_s
+        dur = FRAME_DURATION_S
         validate_events([self._ev(0.0, 5 * dur), self._ev(10 * dur, 14 * dur)],
                         SMALL)
 
@@ -190,7 +190,7 @@ class TestValidateEvents:
             validate_events([self._ev(0.0, 1.0)], SMALL)
 
     def test_rejects_unknown_cause(self):
-        dur = SMALL.frame_duration_s
+        dur = FRAME_DURATION_S
         with pytest.raises(DataError, match="cause"):
             validate_events([self._ev(0.0, 5 * dur, cause="mystery")], SMALL)
 

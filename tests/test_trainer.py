@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
-from vadasr.audio import CorpusSpec, default_vocab, gen_synthetic_corpus
+from vadasr.audio import (CorpusSpec, SampleBuffer, Utterance, default_vocab,
+                          frame_stream, gen_synthetic_corpus)
 from vadasr.errors import DataError, NumericError
-from vadasr.model import ModelParams, forward
-from vadasr.audio import frame_stream
+from vadasr.metrics import vad_metrics
+from vadasr.model import ModelParams, forward, vad_score_frames
 from vadasr.trainer import (
     Adam,
     TrainConfig,
@@ -84,6 +85,20 @@ class TestConfig:
     def test_bad_stage(self):
         with pytest.raises(DataError):
             TrainConfig(stage="pretrain")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"splice_s": float("nan")}, {"splice_s": float("inf")},
+        {"splice_s": -1.0}, {"chunk_min_s": float("nan")},
+        {"chunk_min_s": 0.0}, {"chunk_min_s": -1.0},
+        {"chunk_min_s": 2.0, "chunk_max_s": 1.0},
+        {"chunk_max_s": float("inf")}, {"chunk_max_s": float("nan")},
+    ], ids=str)
+    def test_bad_durations_rejected(self, kwargs):
+        with pytest.raises(DataError):
+            TrainConfig(stage="mtl", **kwargs)
+
+    def test_zero_splice_allowed(self):
+        assert TrainConfig(stage="mtl", splice_s=0.0).splice_s == 0.0
 
     def test_chunking_defaults_by_stage(self):
         assert TrainConfig(stage="asr_only").use_chunking is False
@@ -195,6 +210,19 @@ class TestDevStream:
         assert np.array_equal(mask, r_mask)
         assert ref == r_ref
 
+    def test_partial_tail_frame_dropped(self, tiny_corpus):
+        # a 500-sample utterance is one whole frame; its 180-sample tail
+        # must not shift what follows off its mask
+        short = Utterance(SampleBuffer(np.full(500, 0.25)), ("a",), [True],
+                          "short")
+        corpus = [short, *tiny_corpus[:2]]
+        samples, mask, ref = build_dev_stream(corpus, seed=9)
+        assert len(samples) == len(mask) * 320
+        assert len(frame_stream(SampleBuffer(samples))) == len(mask)
+        r_samples, r_mask, _ = _dev_stream_by_concatenation(corpus, 9)
+        assert np.array_equal(samples, r_samples)
+        assert np.array_equal(mask, r_mask)
+
     def test_deterministic(self, tiny_corpus):
         a = build_dev_stream(tiny_corpus, seed=9)[0]
         b = build_dev_stream(tiny_corpus, seed=9)[0]
@@ -230,6 +258,26 @@ class TestEvaluate:
             assert key in rep
         assert rep["cer"] == pytest.approx(
             rep["sub"] + rep["del"] + rep["ins"])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_segmented_deter_is_fa_plus_miss(self, seed):
+        # exact, as the streaming report and ``vad_metrics`` give it
+        corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=4, seed=100))
+        model = ModelParams.init(default_vocab(5), seed=seed)
+        rep = evaluate(model, corpus, mode="segmented")
+        assert rep["deter"] == rep["fa"] + rep["miss"]
+
+    def test_vad_baseline_report_is_vad_metrics(self, tiny_corpus):
+        model, rep = train_vad_stl_baseline(
+            tiny_corpus[:2], TrainConfig(stage="vad_only", epochs=1),
+            default_vocab(5), dev_corpus=tiny_corpus)
+        hyp = np.concatenate([
+            vad_score_frames(frame_stream(u.audio), model).data >= 0.5
+            for u in tiny_corpus])
+        ref = np.concatenate([u.speech_mask for u in tiny_corpus])
+        vr = vad_metrics(ref, hyp)
+        assert rep.final_dev_vad == {"deter": vr.deter, "fa": vr.fa,
+                                     "miss": vr.miss}
 
     def test_streaming_keys(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)

@@ -30,6 +30,9 @@ from .errors import (
 SAMPLE_RATE = 16000
 FRAME_SAMPLES = 320
 FRAME_DURATION_S = FRAME_SAMPLES / SAMPLE_RATE
+# The longest stream one 16-bit mono WAV holds, in whole frames: RIFF sizes
+# are 32-bit.
+MAX_STREAM_S = (2 ** 32 - 1) // 2 // FRAME_SAMPLES * FRAME_DURATION_S
 TONE_AMPLITUDE = 0.5
 BASE_FREQ_HZ = 400.0
 FREQ_SPACING_HZ = 300.0
@@ -275,7 +278,7 @@ def read_corpus(manifest_path) -> tuple[list[Utterance], list[str]]:
     base = manifest_path.parent
     utts = []
     with open(manifest_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -289,9 +292,16 @@ def read_corpus(manifest_path) -> tuple[list[Utterance], list[str]]:
                     AttributeError) as exc:
                 raise FormatError(f"{manifest_path}: bad manifest line: "
                                   f"{type(exc).__name__}: {exc}") from exc
-            utts.append(Utterance(audio=read_wav(wav_path),
-                                  transcript=transcript,
-                                  speech_mask=read_mask(mask_path), id=utt_id))
+            audio, mask = read_wav(wav_path), read_mask(mask_path)
+            where = f"{manifest_path}:{lineno}"
+            try:
+                utts.append(Utterance(audio=audio, transcript=transcript,
+                                      speech_mask=mask, id=utt_id))
+            except UnsupportedFormatError as exc:
+                raise UnsupportedFormatError(
+                    f"{where}: {wav_path}: {exc}") from exc
+            except DimensionError as exc:
+                raise DimensionError(f"{where}: {mask_path}: {exc}") from exc
     vocab_file = base / "vocab.json"
     if vocab_file.exists():
         try:

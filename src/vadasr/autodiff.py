@@ -4,6 +4,8 @@ A ``Tape`` records every primitive executed while it is active (context
 manager). ``backward`` replays the tape once in reverse and returns the
 gradient of a scalar loss with respect to every tensor that received one.
 Tensors are immutable value holders; parameters are just long-lived tensors.
+With no tape active, primitives take Tensors or arrays and return plain
+arrays, computed by the same arithmetic as on a tape.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class Tape:
         return len(self._nodes)
 
 
-def _active_tape() -> Tape | None:
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
-
-
 class Tensor:
     """Immutable dense array. Hash/eq are identity on purpose: the same
     parameter object is the key into gradient maps and optimizer state."""
@@ -77,7 +75,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
+        return add(self, scale(other, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -93,15 +91,26 @@ class Tensor:
         return matmul(self, other)
 
 
-def _as_tensor(x) -> Tensor:
+_F64 = np.dtype(np.float64)
+
+
+def value(x) -> np.ndarray:
+    """The array behind ``x``: a Tensor's data, or ``x`` as a float64 array."""
+    if type(x) is np.ndarray and x.dtype is _F64:  # the common case, fast
+        return x
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def tensor(x) -> Tensor:
+    """``x`` as a Tensor; a Tensor is returned as it is, so a taped value
+    keeps its place on the tape."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _op(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+def _taped(data: np.ndarray, parents: tuple[Tensor, ...],
+           vjp: Callable) -> Tensor:
     out = Tensor(data)
-    tape = _active_tape()
-    if tape is not None:
-        tape._record(out, parents, vjp)
+    _ACTIVE_TAPES[-1]._record(out, parents, vjp)
     return out
 
 
@@ -117,42 +126,70 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # primitives
+#
+# Each primitive's forward arithmetic is one function of plain arrays (the
+# ``_name`` above it). With no tape active, the primitive applies it to the
+# arrays behind its inputs and returns the plain array: no Tensor, no vjp
+# closure, no record. On a tape, it applies the same function to the
+# inputs' data and records the result, so both paths give the same bits.
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def _add(a, b):
     try:
-        data = a.data + b.data
+        return a + b
     except ValueError:
         raise DimensionError("add shapes incompatible", a.shape, b.shape)
-    return _op(data, (a, b),
-               lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a, b):
+    if not _ACTIVE_TAPES:
+        return _add(value(a), value(b))
+    a, b = tensor(a), tensor(b)
+    return _taped(_add(a.data, b.data), (a, b),
+                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+
+def _mul(a, b):
     try:
-        data = a.data * b.data
+        return a * b
     except ValueError:
         raise DimensionError("mul shapes incompatible", a.shape, b.shape)
-    return _op(data, (a, b),
-               lambda g: (_unbroadcast(g * b.data, a.shape),
-                          _unbroadcast(g * a.data, b.shape)))
 
 
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
+def mul(a, b):
+    if not _ACTIVE_TAPES:
+        return _mul(value(a), value(b))
+    a, b = tensor(a), tensor(b)
+    return _taped(_mul(a.data, b.data), (a, b),
+                  lambda g: (_unbroadcast(g * b.data, a.shape),
+                             _unbroadcast(g * a.data, b.shape)))
+
+
+def _scale(a, c):
+    return a * c
+
+
+def scale(a, c: float):
     c = float(c)
-    return _op(a.data * c, (a,), lambda g: (g * c,))
+    if not _ACTIVE_TAPES:
+        return _scale(value(a), c)
+    a = tensor(a)
+    return _taped(_scale(a.data, c), (a,), lambda g: (g * c,))
 
 
-def matmul(a, b) -> Tensor:
+def _matmul(a, b):
     """Matrix product; one operand may be a (T, m, n) stack of matrices, each
     multiplied on its own, so an item's arithmetic does not depend on T."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim not in (2, 3) or b.ndim not in (2, 3) or a.ndim + b.ndim > 5
             or a.shape[-1] != b.shape[-2]):
         raise DimensionError("matmul shapes incompatible", a.shape, b.shape)
+    return a @ b
+
+
+def matmul(a, b):
+    if not _ACTIVE_TAPES:
+        return _matmul(value(a), value(b))
+    a, b = tensor(a), tensor(b)
 
     def vjp(g):
         # sum over the stack as one flat 2-D product, not T small ones
@@ -162,109 +199,162 @@ def matmul(a, b) -> Tensor:
             return np.tensordot(g, b.data, axes=([0, 2], [0, 2])), a.data.T @ g
         return g @ b.data.T, a.data.T @ g
 
-    return _op(a.data @ b.data, (a, b), vjp)
+    return _taped(_matmul(a.data, b.data), (a, b), vjp)
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
+def _transpose(a):
     if a.ndim != 2:
         raise DimensionError("transpose expects a matrix", a.shape)
-    return _op(a.data.T.copy(), (a,), lambda g: (g.T,))
+    return a.T.copy()
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+def transpose(a):
+    if not _ACTIVE_TAPES:
+        return _transpose(value(a))
+    a = tensor(a)
+    return _taped(_transpose(a.data), (a,), lambda g: (g.T,))
+
+
+def _reshape(a, shape):
+    return a.reshape(shape)
+
+
+def reshape(a, shape):
+    if not _ACTIVE_TAPES:
+        return _reshape(value(a), shape)
+    a = tensor(a)
     old = a.shape
-    return _op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return _taped(_reshape(a.data, shape), (a,), lambda g: (g.reshape(old),))
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return _op(s, (a,), lambda g: (g * s * (1.0 - s),))
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-    return _op(a.data * mask, (a,), lambda g: (g * mask,))
+def sigmoid(a):
+    if not _ACTIVE_TAPES:
+        return _sigmoid(value(a))
+    a = tensor(a)
+    s = _sigmoid(a.data)
+    return _taped(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    e = np.exp(a.data)
-    return _op(e, (a,), lambda g: (g * e,))
+def _relu(a):
+    return a * (a > 0)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _op(out, (a,), vjp)
+def relu(a):
+    if not _ACTIVE_TAPES:
+        return _relu(value(a))
+    a = tensor(a)
+    return _taped(_relu(a.data), (a,), lambda g: (g * (a.data > 0),))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+_exp = np.exp
+
+
+def exp(a):
+    if not _ACTIVE_TAPES:
+        return _exp(value(a))
+    a = tensor(a)
+    e = _exp(a.data)
+    return _taped(e, (a,), lambda g: (g * e,))
+
+
+def _log_softmax(a, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def log_softmax(a, axis: int = -1):
+    if not _ACTIVE_TAPES:
+        return _log_softmax(value(a), axis)
+    a = tensor(a)
+    out = _log_softmax(a.data, axis)
+    return _taped(out, (a,), lambda g: (
+        g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
+
+
+def softmax(a, axis: int = -1):
     return exp(log_softmax(a, axis=axis))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def _layer_norm(x, gain, bias, eps):
+    """Returns the output and the normalized input and inverse deviation,
+    which the gradient reuses. The mean and variance are numpy's own
+    arithmetic (a sum divided by the count; the mean of the squared
+    deviations), spelled out so the deviations are computed once."""
+    n = x.shape[-1]
+    d = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + eps)
+    y = d * inv
+    return y * gain + bias, y, inv
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5):
     """Normalize over the last axis, then scale and shift."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
-    out = y * gain.data + bias.data
+    if not _ACTIVE_TAPES:
+        return _layer_norm(value(x), value(gain), value(bias), eps)[0]
+    x, gain, bias = tensor(x), tensor(gain), tensor(bias)
+    out, y, inv = _layer_norm(x.data, gain.data, bias.data, eps)
 
     def vjp(g):
         gy = g * gain.data
-        n = x.shape[-1]
         dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
                     - y * (gy * y).mean(axis=-1, keepdims=True))
         dgain = _unbroadcast(g * y, gain.shape)
         dbias = _unbroadcast(g, bias.shape)
         return dx, dgain, dbias
 
-    return _op(out, (x, gain, bias), vjp)
+    return _taped(out, (x, gain, bias), vjp)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
+def _slice_rows(a, start, stop):
     if not (0 <= start <= stop <= a.shape[0]):
         raise DimensionError(f"row slice [{start}:{stop}] out of bounds", a.shape)
+    return a[start:stop].copy()
+
+
+def slice_rows(a, start: int, stop: int):
+    if not _ACTIVE_TAPES:
+        return _slice_rows(value(a), start, stop)
+    a = tensor(a)
 
     def vjp(g):
         full = np.zeros_like(a.data)
         full[start:stop] = g
         return (full,)
 
-    return _op(a.data[start:stop].copy(), (a,), vjp)
+    return _taped(_slice_rows(a.data, start, stop), (a,), vjp)
 
 
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
+def _slice_cols(a, start, stop):
     if not (0 <= start <= stop <= a.shape[-1]):
         raise DimensionError(f"col slice [{start}:{stop}] out of bounds", a.shape)
+    return a[..., start:stop].copy()
+
+
+def slice_cols(a, start: int, stop: int):
+    if not _ACTIVE_TAPES:
+        return _slice_cols(value(a), start, stop)
+    a = tensor(a)
 
     def vjp(g):
         full = np.zeros_like(a.data)
         full[..., start:stop] = g
         return (full,)
 
-    return _op(a.data[..., start:stop].copy(), (a,), vjp)
+    return _taped(_slice_cols(a.data, start, stop), (a,), vjp)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+_concat = np.concatenate
+
+
+def concat(parts: Sequence, axis: int = 0):
+    if not _ACTIVE_TAPES:
+        return _concat([value(p) for p in parts], axis=axis)
+    parts = [tensor(p) for p in parts]
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def vjp(g):
         return tuple(
@@ -272,39 +362,62 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _op(data, tuple(parts), vjp)
+    return _taped(_concat([p.data for p in parts], axis=axis),
+                  tuple(parts), vjp)
 
 
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    return _op(np.asarray(a.data.sum()), (a,),
-               lambda g: (np.broadcast_to(g, a.shape).copy(),))
+def _sum_all(a):
+    return np.asarray(a.sum())
 
 
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
+def sum_all(a):
+    if not _ACTIVE_TAPES:
+        return _sum_all(value(a))
+    a = tensor(a)
+    return _taped(_sum_all(a.data), (a,),
+                  lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def _mean_all(a):
+    return np.asarray(a.mean())
+
+
+def mean_all(a):
+    if not _ACTIVE_TAPES:
+        return _mean_all(value(a))
+    a = tensor(a)
     n = a.size
-    return _op(np.asarray(a.data.mean()), (a,),
-               lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+    return _taped(_mean_all(a.data), (a,),
+                  lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
-def depthwise_conv1d(x, kernels) -> Tensor:
-    """Causal depthwise convolution over time. x: (T, C), kernels: (C, 1, W)
-    -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w] and x
-    zero before t = 0. Each row is a sum of elementwise products taken in w
-    order, so its value does not depend on T."""
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
+def _depthwise_conv1d(x, kernels):
+    """Returns the output, the zero-padded input and the (W, C) taps, which
+    the gradient reuses."""
     if (x.ndim != 2 or kernels.ndim != 3
             or kernels.shape[:2] != (x.shape[1], 1)):
         raise DimensionError("depthwise_conv1d expects (T,C) input and "
                              "(C,1,W) kernels", x.shape, kernels.shape)
     T, C = x.shape
     W = kernels.shape[2]
-    taps = kernels.data[:, 0, :].T  # (W, C)
-    xp = np.concatenate([np.zeros((W - 1, C)), x.data])
+    taps = kernels[:, 0, :].T  # (W, C)
+    xp = np.concatenate([np.zeros((W - 1, C)), x])
     out = xp[:T] * taps[0]
     for w in range(1, W):
         out += xp[w:w + T] * taps[w]
+    return out, xp, taps
+
+
+def depthwise_conv1d(x, kernels):
+    """Causal depthwise convolution over time. x: (T, C), kernels: (C, 1, W)
+    -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w] and x
+    zero before t = 0. Each row is a sum of elementwise products taken in w
+    order, so its value does not depend on T."""
+    if not _ACTIVE_TAPES:
+        return _depthwise_conv1d(value(x), value(kernels))[0]
+    x, kernels = tensor(x), tensor(kernels)
+    out, xp, taps = _depthwise_conv1d(x.data, kernels.data)
+    T, W = x.shape[0], taps.shape[0]
 
     def vjp(g):
         dxp = np.zeros_like(xp)
@@ -314,12 +427,16 @@ def depthwise_conv1d(x, kernels) -> Tensor:
             dtaps[w] = (g * xp[w:w + T]).sum(axis=0)
         return dxp[W - 1:], dtaps.T.reshape(kernels.shape)
 
-    return _op(out, (x, kernels), vjp)
+    return _taped(out, (x, kernels), vjp)
 
 
 def custom(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
-    """Register an externally computed primitive (e.g. CTC) on the tape."""
-    return _op(np.asarray(data, dtype=np.float64), parents, vjp)
+    """Register an externally computed primitive (e.g. CTC) on the tape. It
+    returns a Tensor with or without a tape, recorded only on one."""
+    out = Tensor(np.asarray(data, dtype=np.float64))
+    if _ACTIVE_TAPES:
+        _ACTIVE_TAPES[-1]._record(out, parents, vjp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +492,9 @@ def finite_diff_check(f: Callable, params: Sequence[Tensor],
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            fp = float(f(params).data)
+            fp = float(value(f(params)))
             flat[i] = orig - eps
-            fm = float(f(params).data)
+            fm = float(value(f(params)))
             flat[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise NumericError("objective not finite under perturbation")

@@ -79,10 +79,11 @@ def plan_chunks(total_T: int, body_len: int, left_len: int = 0,
     return ChunkLayout(chunks=tuple(chunks), total_T=total_T)
 
 
-def stitch_outputs(per_chunk_outputs, layout: ChunkLayout) -> ad.Tensor:
+def stitch_outputs(per_chunk_outputs, layout: ChunkLayout):
     """Join per-body outputs (tensors or arrays), in chunk order, into one
-    tensor of full stream length; on a tape, each body gets its rows of the
-    gradient. A lone tensor body is returned as it is, with no copy."""
+    output of full stream length: a Tensor on a tape, where each body gets
+    its rows of the gradient, and an array without one. A lone body is
+    returned as it is, with no copy."""
     if len(per_chunk_outputs) != len(layout.chunks):
         raise LayoutError(f"{len(per_chunk_outputs)} outputs for "
                           f"{len(layout.chunks)} chunks")
@@ -92,7 +93,6 @@ def stitch_outputs(per_chunk_outputs, layout: ChunkLayout) -> ad.Tensor:
                               f"length {ch.body[1] - ch.body[0]}")
     if not per_chunk_outputs:
         return ad.Tensor(np.zeros((0,)))
-    if (len(per_chunk_outputs) == 1
-            and isinstance(per_chunk_outputs[0], ad.Tensor)):
+    if len(per_chunk_outputs) == 1:
         return per_chunk_outputs[0]
     return ad.concat(per_chunk_outputs, axis=0)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .audio import (
     FRAME_DURATION_S,
     CorpusSpec,
@@ -95,7 +94,7 @@ def load_external_posteriors(path) -> PosteriorGrid:
     if not np.all(np.abs(rowsums - 1.0) <= 1e-3):  # a NaN row fails too
         worst = float(np.abs(rowsums - 1.0).max())
         raise FormatError(f"{path}: rows not normalized (max dev {worst:.2e})")
-    return PosteriorGrid(log_probs=ad.Tensor(arr), vocab=vocab,
+    return PosteriorGrid(log_probs=arr, vocab=vocab,
                          blank_index=blank)
 
 

@@ -143,7 +143,7 @@ def ctc_loss(grid, target) -> CtcResult:
     """Negative log-likelihood of ``target`` under the posterior grid,
     marginalized over all collapsing alignments, plus its exact gradient."""
     logp = grid.log_probs
-    tensor_in = logp if isinstance(logp, ad.Tensor) else ad.Tensor(logp)
+    tensor_in = ad.tensor(logp)
     arr = tensor_in.data
     T = arr.shape[0]
     idx = _target_indices(grid, target)
@@ -171,7 +171,7 @@ def ctc_loss_bruteforce(grid, target) -> float:
     Only for tiny instances; complements the recursion in tests.
     """
     logp = grid.log_probs
-    arr = logp.data if isinstance(logp, ad.Tensor) else np.asarray(logp)
+    arr = ad.value(logp)
     T, K = arr.shape
     if K ** T > BRUTEFORCE_LIMIT:
         raise DataError(f"instance too large for enumeration: {K}^{T}")
@@ -189,8 +189,7 @@ def ctc_loss_bruteforce(grid, target) -> float:
 def bce_loss(speech_probs, speech_mask) -> BceResult:
     """Per-frame-mean binary cross entropy between predicted speech
     probabilities and the boolean reference mask."""
-    tensor_in = (speech_probs if isinstance(speech_probs, ad.Tensor)
-                 else ad.Tensor(speech_probs))
+    tensor_in = ad.tensor(speech_probs)
     p_raw = tensor_in.data.reshape(-1)
     y = np.asarray(speech_mask, dtype=np.float64).reshape(-1)
     if p_raw.shape != y.shape:

@@ -6,6 +6,12 @@ CTC prediction head.
 The encoder's receptive field is exactly one 20 ms frame (kernel == stride in
 both conv layers), so each conv is a per-frame matrix product and VAD scores
 are computable frame by frame online, bit-identical to whole-sequence ones.
+
+The forward functions are written once over ``autodiff`` primitives: on a
+tape they build taped Tensors for training, and with no tape active they
+compute on plain arrays with the same arithmetic, so inference gives the
+same bits without the tape's cost. ``forward`` and ``vad_score_frames``
+return Tensors either way.
 """
 
 from __future__ import annotations
@@ -56,11 +62,12 @@ class ModelDims:
 class PosteriorGrid:
     """Per-frame log-probabilities over vocabulary plus trailing blank."""
 
-    log_probs: ad.Tensor  # (T, |V|+1)
+    log_probs: ad.Tensor  # (T, |V|+1); an array is wrapped as a Tensor
     vocab: list[str]
     blank_index: int
 
     def __post_init__(self):
+        object.__setattr__(self, "log_probs", ad.tensor(self.log_probs))
         if self.blank_index != len(self.vocab):
             raise UsageError("blank must be the last grid column")
         if self.log_probs.shape[-1] != len(self.vocab) + 1:
@@ -229,62 +236,79 @@ class ModelParams:
 # forward ops
 
 
-def encode_features(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
-    """Convolutional encoder: one latent vector per 320-sample frame."""
-    T = len(frames)
-    if T == 0:
-        raise DataError("cannot encode an empty frame sequence")
-    if frames.frames.shape[1] != FRAME_SAMPLES:
-        raise DimensionError("expected 320-sample frames (16 kHz, 20 ms)",
-                             frames.frames.shape)
+def encoder_weights(model: ModelParams) -> tuple:
+    """The encoder's weights in the layout its products use: conv1's kernel
+    as a (c1, CONV1_WIDTH) matrix, conv2's as a contiguous
+    (c1 * CONV2_WIDTH, d) matrix, then the biases and layer-norm terms."""
     p = model.params
     d, c1 = model.dims.d_model, model.dims.conv1_channels
+    return (ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), p["enc1_b"],
+            ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH))),
+            ad.reshape(p["enc2_b"], (d,)), p["enc_ln_g"], p["enc_ln_b"])
+
+
+def encode_features(frames, model: ModelParams, weights: tuple | None = None):
+    """Convolutional encoder: one latent vector per 320-sample frame.
+    ``frames`` is a FrameSequence or a (T, 320) array; ``weights``, if given,
+    are ``encoder_weights(model)``, prepared once by a caller that encodes
+    one frame at a time."""
+    x = frames.frames if isinstance(frames, FrameSequence) else frames
+    T = len(x)
+    if T == 0:
+        raise DataError("cannot encode an empty frame sequence")
+    if x.ndim != 2 or x.shape[1] != FRAME_SAMPLES:
+        raise DimensionError("expected 320-sample frames (16 kHz, 20 ms)",
+                             x.shape)
+    k1, b1, k2, b2, ln_g, ln_b = weights or encoder_weights(model)
+    d, c1 = model.dims.d_model, model.dims.conv1_channels
     # (T, CONV1_WIDTH, CONV2_WIDTH): column j holds conv1 position j's samples
-    x = ad.Tensor(frames.frames.reshape(T, CONV2_WIDTH, CONV1_WIDTH)
-                  .transpose(0, 2, 1))
-    k1 = ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH))
-    h1 = ad.relu(ad.add(ad.matmul(k1, x), p["enc1_b"]))  # (T, c1, CONV2_WIDTH)
-    k2 = ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH)))
+    x = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
+    h1 = ad.relu(ad.add(ad.matmul(k1, x), b1))  # (T, c1, CONV2_WIDTH)
     h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2)  # (T, 1, d)
-    h2 = ad.relu(ad.add(ad.reshape(h2, (T, d)), ad.reshape(p["enc2_b"], (d,))))
-    return ad.layer_norm(h2, p["enc_ln_g"], p["enc_ln_b"])
+    h2 = ad.relu(ad.add(ad.reshape(h2, (T, d)), b2))
+    return ad.layer_norm(h2, ln_g, ln_b)
 
 
-def vad_forward(Z: ad.Tensor, model: ModelParams) -> tuple[ad.Tensor, ad.Tensor]:
-    """Cheap VAD branch: causal depthwise temporal conv + per-frame sigmoid."""
+def vad_weights(model: ModelParams) -> tuple:
+    """The VAD head's weights in the layout its ops use."""
     p = model.params
+    return (p["vad_k"], ad.reshape(p["vad_b"], (model.dims.d_model,)),
+            p["vad_fc_w"], p["vad_fc_b"])
+
+
+def vad_forward(Z, model: ModelParams, weights: tuple | None = None):
+    """Cheap VAD branch: causal depthwise temporal conv + per-frame sigmoid.
+    ``weights``, if given, are ``vad_weights(model)``."""
+    k, b, fc_w, fc_b = weights or vad_weights(model)
     T, d = Z.shape
-    h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, p["vad_k"]),
-                           ad.reshape(p["vad_b"], (d,))))
-    logits = ad.add(ad.matmul(ad.reshape(h_vad, (T, 1, d)), p["vad_fc_w"]),
-                    p["vad_fc_b"])
+    h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, k), b))
+    logits = ad.add(ad.matmul(ad.reshape(h_vad, (T, 1, d)), fc_w), fc_b)
     probs = ad.reshape(ad.sigmoid(logits), (T,))
     return h_vad, probs
 
 
 def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
     """Low-cost VAD path: encoder + VAD head only, no attention, no ASR."""
-    before = model.attention_evals
-    Z = encode_features(frames, model)
-    _, probs = vad_forward(Z, model)
-    assert model.attention_evals == before  # structural guarantee
-    return probs
+    _, probs = vad_forward(encode_features(frames, model), model)
+    return ad.tensor(probs)
 
 
-def vad_score_step(frame: np.ndarray, rows: np.ndarray,
-                   model: ModelParams) -> float:
+def vad_score_step(frame, rows: np.ndarray, model: ModelParams,
+                   weights: tuple) -> float:
     """Online VAD score of one new frame, equal to its whole-sequence score.
     ``rows`` holds the encoder rows of the last ``vad_kernel_width`` frames
     (zeros before the stream starts, as the causal pad); the new frame is
-    encoded alone and shifted in, in place."""
-    z = encode_features(FrameSequence(np.asarray(frame)[None, :]), model)
+    encoded alone and shifted in, in place. ``weights`` are
+    ``(encoder_weights(model), vad_weights(model))``, prepared once."""
+    enc_w, vad_w = weights
+    z = encode_features(np.asarray(frame, dtype=np.float64)[None], model,
+                        enc_w)
     rows[:-1] = rows[1:]
-    rows[-1] = z.data[0]
-    return float(vad_forward(ad.Tensor(rows), model)[1].data[-1])
+    rows[-1] = ad.value(z)[0]
+    return float(ad.value(vad_forward(rows, model, vad_w)[1])[-1])
 
 
-def _mha(x_q: ad.Tensor, x_kv: ad.Tensor, wq, wk, wv, wo, n_heads: int,
-         model: ModelParams) -> ad.Tensor:
+def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):
     model.attention_evals += 1
     d = wq.shape[1]
     dh = d // n_heads
@@ -302,8 +326,7 @@ def _mha(x_q: ad.Tensor, x_kv: ad.Tensor, wq, wk, wv, wo, n_heads: int,
     return ad.matmul(ad.concat(heads, axis=1), wo)
 
 
-def context_forward(Z: ad.Tensor, model: ModelParams,
-                    layout: ChunkLayout | None = None) -> ad.Tensor:
+def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None):
     """Transformer block over encoder latents; with a layout, attention for
     each chunk sees only left ctx + body + right ctx and only body positions
     produce output."""
@@ -313,7 +336,7 @@ def context_forward(Z: ad.Tensor, model: ModelParams,
         layout = whole_utterance_layout(T)
     if layout.total_T != T:
         raise LayoutError(f"layout covers {layout.total_T} frames, Z has {T}")
-    zp = ad.add(Z, ad.Tensor(positional_encoding(T, d)))
+    zp = ad.add(Z, positional_encoding(T, d))
     bodies = []
     for ch in layout.chunks:
         ws, we = ch.window
@@ -330,8 +353,7 @@ def context_forward(Z: ad.Tensor, model: ModelParams,
     return stitch_outputs(bodies, layout)
 
 
-def cross_task_attend(C: ad.Tensor, H_vad: ad.Tensor,
-                      model: ModelParams) -> ad.Tensor:
+def cross_task_attend(C, H_vad, model: ModelParams):
     """Residual cross-task attention: queries from the ASR context vectors,
     keys/values from the VAD hidden features."""
     if C.shape[0] != H_vad.shape[0]:
@@ -343,7 +365,7 @@ def cross_task_attend(C: ad.Tensor, H_vad: ad.Tensor,
     return ad.add(C, fused)
 
 
-def asr_head(G: ad.Tensor, model: ModelParams) -> PosteriorGrid:
+def asr_head(G, model: ModelParams) -> PosteriorGrid:
     p = model.params
     logits = ad.add(ad.matmul(G, p["asr_w"]), p["asr_b"])
     return PosteriorGrid(log_probs=ad.log_softmax(logits, axis=-1),
@@ -353,10 +375,13 @@ def asr_head(G: ad.Tensor, model: ModelParams) -> PosteriorGrid:
 
 def forward(frames: FrameSequence, model: ModelParams,
             layout: ChunkLayout | None = None) -> ForwardArtifacts:
+    """The whole network. On a tape every artifact is a taped Tensor;
+    without one it runs on plain arrays, wrapped as Tensors only here."""
     Z = encode_features(frames, model)
     h_vad, probs = vad_forward(Z, model)
     C = context_forward(Z, model, layout)
     G = cross_task_attend(C, h_vad, model)
     grid = asr_head(G, model)
-    return ForwardArtifacts(Z=Z, H_vad=h_vad, speech_probs=probs, C=C, G=G,
-                            log_posteriors=grid)
+    t = ad.tensor
+    return ForwardArtifacts(Z=t(Z), H_vad=t(h_vad), speech_probs=t(probs),
+                            C=t(C), G=t(G), log_posteriors=grid)

@@ -17,16 +17,16 @@ flushed span by capacity + min_silence frames.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .audio import FRAME_DURATION_S, FrameSequence
+from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InvalidSpecError
-from .model import ModelParams, PosteriorGrid, forward, vad_score_step
+from .model import (ModelParams, PosteriorGrid, encoder_weights, forward,
+                    vad_score_step, vad_weights)
 from . import autodiff as ad
 
 FORCED = "forced-length"
@@ -91,17 +91,23 @@ class ExternalScores:
 class ModelScorer:
     """Cheap VAD path of the model, evaluated frame-by-frame.
 
-    Encodes each new frame once and keeps the encoder rows of the VAD conv's
-    receptive field: the encoder is frame-local and the VAD conv is causal.
+    Encodes each new frame once, off the tape, and keeps the encoder rows of
+    the VAD conv's receptive field: the encoder is frame-local and the VAD
+    conv is causal. The weights are prepared once, as plain arrays in the
+    layout the forward uses, so a scorer scores with the weights its model
+    held when the scorer was built.
     """
 
     def __init__(self, model: ModelParams):
         self.model = model
+        self._weights = tuple(tuple(np.array(ad.value(w)) for w in ws)
+                              for ws in (encoder_weights(model),
+                                         vad_weights(model)))
         self._rows = np.zeros((model.dims.vad_kernel_width,
                                model.dims.d_model))
 
     def __call__(self, frame, index: int) -> float:
-        return vad_score_step(frame, self._rows, self.model)
+        return vad_score_step(frame, self._rows, self.model, self._weights)
 
 
 class ModelDecoder:
@@ -116,8 +122,7 @@ class ModelDecoder:
                  span_len: int) -> tuple[str, ...]:
         art = forward(FrameSequence(window_frames), self.model)
         rows = art.log_posteriors.array[span_start:span_start + span_len]
-        sub = PosteriorGrid(log_probs=ad.Tensor(rows),
-                            vocab=self.model.vocab,
+        sub = PosteriorGrid(log_probs=rows, vocab=self.model.vocab,
                             blank_index=len(self.model.vocab))
         if self.beam is None:
             return greedy_decode(sub)
@@ -327,8 +332,10 @@ def read_events(path) -> list[SegmentEvent]:
                     AttributeError) as exc:
                 raise DataError(f"{path}: bad event line: "
                                 f"{type(exc).__name__}: {exc}") from exc
-            if not (0 <= ev.start_s <= ev.end_s < math.inf):
-                raise DataError(f"{path}: event times must be finite, >= 0 "
-                                f"and in order, got [{ev.start_s}, {ev.end_s})")
+            if not (0 <= ev.start_s <= ev.end_s <= MAX_STREAM_S):
+                raise DataError(
+                    f"{path}: event times must be >= 0, in order and at most "
+                    f"{MAX_STREAM_S:.0f} s (the longest 16 kHz WAV), got "
+                    f"[{ev.start_s}, {ev.end_s})")
             events.append(ev)
     return events

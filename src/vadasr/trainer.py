@@ -347,7 +347,11 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     ``segmented``: decode each utterance whole (oracle segmentation).
     ``streaming``: run the online pipeline over one concatenated stream with
     ASR chunk capacity ``l_asr_s`` and score events against the
-    concatenated reference.
+    concatenated reference. Its ``deter`` scores the event spans against
+    the reference mask, so it measures segment coverage: a pause inside an
+    utterance that one event bridges counts as false alarm (1346 of the
+    7424 frames of the seed-8 corpus joined with gap seed 1 lie in such
+    pauses).
     """
     if not corpus:
         raise DataError("cannot evaluate on an empty corpus")

@@ -321,7 +321,7 @@ def test_criterion_5_chunking_identity():
         # reconstruct 0..T-1 exactly
         outs = [np.arange(c.body[0], c.body[1], dtype=float)
                 for c in layout.chunks]
-        stitched = stitch_outputs(outs, layout).data
+        stitched = stitch_outputs(outs, layout)
         if not np.array_equal(stitched, np.arange(T, dtype=float)):
             coverage_failures += 1
 

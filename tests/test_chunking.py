@@ -109,7 +109,7 @@ class TestStitch:
                                  int(rng.integers(0, 10)))
             full = rng.normal(size=(T, 3))
             parts = [full[c.body[0]:c.body[1]] for c in layout.chunks]
-            assert np.array_equal(stitch_outputs(parts, layout).data, full)
+            assert np.array_equal(stitch_outputs(parts, layout), full)
 
     def test_tensors_join_on_the_tape(self, rng):
         # the model stitches its chunk bodies with this function

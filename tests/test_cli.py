@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
-from vadasr.audio import (CorpusSpec, SampleBuffer, default_vocab,
-                          gen_synthetic_corpus, write_corpus, write_wav)
+from vadasr.audio import (MAX_STREAM_S, CorpusSpec, SampleBuffer,
+                          default_vocab, gen_synthetic_corpus, write_corpus,
+                          write_mask, write_wav)
 from vadasr.cli import (_STREAM_DEFAULTS, _streamer_config,
                         load_external_posteriors, main, save_posteriors)
 from vadasr.errors import FormatError
@@ -256,6 +257,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{rate} Hz" in err
 
+    def test_corpus_file_named_in_error(self, tmp_path, capsys):
+        # a WAV at another rate, or a mask of the wrong length, on the
+        # manifest's second line: the error names the line and the file
+        utts = gen_synthetic_corpus(CorpusSpec(utterance_count=2, seed=13))
+        manifest = write_corpus(tmp_path, utts, default_vocab(5))
+        wav, mask = tmp_path / "utt0001.wav", tmp_path / "utt0001.mask"
+        write_wav(wav, SampleBuffer(utts[1].audio.samples,
+                                    sample_rate_hz=8000))
+        argv = ["train", "--corpus", str(manifest),
+                "--out", str(tmp_path / "o.ckpt")]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{manifest}:2: {wav}:" in err and "8000 Hz" in err
+        write_corpus(tmp_path, utts, default_vocab(5))
+        write_mask(mask, np.ones(3, dtype=bool))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{manifest}:2: {mask}:" in err
+        assert not (tmp_path / "o.ckpt").exists()
+
     def test_stream_flags_in_frames(self):
         cfg = _streamer_config(_STREAM_DEFAULTS)
         assert (cfg.min_speech_frames, cfg.min_silence_frames,
@@ -471,6 +494,34 @@ class TestScore:
                        "--events") == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["cer"] == 0.0 and rep["deter"] == 0.0
+
+
+    @pytest.mark.parametrize("end_s", [1e300, 1e9])
+    def test_event_past_longest_stream(self, end_s, tmp_path, capsys,
+                                       monkeypatch):
+        # rejected as data before any mask is sized from the time
+        import vadasr.cli as cli
+
+        def no_mask(*args):
+            raise AssertionError("a mask was allocated")
+
+        monkeypatch.setattr(cli, "segments_to_mask", no_mask)
+        ev = tmp_path / "ev.jsonl"
+        ev.write_text(json.dumps({**_EVENT, "text": "a", "end_s": end_s})
+                      + "\n")
+        assert run_cli("score", "--events", "--ref", str(ev),
+                       "--hyp", str(ev)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(end_s) in err
+
+    def test_event_at_longest_stream(self, tmp_path, capsys):
+        ev = tmp_path / "ev.jsonl"
+        ev.write_text(json.dumps({**_EVENT, "text": "a",
+                                  "end_s": MAX_STREAM_S}) + "\n")
+        assert run_cli("score", "--events", "--ref", str(ev),
+                       "--hyp", str(ev)) == 0
+        assert json.loads(capsys.readouterr().out)["deter"] == 0.0
 
 
 class TestTrainCommand:

@@ -1,6 +1,9 @@
 """Shape contracts, structural identities, and chunked-attention equivalence."""
 
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from vadasr.errors import (
 )
 from vadasr.model import (
     FRAME_SAMPLES,
+    ForwardArtifacts,
     ModelDims,
     ModelParams,
     cross_task_attend,
@@ -26,6 +30,7 @@ from vadasr.model import (
     vad_forward,
     vad_score_frames,
 )
+from vadasr.streamer import ModelDecoder, ModelScorer
 
 VOCAB = ["a", "b", "c"]
 
@@ -100,10 +105,10 @@ class TestStructuralIdentities:
         # perturbing frame j leaves latents of all other frames untouched
         model = small_model()
         frames = random_frames(rng, 8)
-        base = encode_features(frames, model).data
+        base = encode_features(frames, model)
         mod = frames.frames.copy()
         mod[3] += rng.normal(0.0, 1.0, FRAME_SAMPLES)
-        pert = encode_features(FrameSequence(frames=mod), model).data
+        pert = encode_features(FrameSequence(frames=mod), model)
         changed = np.any(base != pert, axis=1)
         assert changed[3]
         assert not changed[:3].any() and not changed[4:].any()
@@ -113,10 +118,10 @@ class TestStructuralIdentities:
         # whole-sequence encode, bit for bit
         model = perturbed_model()
         frames = random_frames(rng, 9)
-        whole = encode_features(frames, model).data
+        whole = encode_features(frames, model)
         for t in range(9):
             one = encode_features(FrameSequence(frames.frames[t:t + 1]), model)
-            assert np.array_equal(one.data[0], whole[t])
+            assert np.array_equal(one[0], whole[t])
 
     def test_encoder_matches_strided_conv_reference(self, rng):
         # both convs have kernel == stride: conv1 reads 16-sample blocks of
@@ -133,7 +138,7 @@ class TestStructuralIdentities:
         mu = h2.mean(axis=1, keepdims=True)
         ref = ((h2 - mu) / np.sqrt(h2.var(axis=1, keepdims=True) + 1e-5)
                * p["enc_ln_g"] + p["enc_ln_b"])
-        out = encode_features(FrameSequence(frames=x), model).data
+        out = encode_features(FrameSequence(frames=x), model)
         assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
     def test_vad_conv_is_causal(self, rng):
@@ -141,11 +146,11 @@ class TestStructuralIdentities:
         model = small_model()
         frames = random_frames(rng, 10)
         z = encode_features(frames, model)
-        base = vad_forward(z, model)[1].data
+        base = vad_forward(z, model)[1]
         mod = frames.frames.copy()
         mod[6] += 1.0
         z2 = encode_features(FrameSequence(frames=mod), model)
-        pert = vad_forward(z2, model)[1].data
+        pert = vad_forward(z2, model)[1]
         assert np.array_equal(base[:6], pert[:6])
         assert base[6] != pert[6]
 
@@ -156,6 +161,29 @@ class TestStructuralIdentities:
         assert model.attention_evals == before
         forward(random_frames(rng, 6), model)
         assert model.attention_evals == before + 2  # context + cross-task
+        # streaming: scoring a stream frame by frame never attends, and
+        # each decoded window attends twice
+        before = model.attention_evals
+        scorer = ModelScorer(model)
+        for i, frame in enumerate(random_frames(rng, 12).frames):
+            scorer(frame, i)
+        assert model.attention_evals == before
+        decoder = ModelDecoder(model)
+        for n in (3, 8, 1):
+            decoder(random_frames(rng, n).frames, 0, n)
+            before += 2
+            assert model.attention_evals == before
+
+    def test_package_has_no_assert(self):
+        # python -O strips assert statements, so none may carry behaviour
+        src = Path(__file__).resolve().parents[1] / "src" / "vadasr"
+        files = sorted(src.glob("*.py"))
+        assert files
+        for path in files:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert not found, f"{path.name}: assert at lines {found}"
 
     def test_vad_scores_match_full_forward(self, rng):
         model = small_model()
@@ -240,6 +268,46 @@ class TestChunkedAttention:
         frames = random_frames(rng, 8)
         with pytest.raises(LayoutError):
             forward(frames, model, whole_utterance_layout(9))
+
+
+class TestOffTheTape:
+    """Inference outside a Tape runs untaped, with the bits of a taped run."""
+
+    @pytest.mark.parametrize("width", [4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bits_on_and_off_the_tape(self, seed, width):
+        rng = np.random.default_rng(seed)
+        model = small_model(seed=seed, vad_kernel_width=width)
+        for t in model.params.values():
+            t.data += rng.normal(0.0, 0.1, t.shape)
+        T = 17 + seed
+        frames = random_frames(rng, T)
+        layouts = [None, plan_chunks(T, body_len=5, left_len=3, right_len=2)]
+        for layout in layouts:
+            with ad.Tape() as tape:
+                taped = forward(frames, model, layout)
+            assert len(tape) > 0
+            plain = forward(frames, model, layout)
+            for field in dataclasses.fields(ForwardArtifacts):
+                a, b = getattr(taped, field.name), getattr(plain, field.name)
+                if field.name == "log_posteriors":
+                    a, b = a.log_probs, b.log_probs
+                assert isinstance(b, ad.Tensor), field.name
+                assert np.array_equal(a.data, b.data), field.name
+        with ad.Tape():
+            taped = vad_score_frames(frames, model)
+        plain = vad_score_frames(frames, model)
+        assert isinstance(plain, ad.Tensor)
+        assert np.array_equal(taped.data, plain.data)
+
+    def test_layers_return_plain_arrays(self, rng):
+        model = small_model()
+        z = encode_features(random_frames(rng, 4), model)
+        h_vad, probs = vad_forward(z, model)
+        assert all(type(x) is np.ndarray for x in (z, h_vad, probs))
+        with ad.Tape():
+            z = encode_features(random_frames(rng, 4), model)
+        assert isinstance(z, ad.Tensor)
 
 
 class TestGradients:

@@ -4,6 +4,7 @@ event file I/O."""
 import numpy as np
 import pytest
 
+import vadasr.autodiff as ad
 from vadasr.audio import FRAME_DURATION_S, FrameSequence
 from vadasr.errors import DataError, InvalidSpecError
 from vadasr.model import ModelDims, ModelParams, vad_score_frames
@@ -150,7 +151,8 @@ class TestModelScorer:
             t.data += rng.normal(0.0, 0.1, t.shape)
         frames = rng.normal(0.0, 0.1, size=(3 * dims.vad_kernel_width + 2,
                                             320))
-        whole = vad_score_frames(FrameSequence(frames), model).data
+        with ad.Tape():  # the taped training path
+            whole = vad_score_frames(FrameSequence(frames), model).data
         scorer = ModelScorer(model)
         online = np.array([scorer(fr, i) for i, fr in enumerate(frames)])
         assert np.array_equal(online, whole)

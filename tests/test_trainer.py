@@ -279,6 +279,37 @@ class TestEvaluate:
         assert rep.final_dev_vad == {"deter": vr.deter, "fa": vr.fa,
                                      "miss": vr.miss}
 
+    def test_streaming_deter_is_segment_coverage(self, monkeypatch):
+        # streaming deter scores event spans against the reference mask: a
+        # pause inside an utterance that one event bridges counts as false
+        # alarm, even when every frame's VAD decision is right
+        import vadasr.streamer as streamer
+
+        class PerfectScorer:  # frame energy gives the reference mask here
+            def __init__(self, model):
+                pass
+
+            def __call__(self, frame, index):
+                return float(np.sqrt(np.mean(frame ** 2)) > 0.1)
+
+        monkeypatch.setattr(streamer, "ModelScorer", PerfectScorer)
+        pieces = [(10, False), (20, True), (12, False), (20, True),
+                  (10, False)]  # the 12-frame pause is below min silence
+        t = np.arange(320) / 16000.0
+        tone = 0.5 * np.sin(2.0 * np.pi * 400.0 * t)
+        samples = np.concatenate([np.tile(tone if speech else 0.0 * tone, n)
+                                  for n, speech in pieces])
+        mask = np.concatenate([np.full(n, speech) for n, speech in pieces])
+        utt = Utterance(audio=SampleBuffer(samples), transcript=("a",),
+                        speech_mask=mask, id="u")
+        model = ModelParams.init(default_vocab(5), seed=1)
+        rep = evaluate(model, [utt], mode="streaming")
+        n_frames = len(build_dev_stream([utt])[1])
+        assert rep["n_events"] == 1
+        assert rep["miss"] == 0.0
+        assert rep["fa"] == 12 / n_frames
+        assert rep["deter"] == rep["fa"]
+
     def test_streaming_keys(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)
         rep = evaluate(model, tiny_corpus[:2], mode="streaming", l_asr_s=1.0)

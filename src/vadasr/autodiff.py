@@ -107,11 +107,12 @@ def tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _taped(data: np.ndarray, parents: tuple[Tensor, ...],
-           vjp: Callable) -> Tensor:
-    out = Tensor(data)
-    _ACTIVE_TAPES[-1]._record(out, parents, vjp)
-    return out
+def _taped(out: np.ndarray, parents, vjp: Callable) -> Tensor:
+    """Record ``out``, computed from ``parents`` (Tensors or arrays), on the
+    innermost tape."""
+    t = Tensor(out)
+    _ACTIVE_TAPES[-1]._record(t, tuple(map(tensor, parents)), vjp)
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -127,150 +128,113 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 #
-# Each primitive's forward arithmetic is one function of plain arrays (the
-# ``_name`` above it). With no tape active, the primitive applies it to the
-# arrays behind its inputs and returns the plain array: no Tensor, no vjp
-# closure, no record. On a tape, it applies the same function to the
-# inputs' data and records the result, so both paths give the same bits.
-
-
-def _add(a, b):
-    try:
-        return a + b
-    except ValueError:
-        raise DimensionError("add shapes incompatible", a.shape, b.shape)
+# Each primitive computes its forward arithmetic once, on the arrays behind
+# its inputs. With no tape active it returns that plain array: no Tensor, no
+# vjp closure, no record. On a tape it records the same array, so both
+# paths give the same bits.
 
 
 def add(a, b):
-    if not _ACTIVE_TAPES:
-        return _add(value(a), value(b))
-    a, b = tensor(a), tensor(b)
-    return _taped(_add(a.data, b.data), (a, b),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def _mul(a, b):
+    x, y = value(a), value(b)
     try:
-        return a * b
+        out = x + y
     except ValueError:
-        raise DimensionError("mul shapes incompatible", a.shape, b.shape)
+        raise DimensionError("add shapes incompatible", x.shape, y.shape)
+    if not _ACTIVE_TAPES:
+        return out
+    return _taped(out, (a, b), lambda g: (_unbroadcast(g, x.shape),
+                                          _unbroadcast(g, y.shape)))
 
 
 def mul(a, b):
+    x, y = value(a), value(b)
+    try:
+        out = x * y
+    except ValueError:
+        raise DimensionError("mul shapes incompatible", x.shape, y.shape)
     if not _ACTIVE_TAPES:
-        return _mul(value(a), value(b))
-    a, b = tensor(a), tensor(b)
-    return _taped(_mul(a.data, b.data), (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.shape),
-                             _unbroadcast(g * a.data, b.shape)))
-
-
-def _scale(a, c):
-    return a * c
+        return out
+    return _taped(out, (a, b), lambda g: (_unbroadcast(g * y, x.shape),
+                                          _unbroadcast(g * x, y.shape)))
 
 
 def scale(a, c: float):
     c = float(c)
+    out = value(a) * c
     if not _ACTIVE_TAPES:
-        return _scale(value(a), c)
-    a = tensor(a)
-    return _taped(_scale(a.data, c), (a,), lambda g: (g * c,))
-
-
-def _matmul(a, b):
-    """Matrix product; one operand may be a (T, m, n) stack of matrices, each
-    multiplied on its own, so an item's arithmetic does not depend on T."""
-    if (a.ndim not in (2, 3) or b.ndim not in (2, 3) or a.ndim + b.ndim > 5
-            or a.shape[-1] != b.shape[-2]):
-        raise DimensionError("matmul shapes incompatible", a.shape, b.shape)
-    return a @ b
+        return out
+    return _taped(out, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b):
+    """Matrix product; one operand may be a (T, m, n) stack of matrices, each
+    multiplied on its own, so an item's arithmetic does not depend on T."""
+    x, y = value(a), value(b)
+    if (x.ndim not in (2, 3) or y.ndim not in (2, 3) or x.ndim + y.ndim > 5
+            or x.shape[-1] != y.shape[-2]):
+        raise DimensionError("matmul shapes incompatible", x.shape, y.shape)
+    out = x @ y
     if not _ACTIVE_TAPES:
-        return _matmul(value(a), value(b))
-    a, b = tensor(a), tensor(b)
+        return out
 
     def vjp(g):
         # sum over the stack as one flat 2-D product, not T small ones
-        if a.ndim == 3:
-            return g @ b.data.T, np.tensordot(a.data, g, axes=([0, 1], [0, 1]))
-        if b.ndim == 3:
-            return np.tensordot(g, b.data, axes=([0, 2], [0, 2])), a.data.T @ g
-        return g @ b.data.T, a.data.T @ g
+        if x.ndim == 3:
+            return g @ y.T, np.tensordot(x, g, axes=([0, 1], [0, 1]))
+        if y.ndim == 3:
+            return np.tensordot(g, y, axes=([0, 2], [0, 2])), x.T @ g
+        return g @ y.T, x.T @ g
 
-    return _taped(_matmul(a.data, b.data), (a, b), vjp)
-
-
-def _transpose(a):
-    if a.ndim != 2:
-        raise DimensionError("transpose expects a matrix", a.shape)
-    return a.T.copy()
+    return _taped(out, (a, b), vjp)
 
 
 def transpose(a):
+    x = value(a)
+    if x.ndim != 2:
+        raise DimensionError("transpose expects a matrix", x.shape)
+    out = x.T.copy()
     if not _ACTIVE_TAPES:
-        return _transpose(value(a))
-    a = tensor(a)
-    return _taped(_transpose(a.data), (a,), lambda g: (g.T,))
-
-
-def _reshape(a, shape):
-    return a.reshape(shape)
+        return out
+    return _taped(out, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
+    x = value(a)
+    out = x.reshape(shape)
     if not _ACTIVE_TAPES:
-        return _reshape(value(a), shape)
-    a = tensor(a)
-    old = a.shape
-    return _taped(_reshape(a.data, shape), (a,), lambda g: (g.reshape(old),))
-
-
-def _sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+        return out
+    return _taped(out, (a,), lambda g: (g.reshape(x.shape),))
 
 
 def sigmoid(a):
+    s = 1.0 / (1.0 + np.exp(-value(a)))
     if not _ACTIVE_TAPES:
-        return _sigmoid(value(a))
-    a = tensor(a)
-    s = _sigmoid(a.data)
+        return s
     return _taped(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def _relu(a):
-    return a * (a > 0)
-
-
 def relu(a):
+    x = value(a)
+    mask = x > 0
+    out = x * mask
     if not _ACTIVE_TAPES:
-        return _relu(value(a))
-    a = tensor(a)
-    return _taped(_relu(a.data), (a,), lambda g: (g * (a.data > 0),))
-
-
-_exp = np.exp
+        return out
+    return _taped(out, (a,), lambda g: (g * mask,))
 
 
 def exp(a):
+    e = np.exp(value(a))
     if not _ACTIVE_TAPES:
-        return _exp(value(a))
-    a = tensor(a)
-    e = _exp(a.data)
+        return e
     return _taped(e, (a,), lambda g: (g * e,))
 
 
-def _log_softmax(a, axis):
-    shifted = a - a.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def log_softmax(a, axis: int = -1):
+    x = value(a)
+    shifted = x - x.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     if not _ACTIVE_TAPES:
-        return _log_softmax(value(a), axis)
-    a = tensor(a)
-    out = _log_softmax(a.data, axis)
+        return out
     return _taped(out, (a,), lambda g: (
         g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
 
@@ -279,133 +243,92 @@ def softmax(a, axis: int = -1):
     return exp(log_softmax(a, axis=axis))
 
 
-def _layer_norm(x, gain, bias, eps):
-    """Returns the output and the normalized input and inverse deviation,
-    which the gradient reuses. The mean and variance are numpy's own
-    arithmetic (a sum divided by the count; the mean of the squared
-    deviations), spelled out so the deviations are computed once."""
-    n = x.shape[-1]
-    d = x - x.sum(axis=-1, keepdims=True) / n
+def layer_norm(x, gain, bias, eps: float = 1e-5):
+    """Normalize over the last axis, then scale and shift. The mean and the
+    variance are numpy's own arithmetic (a sum divided by the count; the mean
+    of the squared deviations), spelled out so the deviations are computed
+    once."""
+    xv, gv, bv = value(x), value(gain), value(bias)
+    n = xv.shape[-1]
+    d = xv - xv.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + eps)
     y = d * inv
-    return y * gain + bias, y, inv
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """Normalize over the last axis, then scale and shift."""
+    out = y * gv + bv
     if not _ACTIVE_TAPES:
-        return _layer_norm(value(x), value(gain), value(bias), eps)[0]
-    x, gain, bias = tensor(x), tensor(gain), tensor(bias)
-    out, y, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+        return out
 
     def vjp(g):
-        gy = g * gain.data
+        gy = g * gv
         dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
                     - y * (gy * y).mean(axis=-1, keepdims=True))
-        dgain = _unbroadcast(g * y, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        return dx, dgain, dbias
+        return dx, _unbroadcast(g * y, gv.shape), _unbroadcast(g, bv.shape)
 
     return _taped(out, (x, gain, bias), vjp)
 
 
-def _slice_rows(a, start, stop):
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise DimensionError(f"row slice [{start}:{stop}] out of bounds", a.shape)
-    return a[start:stop].copy()
-
-
 def slice_rows(a, start: int, stop: int):
+    x = value(a)
+    if not (0 <= start <= stop <= x.shape[0]):
+        raise DimensionError(f"row slice [{start}:{stop}] out of bounds", x.shape)
+    out = x[start:stop].copy()
     if not _ACTIVE_TAPES:
-        return _slice_rows(value(a), start, stop)
-    a = tensor(a)
+        return out
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(x)
         full[start:stop] = g
         return (full,)
 
-    return _taped(_slice_rows(a.data, start, stop), (a,), vjp)
-
-
-def _slice_cols(a, start, stop):
-    if not (0 <= start <= stop <= a.shape[-1]):
-        raise DimensionError(f"col slice [{start}:{stop}] out of bounds", a.shape)
-    return a[..., start:stop].copy()
+    return _taped(out, (a,), vjp)
 
 
 def slice_cols(a, start: int, stop: int):
+    x = value(a)
+    if not (0 <= start <= stop <= x.shape[-1]):
+        raise DimensionError(f"col slice [{start}:{stop}] out of bounds", x.shape)
+    out = x[..., start:stop].copy()
     if not _ACTIVE_TAPES:
-        return _slice_cols(value(a), start, stop)
-    a = tensor(a)
+        return out
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(x)
         full[..., start:stop] = g
         return (full,)
 
-    return _taped(_slice_cols(a.data, start, stop), (a,), vjp)
-
-
-_concat = np.concatenate
+    return _taped(out, (a,), vjp)
 
 
 def concat(parts: Sequence, axis: int = 0):
+    arrays = [value(p) for p in parts]
+    out = np.concatenate(arrays, axis=axis)
     if not _ACTIVE_TAPES:
-        return _concat([value(p) for p in parts], axis=axis)
-    parts = [tensor(p) for p in parts]
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+        return out
+    offsets = np.cumsum([0] + [x.shape[axis] for x in arrays])
 
     def vjp(g):
         return tuple(
             np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
+            for i in range(len(arrays))
         )
 
-    return _taped(_concat([p.data for p in parts], axis=axis),
-                  tuple(parts), vjp)
-
-
-def _sum_all(a):
-    return np.asarray(a.sum())
+    return _taped(out, parts, vjp)
 
 
 def sum_all(a):
+    x = value(a)
+    out = np.asarray(x.sum())
     if not _ACTIVE_TAPES:
-        return _sum_all(value(a))
-    a = tensor(a)
-    return _taped(_sum_all(a.data), (a,),
-                  lambda g: (np.broadcast_to(g, a.shape).copy(),))
-
-
-def _mean_all(a):
-    return np.asarray(a.mean())
+        return out
+    return _taped(out, (a,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def mean_all(a):
+    x = value(a)
+    out = np.asarray(x.mean())
     if not _ACTIVE_TAPES:
-        return _mean_all(value(a))
-    a = tensor(a)
-    n = a.size
-    return _taped(_mean_all(a.data), (a,),
-                  lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
-
-
-def _depthwise_conv1d(x, kernels):
-    """Returns the output, the zero-padded input and the (W, C) taps, which
-    the gradient reuses."""
-    if (x.ndim != 2 or kernels.ndim != 3
-            or kernels.shape[:2] != (x.shape[1], 1)):
-        raise DimensionError("depthwise_conv1d expects (T,C) input and "
-                             "(C,1,W) kernels", x.shape, kernels.shape)
-    T, C = x.shape
-    W = kernels.shape[2]
-    taps = kernels[:, 0, :].T  # (W, C)
-    xp = np.concatenate([np.zeros((W - 1, C)), x])
-    out = xp[:T] * taps[0]
-    for w in range(1, W):
-        out += xp[w:w + T] * taps[w]
-    return out, xp, taps
+        return out
+    return _taped(out, (a,),
+                  lambda g: (np.broadcast_to(g / x.size, x.shape).copy(),))
 
 
 def depthwise_conv1d(x, kernels):
@@ -413,11 +336,19 @@ def depthwise_conv1d(x, kernels):
     -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w] and x
     zero before t = 0. Each row is a sum of elementwise products taken in w
     order, so its value does not depend on T."""
+    xv, kv = value(x), value(kernels)
+    if xv.ndim != 2 or kv.ndim != 3 or kv.shape[:2] != (xv.shape[1], 1):
+        raise DimensionError("depthwise_conv1d expects (T,C) input and "
+                             "(C,1,W) kernels", xv.shape, kv.shape)
+    T, C = xv.shape
+    W = kv.shape[2]
+    taps = kv[:, 0, :].T  # (W, C)
+    xp = np.concatenate([np.zeros((W - 1, C)), xv])
+    out = xp[:T] * taps[0]
+    for w in range(1, W):
+        out += xp[w:w + T] * taps[w]
     if not _ACTIVE_TAPES:
-        return _depthwise_conv1d(value(x), value(kernels))[0]
-    x, kernels = tensor(x), tensor(kernels)
-    out, xp, taps = _depthwise_conv1d(x.data, kernels.data)
-    T, W = x.shape[0], taps.shape[0]
+        return out
 
     def vjp(g):
         dxp = np.zeros_like(xp)
@@ -425,7 +356,7 @@ def depthwise_conv1d(x, kernels):
         for w in range(W):
             dxp[w:w + T] += g * taps[w]
             dtaps[w] = (g * xp[w:w + T]).sum(axis=0)
-        return dxp[W - 1:], dtaps.T.reshape(kernels.shape)
+        return dxp[W - 1:], dtaps.T.reshape(kv.shape)
 
     return _taped(out, (x, kernels), vjp)
 

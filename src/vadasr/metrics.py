@@ -113,15 +113,14 @@ def error_report_from_counts(n_sub: int, n_del: int, n_ins: int,
 
 
 def segments_to_mask(events, T: int, frame_duration_s: float) -> np.ndarray:
-    """Frame mask with True inside any [start_s, end_s) event span."""
+    """Frame mask with True inside any [start_s, end_s) event span, each
+    time rounded to the nearest frame."""
     mask = np.zeros(T, dtype=bool)
-    horizon = T * frame_duration_s
     for ev in events:
         start_s, end_s = ev.start_s, ev.end_s
-        if start_s < 0 or end_s > horizon + 1e-9:
-            raise DataError(
-                f"event [{start_s}, {end_s}) outside stream [0, {horizon})")
-        a = int(round(start_s / frame_duration_s))
         b = int(round(end_s / frame_duration_s))
-        mask[a:min(b, T)] = True
+        if start_s < 0 or b > T:
+            raise DataError(f"event [{start_s}, {end_s}) outside stream "
+                            f"[0, {T * frame_duration_s})")
+        mask[int(round(start_s / frame_duration_s)):b] = True
     return mask

@@ -247,7 +247,8 @@ def encoder_weights(model: ModelParams) -> tuple:
             ad.reshape(p["enc2_b"], (d,)), p["enc_ln_g"], p["enc_ln_b"])
 
 
-def encode_features(frames, model: ModelParams, weights: tuple | None = None):
+def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
+                    weights: tuple | None = None):
     """Convolutional encoder: one latent vector per 320-sample frame.
     ``frames`` is a FrameSequence or a (T, 320) array; ``weights``, if given,
     are ``encoder_weights(model)``, prepared once by a caller that encodes

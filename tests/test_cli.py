@@ -515,6 +515,15 @@ class TestScore:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(end_s) in err
 
+    def test_event_end_between_frames(self, tmp_path, capsys):
+        # 1.01 s rounds to frame 50, as the mask's length does
+        ev = tmp_path / "ev.jsonl"
+        ev.write_text(json.dumps({**_EVENT, "text": "a", "end_s": 1.01})
+                      + "\n")
+        assert run_cli("score", "--events", "--ref", str(ev),
+                       "--hyp", str(ev)) == 0
+        assert json.loads(capsys.readouterr().out)["deter"] == 0.0
+
     def test_event_at_longest_stream(self, tmp_path, capsys):
         ev = tmp_path / "ev.jsonl"
         ev.write_text(json.dumps({**_EVENT, "text": "a",

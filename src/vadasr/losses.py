@@ -35,33 +35,39 @@ def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
     al. 2006). Returns (loss, grad) where loss = -log p_CTC(targets |
     log_probs) and grad = d loss / d log_probs. Infeasible targets yield
     (inf, zeros).
+
+    Alpha and beta advance together, one step of each per iteration: row 0
+    is alpha, row 1 is beta with both time and states reversed, so each row
+    reads states s, s-1 and s-2 of its previous step.
     """
     T, K = log_probs.shape
     ext = extend_with_blanks(np.asarray(targets, dtype=np.int64), blank)
     S = len(ext)
+    ext2 = np.stack((ext, ext[::-1]))  # (2, S)
 
     # transitions: s -> s (stay), s-1 -> s, and s-2 -> s when the skip does
     # not jump over a required blank (distinct consecutive labels)
-    can_skip = np.zeros(S, dtype=bool)
-    if S > 2:
-        can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    can_skip = np.zeros((2, S), dtype=bool)
+    can_skip[:, 2:] = (ext2[:, 2:] != blank) & (ext2[:, 2:] != ext2[:, :-2])
 
-    emit = log_probs[:, ext]  # (T, S)
+    emit = np.stack((log_probs[:, ext], log_probs[::-1, ext[::-1]]), axis=1)
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
+    # state[t] is alpha[t] and beta[T-1-t] + emit[T-1-t] (reversed), after
+    # two -inf pad columns that turn the s-1 and s-2 reads into views;
+    # merged[t] is the logaddexp of the reads, before the emission
+    state = np.full((T, 2, S + 2), NEG_INF)
+    merged = np.empty((T, 2, S))
+    state[0, 0, 2:4] = emit[0, 0, :2]
+    merged[0, 1] = NEG_INF
+    merged[0, 1, :2] = 0.0
+    np.add(merged[0, 1], emit[0, 1], out=state[0, 1, 2:])
     for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        a = np.logaddexp(stay, step)
-        if S > 2:
-            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-            skip = np.where(can_skip, skip, NEG_INF)
-            a = np.logaddexp(a, skip)
-        alpha[t] = a + emit[t]
+        prev, out = state[t - 1], merged[t]
+        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=out)
+        np.logaddexp(out, np.where(can_skip, prev[:, :-2], NEG_INF), out=out)
+        np.add(out, emit[t], out=state[t, :, 2:])
+    alpha = state[:, 0, 2:]
+    beta = merged[::-1, 1, ::-1]
 
     tail = alpha[T - 1, S - 1]
     if S > 1:
@@ -69,22 +75,6 @@ def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
     log_z = tail
     if not np.isfinite(log_z):
         return float("inf"), np.zeros_like(log_probs)
-
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        b = np.logaddexp(stay, step)
-        if S > 2:
-            skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-            skip = np.where(np.concatenate((can_skip[2:], [False, False])),
-                            skip, NEG_INF)
-            b = np.logaddexp(b, skip)
-        beta[t] = b
 
     # occupancy gamma[t, s] = P(path passes (t, s) | target) in log space
     gamma = alpha + beta - log_z

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .audio import (FRAME_DURATION_S, FRAME_SAMPLES, SampleBuffer, Utterance,
-                    draw_frames, frame_stream, to_frames)
+from .audio import (FRAME_DURATION_S, FRAME_SAMPLES, FrameSequence,
+                    SampleBuffer, Utterance, draw_frames, frame_stream,
+                    to_frames)
 from .chunking import plan_chunks, sample_chunk_len
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InfeasibleTargetError, NumericError
@@ -142,10 +143,10 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 # shared loop
 
 
-def _utterance_loss(model: ModelParams, utt: Utterance, vad_weight: float,
-                    layout) -> tuple[ad.Tensor, float, float]:
-    """Returns (loss node, ctc value, ce value) for one utterance."""
-    frames = frame_stream(utt.audio)
+def _utterance_loss(model: ModelParams, utt: Utterance, frames: FrameSequence,
+                    vad_weight: float, layout) -> tuple[ad.Tensor, float, float]:
+    """Returns (loss node, ctc value, ce value) for one utterance, given
+    its frames."""
     art = forward(frames, model, layout)
     ctc = ctc_loss(art.log_posteriors, utt.transcript)
     bce = bce_loss(art.speech_probs, utt.speech_mask)
@@ -154,9 +155,9 @@ def _utterance_loss(model: ModelParams, utt: Utterance, vad_weight: float,
     return node, ctc.loss, bce.loss
 
 
-def _vad_only_loss(model: ModelParams, utt: Utterance) -> tuple[ad.Tensor, float]:
-    bce = bce_loss(vad_score_frames(frame_stream(utt.audio), model),
-                   utt.speech_mask)
+def _vad_only_loss(model: ModelParams, utt: Utterance,
+                   frames: FrameSequence) -> tuple[ad.Tensor, float]:
+    bce = bce_loss(vad_score_frames(frames, model), utt.speech_mask)
     return bce.node, bce.loss
 
 
@@ -172,7 +173,7 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
     total_steps = config.epochs * steps_per_epoch
     splice_frames = to_frames(config.splice_s)
     step = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     for _ in range(config.epochs):
         order = rng.permutation(n)
         ep_ctc, ep_ce, ep_total, ep_count = 0.0, 0.0, 0.0, 0
@@ -184,18 +185,18 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
             grads: dict[str, np.ndarray] = {}
             for ui in batch:
                 utt = corpus[int(ui)]
-                n_frames = len(frame_stream(utt.audio))
-                layout = (plan_chunks(n_frames, body_frames, splice_frames,
+                frames = frame_stream(utt.audio)
+                layout = (plan_chunks(len(frames), body_frames, splice_frames,
                                       splice_frames)
                           if body_frames is not None else None)
                 with ad.Tape() as tape:
                     try:
                         if config.stage == "vad_only":
-                            node, ce_val = _vad_only_loss(model, utt)
+                            node, ce_val = _vad_only_loss(model, utt, frames)
                             ctc_val = 0.0
                         else:
                             node, ctc_val, ce_val = _utterance_loss(
-                                model, utt, config.vad_weight, layout)
+                                model, utt, frames, config.vad_weight, layout)
                     except InfeasibleTargetError:
                         report.skipped_infeasible += 1
                         continue
@@ -224,7 +225,7 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
         report.ctc_curve.append(ep_ctc / denom)
         report.ce_curve.append(ep_ce / denom)
         report.total_curve.append(ep_total / denom)
-    report.wall_clock_s = time.time() - t0
+    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 

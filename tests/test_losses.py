@@ -1,4 +1,5 @@
-"""CTC against a brute-force enumeration oracle, BCE, and the joint loss."""
+"""CTC against a brute-force enumeration oracle and the two-loop kernel it
+replaced, BCE, and the joint loss."""
 
 import math
 
@@ -24,6 +25,67 @@ from vadasr.losses import (
 from vadasr.model import PosteriorGrid
 
 from conftest import random_grid
+
+NEG_INF = -np.inf
+
+
+def reference_ctc_forward_backward(log_probs, targets, blank):
+    """Oracle: the CTC kernel as first written, alpha over all frames and
+    then beta, each step concatenating its shifted states.
+    ``ctc_forward_backward`` must return exactly this."""
+    T, K = log_probs.shape
+    ext = extend_with_blanks(np.asarray(targets, dtype=np.int64), blank)
+    S = len(ext)
+
+    can_skip = np.zeros(S, dtype=bool)
+    if S > 2:
+        can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+
+    emit = log_probs[:, ext]  # (T, S)
+
+    alpha = np.full((T, S), NEG_INF)
+    alpha[0, 0] = emit[0, 0]
+    if S > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        stay = prev
+        step = np.concatenate(([NEG_INF], prev[:-1]))
+        a = np.logaddexp(stay, step)
+        if S > 2:
+            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
+            skip = np.where(can_skip, skip, NEG_INF)
+            a = np.logaddexp(a, skip)
+        alpha[t] = a + emit[t]
+
+    tail = alpha[T - 1, S - 1]
+    if S > 1:
+        tail = np.logaddexp(tail, alpha[T - 1, S - 2])
+    log_z = tail
+    if not np.isfinite(log_z):
+        return float("inf"), np.zeros_like(log_probs)
+
+    beta = np.full((T, S), NEG_INF)
+    beta[T - 1, S - 1] = 0.0
+    if S > 1:
+        beta[T - 1, S - 2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1] + emit[t + 1]
+        stay = nxt
+        step = np.concatenate((nxt[1:], [NEG_INF]))
+        b = np.logaddexp(stay, step)
+        if S > 2:
+            skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
+            skip = np.where(np.concatenate((can_skip[2:], [False, False])),
+                            skip, NEG_INF)
+            b = np.logaddexp(b, skip)
+        beta[t] = b
+
+    gamma = alpha + beta - log_z
+    occ = np.exp(gamma)
+    grad = np.zeros_like(log_probs)
+    np.add.at(grad, (np.arange(T)[:, None], ext[None, :]), occ)
+    return float(-log_z), -grad
 
 
 def uniform_grid(T, vocab_size):
@@ -105,6 +167,73 @@ class TestCtcOracle:
 
         err = ad.finite_diff_check(f, [grid.log_probs])
         assert err < 1e-6
+
+
+def draw_ctc_instance(rng, T, n_tokens, vocab_size):
+    """A log-posterior grid and a target, with repeated labels and, at
+    random, -inf and NaN entries."""
+    logits = rng.normal(size=(T, vocab_size + 1)) * rng.uniform(0.5, 4.0)
+    logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    for hole in (NEG_INF, np.nan):
+        if rng.random() < 0.25:
+            logp[rng.random(logp.shape) < rng.uniform(0.01, 0.2)] = hole
+    targets = rng.integers(0, vocab_size, size=n_tokens)
+    repeat = rng.random(n_tokens) < 0.3
+    for i in range(1, n_tokens):
+        if repeat[i]:
+            targets[i] = targets[i - 1]
+    return logp, targets
+
+
+class TestCtcMatchesReference:
+    """``ctc_forward_backward`` returns the two-loop kernel's loss and
+    gradient bit for bit, NaN entries included, not just close ones."""
+
+    @staticmethod
+    def check(logp, targets, blank):
+        with np.errstate(invalid="ignore"):  # NaN entries
+            loss, grad = ctc_forward_backward(logp, targets, blank)
+            ref_loss, ref_grad = reference_ctc_forward_backward(
+                logp, targets, blank)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad, equal_nan=True)
+        if math.isinf(loss):
+            assert np.all(grad == 0.0)
+        return loss, grad
+
+    def test_random_instances(self, rng):
+        seen = {"T=1": 0, "empty": 0, "single": 0, "repeat": 0,
+                "infeasible": 0, "nan_grad": 0}
+        for _ in range(3000):
+            vocab_size = int(rng.integers(1, 6))
+            T = 1 if rng.random() < 0.15 else int(rng.integers(2, 9))
+            n_tokens = int(rng.integers(0, 5))
+            logp, targets = draw_ctc_instance(rng, T, n_tokens, vocab_size)
+            loss, grad = self.check(logp, targets, vocab_size)
+            seen["T=1"] += T == 1
+            seen["empty"] += n_tokens == 0
+            seen["single"] += n_tokens == 1
+            seen["repeat"] += bool(np.any(targets[1:] == targets[:-1]))
+            seen["infeasible"] += math.isinf(loss)
+            seen["nan_grad"] += bool(np.isnan(grad).any())
+        assert min(seen.values()) > 0, seen
+
+    def test_training_shapes(self, rng):
+        # utterance lengths and transcripts of the desk corpora
+        for _ in range(300):
+            vocab_size = int(rng.integers(3, 9))
+            T = int(rng.integers(39, 119))
+            logp, targets = draw_ctc_instance(rng, T, int(rng.integers(2, 5)),
+                                              vocab_size)
+            self.check(logp, targets, vocab_size)
+
+    def test_infeasible_targets(self, rng):
+        # too few frames for the repeats, or every frame of a label -inf
+        logp = random_grid(rng, 3, 2).array
+        assert math.isinf(self.check(logp, np.array([0, 0, 1]), 2)[0])
+        logp = random_grid(rng, 6, 2).array
+        logp[:, 1] = NEG_INF
+        assert math.isinf(self.check(logp, np.array([0, 1]), 2)[0])
 
 
 class TestCtcValidation:

@@ -1,9 +1,13 @@
 """Optimizer behavior, schedule shape, and short deterministic training runs."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
+import vadasr.trainer as trainer
 from vadasr.audio import (CorpusSpec, SampleBuffer, Utterance, default_vocab,
                           frame_stream, gen_synthetic_corpus)
 from vadasr.errors import DataError, NumericError
@@ -189,6 +193,33 @@ class TestTraining:
                                   TrainConfig(stage="asr_only", epochs=2,
                                               seed=0))
         assert rep.skipped_infeasible == 2  # once per epoch
+
+    def test_wall_clock_survives_clock_steps(self, tiny_corpus, monkeypatch):
+        # a system clock set back mid-run must not give a negative duration
+        clock = itertools.count(1e9, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        model = ModelParams.init(default_vocab(5), seed=1)
+        _, rep = train_stage1_asr(model, tiny_corpus[:2],
+                                  TrainConfig(stage="asr_only", epochs=1,
+                                              seed=0))
+        assert rep.wall_clock_s >= 0.0
+
+    @pytest.mark.parametrize("stage", ["mtl", "vad_only"])
+    def test_frames_each_utterance_once(self, tiny_corpus, monkeypatch, stage):
+        calls = []
+
+        def counting_frame_stream(audio):
+            calls.append(audio)
+            return frame_stream(audio)
+
+        monkeypatch.setattr(trainer, "frame_stream", counting_frame_stream)
+        cfg = TrainConfig(stage=stage, epochs=2, seed=0)
+        if stage == "vad_only":
+            train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
+        else:
+            train_stage2_mtl(ModelParams.init(default_vocab(5), seed=1),
+                             tiny_corpus, cfg)
+        assert len(calls) == 2 * len(tiny_corpus)
 
 
 class TestDevStream:

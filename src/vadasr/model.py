@@ -374,11 +374,14 @@ def asr_head(G, model: ModelParams) -> PosteriorGrid:
                          blank_index=len(model.vocab))
 
 
-def forward(frames: FrameSequence, model: ModelParams,
-            layout: ChunkLayout | None = None) -> ForwardArtifacts:
+def forward(frames: FrameSequence | None, model: ModelParams,
+            layout: ChunkLayout | None = None, Z=None) -> ForwardArtifacts:
     """The whole network. On a tape every artifact is a taped Tensor;
-    without one it runs on plain arrays, wrapped as Tensors only here."""
-    Z = encode_features(frames, model)
+    without one it runs on plain arrays, wrapped as Tensors only here.
+    ``Z``, if given, is the frames' (T, d) encoder rows, already made (the
+    encoder is frame-local, so row by row); ``frames`` is then not read."""
+    if Z is None:
+        Z = encode_features(frames, model)
     h_vad, probs = vad_forward(Z, model)
     C = context_forward(Z, model, layout)
     G = cross_task_attend(C, h_vad, model)

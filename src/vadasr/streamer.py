@@ -95,7 +95,9 @@ class ModelScorer:
     the VAD conv's receptive field: the encoder is frame-local and the VAD
     conv is causal. The weights are prepared once, as plain arrays in the
     layout the forward uses, so a scorer scores with the weights its model
-    held when the scorer was built.
+    held when the scorer was built. ``row`` is the last scored frame's
+    encoder row; a ``Streamer`` keeps these for its ``ModelDecoder``, so the
+    decoded rows carry those same copied encoder weights.
     """
 
     def __init__(self, model: ModelParams):
@@ -109,18 +111,27 @@ class ModelScorer:
     def __call__(self, frame, index: int) -> float:
         return vad_score_step(frame, self._rows, self.model, self._weights)
 
+    @property
+    def row(self) -> np.ndarray:
+        return self._rows[-1].copy()
+
 
 class ModelDecoder:
     """Decode a flushed window: full forward over span + splice context,
-    then beam search (or greedy) over the span's posterior rows only."""
+    then beam search (or greedy) over the span's posterior rows only.
+
+    The window is its frames' (T, 320) samples or, with ``encoded``, the
+    (T, d) encoder rows a ``ModelScorer`` of the same model made, with the
+    encoder weights that scorer copied when it was built."""
 
     def __init__(self, model: ModelParams, beam: Optional[BeamConfig] = None):
         self.model = model
         self.beam = beam
 
-    def __call__(self, window_frames: np.ndarray, span_start: int,
-                 span_len: int) -> tuple[str, ...]:
-        art = forward(FrameSequence(window_frames), self.model)
+    def __call__(self, window: np.ndarray, span_start: int, span_len: int,
+                 encoded: bool = False) -> tuple[str, ...]:
+        art = (forward(None, self.model, Z=window) if encoded
+               else forward(FrameSequence(window), self.model))
         rows = art.log_posteriors.array[span_start:span_start + span_len]
         sub = PosteriorGrid(log_probs=rows, vocab=self.model.vocab,
                             blank_index=len(self.model.vocab))
@@ -148,15 +159,19 @@ class Streamer:
         self._b = 0                 # trailing sub-threshold run
         self._speaking = False
         self._window_start = 0      # absolute index of the window's frame 0
+        # a decoder's input, one entry per kept frame: its samples or, from a
+        # ModelScorer of the decoder's model, the encoder row it has made
         self._frames: list[np.ndarray] = []
         self._frame_base = 0        # absolute index of _frames[0]
+        # (getattr: a stand-in patched over the name ModelScorer, as a test
+        # may do, need not carry a model)
+        self._encoded = (isinstance(decoder, ModelDecoder)
+                         and isinstance(scorer, ModelScorer)
+                         and getattr(scorer, "model", None) is decoder.model)
         self.events: list[SegmentEvent] = []
         self.boundaries: list[BoundarySpan] = []
 
     # -- frame bookkeeping
-
-    def _store(self, frame) -> None:
-        self._frames.append(np.asarray(frame, dtype=np.float64))
 
     def _prune(self) -> None:
         keep_from = max(0, self._window_start - self.config.splice_frames)
@@ -173,7 +188,9 @@ class Streamer:
             we = min(self._t, end + cfg.splice_frames)
             window = np.stack(self._frames[ws - self._frame_base:
                                            we - self._frame_base])
-            text = self.decoder(window, start - ws, end - start)
+            args = (window, start - ws, end - start)
+            text = (self.decoder(*args, encoded=True) if self._encoded
+                    else self.decoder(*args))
         ev = SegmentEvent(start_s=start * FRAME_DURATION_S,
                           end_s=end * FRAME_DURATION_S,
                           text=text, cause=cause)
@@ -187,11 +204,13 @@ class Streamer:
         cfg = self.config
         idx = self._t
         self._t += 1
-        self._store(frame)
         try:
             theta = float(self.scorer(frame, idx))
         except Exception as exc:
             raise DataError(f"VAD scorer failed at frame {idx}: {exc}") from exc
+        if self.decoder is not None:
+            self._frames.append(self.scorer.row if self._encoded
+                                else np.asarray(frame, dtype=np.float64))
 
         self._c += 1
         if theta >= cfg.vad_threshold:

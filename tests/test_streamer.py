@@ -1,24 +1,32 @@
 """The online state machine against its offline reference, invariants, and
 event file I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
+import vadasr.model
 from vadasr.audio import FRAME_DURATION_S, FrameSequence
+from vadasr.chunking import plan_chunks
+from vadasr.decode import BeamConfig
 from vadasr.errors import DataError, InvalidSpecError
-from vadasr.model import ModelDims, ModelParams, vad_score_frames
+from vadasr.model import (ForwardArtifacts, ModelDims, ModelParams, forward,
+                          vad_score_frames)
 from vadasr.streamer import (
     END_OF_UTT,
     FINALIZE,
     FORCED,
     ExternalScores,
+    ModelDecoder,
     ModelScorer,
     SegmentEvent,
     Streamer,
     StreamerConfig,
     read_events,
     run_offline_reference,
+    run_stream,
     validate_events,
     write_events,
 )
@@ -73,6 +81,15 @@ class TestHandTraces:
         scores = [0.9] + [0.1] * 10
         s = run_online(scores, SMALL)
         assert s.boundaries == []
+
+    def test_no_decoder_keeps_no_frames(self):
+        # only a decoder reads the kept frames
+        s = Streamer(SMALL, ExternalScores([0.9] * 25 + [0.1] * 5), None)
+        for _ in range(30):
+            s.push_frame(DUMMY)
+            assert s._frames == []
+        s.finalize()
+        assert s._frames == [] and len(s.boundaries) == 3
 
     def test_leading_silence_not_included(self):
         # long leading silence must not inflate the first segment: pure
@@ -156,6 +173,88 @@ class TestModelScorer:
         scorer = ModelScorer(model)
         online = np.array([scorer(fr, i) for i, fr in enumerate(frames)])
         assert np.array_equal(online, whole)
+
+
+def perturbed_stream(seed, width):
+    """A small model with every parameter perturbed, and a stream of loud
+    and quiet 8-frame blocks."""
+    rng = np.random.default_rng(seed)
+    dims = ModelDims(vocab_size=3, vad_kernel_width=width)
+    model = ModelParams.init(["a", "b", "c"], dims, seed=seed)
+    for t in model.params.values():
+        t.data += rng.normal(0.0, 0.1, t.shape)
+    amp = np.repeat(rng.choice([0.01, 0.3], size=12), 8)
+    frames = rng.normal(0.0, 1.0, size=(len(amp), 320)) * amp[:, None]
+    return model, FrameSequence(frames)
+
+
+class TestSharedEncoderRows:
+    """A streamer whose scorer is a ModelScorer of its decoder's model keeps
+    the scorer's encoder rows, and decoding from them gives the bits that
+    decoding from the frames gives."""
+
+    @pytest.mark.parametrize("width", [4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_and_frames_decode_alike(self, seed, width):
+        model, frames = perturbed_stream(seed, width)
+        scorer = ModelScorer(model)
+        scores, rows = [], []
+        for i, fr in enumerate(frames.frames):
+            scores.append(scorer(fr, i))
+            rows.append(scorer.row)
+        Z = np.stack(rows)
+        T = len(frames)
+        for layout in (None, plan_chunks(T, body_len=5, left_len=3,
+                                         right_len=2)):
+            from_frames = forward(frames, model, layout)
+            from_rows = forward(None, model, layout, Z=Z)
+            for field in dataclasses.fields(ForwardArtifacts):
+                a = getattr(from_frames, field.name)
+                b = getattr(from_rows, field.name)
+                if field.name == "log_posteriors":
+                    a, b = a.log_probs, b.log_probs
+                assert np.array_equal(a.data, b.data), field.name
+
+        # a model-scored stream with forced and end-of-utterance flushes
+        # decodes as the same stream whose decoder encodes the frames
+        cfg = StreamerConfig(vad_threshold=float(np.median(scores)),
+                             min_speech_frames=2, min_silence_frames=3,
+                             max_chunk_frames=6, splice_frames=2)
+        for beam in (None, BeamConfig(beam_size=3)):
+            shared = run_stream(model, frames, cfg, beam)
+            assert shared._encoded
+            plain = Streamer(cfg, ExternalScores(scores),
+                             ModelDecoder(model, beam))
+            assert not plain._encoded
+            for fr in frames.frames:
+                plain.push_frame(fr)
+            plain.finalize()
+            causes = {b.cause for b in shared.boundaries}
+            assert {FORCED, END_OF_UTT} <= causes
+            assert any(ev.text for ev in shared.events)
+            assert shared.boundaries == plain.boundaries
+            assert shared.events == plain.events
+
+    def test_each_streamed_frame_encoded_once(self, monkeypatch):
+        model, frames = perturbed_stream(0, 5)
+        encoded = []
+        encode = vadasr.model.encode_features
+
+        def counting(x, *args, **kwargs):
+            out = encode(x, *args, **kwargs)
+            encoded.append(len(ad.value(out)))
+            return out
+
+        monkeypatch.setattr(vadasr.model, "encode_features", counting)
+        cfg = StreamerConfig(min_speech_frames=2, min_silence_frames=3,
+                             max_chunk_frames=6, splice_frames=2,
+                             vad_threshold=0.5)
+        before = model.attention_evals
+        streamer = run_stream(model, frames, cfg)
+        assert streamer.events
+        assert sum(encoded) == len(frames)
+        # every decoded window still runs context and cross-task attention
+        assert model.attention_evals == before + 2 * len(streamer.events)
 
 
 class TestScorerFailure:

@@ -355,8 +355,7 @@ def _cmd_decode_posteriors(args):
     if beam is None:
         tokens = greedy_decode(grid)
     else:
-        hyps = beam_search(grid, beam)
-        tokens = hyps[0].tokens if hyps else ()
+        tokens = beam_search(grid, beam)[0].tokens
     print(" ".join(tokens))
     return 0
 

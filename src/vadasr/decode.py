@@ -2,7 +2,8 @@
 stupid-backoff n-gram shallow fusion plus a per-token insertion score.
 
 Beam search merges hypotheses by collapsed prefix, tracking blank and
-non-blank probability mass separately in log space.
+non-blank probability mass separately in log space, and drops only
+candidates that cannot make the beam.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ LOG2 = math.log(2.0)
 
 class NgramLM:
     """Count-based n-gram scorer. Stupid backoff yields a score, not a
-    normalized distribution; every (history, token) gets a finite value."""
+    normalized distribution; every (history, token) gets a finite value.
+    Scores are memoized on the instance, so its counts must not change."""
 
     def __init__(self, order: int, counts: dict[tuple[str, ...], int]):
         if order < 1:
@@ -44,13 +46,20 @@ class NgramLM:
             self.context_totals[gram[:-1]] += c
         self.unigram_total = sum(c for g, c in counts.items() if len(g) == 1)
         self.vocab = sorted({g[-1] for g in counts if len(g) == 1})
+        # (padded history, token) -> score, shared by every caller of this
+        # instance, such as the events of one stream
+        self._memo: dict[tuple[tuple[str, ...], str], float] = {}
 
     def score(self, history: Sequence[str], token: str) -> float:
         """Stupid-backoff log score of ``token`` after ``history``."""
         hist = tuple(history)[-(self.order - 1):] if self.order > 1 else ()
         if len(hist) < self.order - 1:
             hist = (BOS,) * (self.order - 1 - len(hist)) + hist
-        return self._score(hist, token)
+        key = (hist, token)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._score(hist, token)
+        return value
 
     def _score(self, hist: tuple[str, ...], token: str) -> float:
         if hist:
@@ -178,68 +187,152 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     """Prefix beam search with blank/non-blank mass merging; returns
     hypotheses ranked by combined score.
 
-    Each frame works on Python floats only. A candidate's LM score is the
-    sum of increments along its prefix, and an increment depends only on the
-    last ``order - 1`` tokens, so increments are memoized per call and the
-    score travels with the beam."""
-    rows = _grid_array(grid).tolist()
+    Each frame works on Python floats only, and prunes exactly: it returns
+    what ranking every candidate cell would. A beam's "stay" cell (blank, or
+    a repeat of its last token) can merge only with its parent beam's
+    extension, so the stays are built first. When there are ``beam_size``
+    of them, the lowest stay score is a floor: a candidate strictly below it
+    cannot make the cut and is dropped, and a beam whose best possible
+    extension is below it is not extended at all. The kept candidates stay
+    in the order a full pass would insert them, so ties rank as before.
+
+    Prefixes are nodes of a trie, so a dropped extension builds nothing. A
+    node's LM increments depend only on its last ``order - 1`` tokens and
+    are memoized per call by that context."""
+    arr = _grid_array(grid)
+    # a NaN ranks arbitrarily and +inf makes NaN masses; -inf is probability 0
+    if not (arr < math.inf).all():
+        raise DataError("posterior grid holds NaN or +inf")
+    rows = arr.tolist()
     blank = grid.blank_index
     vocab = grid.vocab
     lm = config.lm
+    beam_size = config.beam_size
     lm_weight, word_score = config.lm_weight, config.word_score
     if lm is not None:
         missing = [t for t in vocab if t not in lm.vocab]
         if missing:
             raise VocabularyError(f"grid tokens absent from LM: {missing}")
         n_ctx = lm.order - 1
-    no_lm = [0.0] * blank
-    increments: dict[tuple[int, ...], list[float]] = {}
+    # (increments, the one that scores highest) per context
+    increments: dict[tuple[int, ...], tuple[list[float], float]] = {}
+    best_inc = max if lm_weight >= 0 else min
+    no_lm = ([0.0] * blank, 0.0)
 
-    # (score, prefix, log p(blank-terminated), log p(non-blank-terminated),
-    #  lm score, log p(prefix)), best first
-    beams = [(0.0, (), 0.0, NEG_INF, 0.0, 0.0)]
+    # prefix trie; node 0 is the empty prefix
+    parent, last, length, lm_score = [-1], [-1], [0], [0.0]
+    node_incs: list[Optional[tuple[list[float], float]]] = [None]
+    children: dict[int, int] = {}  # node * blank + token -> child node
+
+    def incs_of(node):
+        if lm is None:
+            return no_lm
+        ctx = []
+        while node and len(ctx) < n_ctx:
+            ctx.append(last[node])
+            node = parent[node]
+        ctx = tuple(reversed(ctx))
+        found = increments.get(ctx)
+        if found is None:
+            hist = [vocab[i] for i in ctx]
+            inc = [lm.score(hist, vocab[k]) for k in range(blank)]
+            found = increments[ctx] = (inc, best_inc(inc, default=0.0))
+        return found
+
+    # (score, node, log p(blank-terminated), log p(non-blank-terminated),
+    #  log p(prefix)), best first
+    beams = [(0.0, 0, 0.0, NEG_INF, 0.0)]
     for row in rows:
         p_blank = row[blank]
-        # prefix -> [log p(blank-terminated), log p(non-blank), lm score]
-        nxt: dict[tuple[int, ...], list[float]] = {}
-        for _, prefix, pb, pnb, lm_sc, total in beams:
-            if lm is None:
-                inc = no_lm
-            else:
-                ctx = prefix[-n_ctx:] if n_ctx else ()
-                inc = increments.get(ctx)
-                if inc is None:
-                    hist = [vocab[i] for i in ctx]
-                    inc = increments[ctx] = [lm.score(hist, vocab[k])
-                                             for k in range(blank)]
+        row_hi = max(row[:blank], default=NEG_INF)
+        n_beams = len(beams)
+        at = {beam[1]: i for i, beam in enumerate(beams)}
+        # candidate: (score, node, pb, pnb, total, token), where a token >= 0
+        # marks a new extension of ``node``
+        stays = []
+        kids: list[Optional[dict[int, int]]] = [None] * n_beams
+        # False: the parent's extension is inserted first, and so is the stay
+        own = [True] * n_beams
+        for i, (_, node, pb, pnb, total) in enumerate(beams):
             # blank keeps the prefix; repeating the last symbol keeps it too
-            # (merge of repeats). A new cell's mass is stored as it is, since
-            # _logaddexp(-inf, v) is v + 0.0, which is v: no mass is -0.0.
-            last = prefix[-1] if prefix else -1
-            stay_pnb = pnb + row[last] if prefix else NEG_INF
-            cell = nxt.get(prefix)
-            if cell is None:
-                nxt[prefix] = [total + p_blank, stay_pnb, lm_sc]
-            else:  # an earlier beam's extension: no blank mass yet
-                cell[0] = total + p_blank
-                cell[1] = _logaddexp(cell[1], stay_pnb)
-            for k in range(blank):
-                ext = prefix + (k,)
-                mass = pb + row[k] if k == last else total + row[k]
-                cell = nxt.get(ext)
-                if cell is None:
-                    nxt[ext] = [NEG_INF, mass, lm_sc + inc[k]]
-                else:
-                    cell[1] = _logaddexp(cell[1], mass)
-        scored = []
-        for prefix, (pb, pnb, lm_sc) in nxt.items():
-            total = pnb if pb == NEG_INF else _logaddexp(pb, pnb)  # as above
-            scored.append((total + lm_weight * lm_sc
-                           + word_score * len(prefix),
-                           prefix, pb, pnb, lm_sc, total))
-        # stable like sorted(reverse=True): ties keep insertion order
-        beams = heapq.nlargest(config.beam_size, scored, key=itemgetter(0))
+            # (merge of repeats). A cell with one mass stores it as it is,
+            # since _logaddexp(-inf, v) is v + 0.0, which is v.
+            stay_pb = total + p_blank
+            stay_pnb = NEG_INF
+            if node:
+                k = last[node]
+                stay_pnb = pnb + row[k]
+                j = at.get(parent[node])
+                if j is not None:  # the only merge: parent's extension by k
+                    _, up, up_pb, _, up_total = beams[j]
+                    mass = (up_pb + row[k] if k == last[up]
+                            else up_total + row[k])
+                    # _logaddexp is commutative bit for bit
+                    stay_pnb = _logaddexp(stay_pnb, mass)
+                    if kids[j] is None:
+                        kids[j] = {}
+                    kids[j][k] = i
+                    own[i] = j > i
+            cell = (stay_pnb if stay_pb == NEG_INF
+                    else _logaddexp(stay_pb, stay_pnb))
+            stays.append((cell + lm_weight * lm_score[node]
+                          + word_score * length[node],
+                          node, stay_pb, stay_pnb, cell, -1))
+        floor = (min(s[0] for s in stays) if n_beams >= beam_size
+                 else NEG_INF)
 
-    return [Hypothesis(tokens=tuple(vocab[i] for i in prefix), score=score,
-                       ctc_score=total, lm_score=lm_sc)
-            for score, prefix, _, _, lm_sc, total in beams]
+        # candidates in the order a full pass inserts them: each beam's stay
+        # (unless its parent's extension came first), then its extensions
+        cands = []
+        for i, (_, node, pb, _, total) in enumerate(beams):
+            if own[i]:
+                cands.append(stays[i])
+            incs = node_incs[node]
+            if incs is None:
+                incs = node_incs[node] = incs_of(node)
+            inc, inc_hi = incs
+            lm_sc = lm_score[node]
+            words = word_score * (length[node] + 1)
+            kid = kids[i]
+            # every rounding step is monotone and pb <= total, so this
+            # bounds each extension's score from above
+            if (kid is None and total + row_hi + lm_weight * (lm_sc + inc_hi)
+                    + words < floor):
+                continue
+            tail = last[node]
+            for k in range(blank):
+                if kid is not None and k in kid:
+                    if kid[k] > i:
+                        cands.append(stays[kid[k]])
+                    continue
+                mass = pb + row[k] if k == tail else total + row[k]
+                score = mass + lm_weight * (lm_sc + inc[k]) + words
+                if score >= floor:
+                    cands.append((score, node, NEG_INF, mass, mass, k))
+        # stable like sorted(reverse=True): ties keep insertion order
+        beams = []
+        for score, node, pb, pnb, total, k in heapq.nlargest(
+                beam_size, cands, key=itemgetter(0)):
+            if k >= 0:
+                key = node * blank + k
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = len(parent)
+                    parent.append(node)
+                    last.append(k)
+                    length.append(length[node] + 1)
+                    lm_score.append(lm_score[node] + node_incs[node][0][k])
+                    node_incs.append(None)
+                node = child
+            beams.append((score, node, pb, pnb, total))
+
+    hyps = []
+    for score, node, _, _, total in beams:
+        tokens = []
+        n = node
+        while n:
+            tokens.append(vocab[last[n]])
+            n = parent[n]
+        hyps.append(Hypothesis(tokens=tuple(reversed(tokens)), score=score,
+                               ctc_score=total, lm_score=lm_score[node]))
+    return hyps

@@ -203,7 +203,8 @@ class ModelParams:
     @classmethod
     def load(cls, path) -> "ModelParams":
         """Read a checkpoint and its JSON sidecar; every tensor must have the
-        name and shape that ``param_layout`` gives for the sidecar's dims."""
+        name and shape that ``param_layout`` gives for the sidecar's dims,
+        and finite values."""
         path = Path(path)
         params = ad.load_params(path)
         sidecar_path = path.with_suffix(path.suffix + ".json")
@@ -226,6 +227,9 @@ class ModelParams:
                 raise FormatError(
                     f"{path}: tensor {name!r} has shape {params[name].shape}, "
                     f"the sidecar's dims give {shape}")
+            # one NaN weight turns every posterior it reaches into NaN
+            if not np.isfinite(params[name].data).all():
+                raise FormatError(f"{path}: tensor {name!r} holds NaN or inf")
         extra = [name for name in params if name not in expected]
         if extra:
             raise FormatError(f"{path}: unexpected tensor {extra[0]!r}")

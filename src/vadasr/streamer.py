@@ -137,8 +137,7 @@ class ModelDecoder:
                             blank_index=len(self.model.vocab))
         if self.beam is None:
             return greedy_decode(sub)
-        hyps = beam_search(sub, self.beam)
-        return hyps[0].tokens if hyps else ()
+        return beam_search(sub, self.beam)[0].tokens
 
 
 # ---------------------------------------------------------------------------

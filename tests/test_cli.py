@@ -101,6 +101,14 @@ def _checkpoint(blob):
     return build
 
 
+def _nan_weight_checkpoint(tmp, corpus_dir, model_ckpt):
+    model = ModelParams.load(model_ckpt)
+    model.params["asr_w"].data[0, 0] = np.nan
+    model.save(tmp / "m.ckpt")
+    return ["transcribe", "--model", str(tmp / "m.ckpt"),
+            "--wav", str(corpus_dir[0] / "utt0000.wav")]
+
+
 def _wav(corrupt):
     def build(tmp, corpus_dir, model_ckpt):
         wav = corpus_dir[0] / "utt0000.wav"
@@ -161,6 +169,7 @@ MALFORMED_INPUTS = [
     ("checkpoint-dims-overflow-int64",
      _checkpoint(b"TNSR" + struct.pack("<IH", 1, 1) + b"a"
                  + struct.pack("<B3I", 3, 2 ** 24, 2 ** 28, 2701131776)), 2),
+    ("checkpoint-nan-weight", _nan_weight_checkpoint, 2),
     ("wav-odd-data-length", _wav(lambda b: b[:-1]), 2),
     ("wav-chunk-past-end", _wav(lambda b: b[:32] + b[33:]), 2),
     ("posterior-sidecar-not-json",

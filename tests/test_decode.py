@@ -11,6 +11,7 @@ import pytest
 import vadasr.autodiff as ad
 from vadasr.decode import (
     BACKOFF_LOG,
+    BOS,
     NEG_INF,
     BeamConfig,
     Hypothesis,
@@ -271,6 +272,99 @@ class TestBeamMatchesReference:
             cfg = BeamConfig(beam_size=20, lm=lm)
             assert beam_search(grid, cfg) == reference_beam_search(grid, cfg)
 
+    @staticmethod
+    def assert_matches(grid, cfg):
+        assert beam_search(grid, cfg) == reference_beam_search(grid, cfg)
+
+    @pytest.mark.parametrize("order", [None, 2, 4])
+    def test_negative_lm_weight(self, rng, order):
+        # the per-beam bound then takes the smallest LM increment
+        for beam_size in (1, 3, 20):
+            grid = random_grid(rng, 25, 3)
+            lm = None if order is None else random_lm(rng, grid.vocab, order)
+            self.assert_matches(grid, BeamConfig(
+                beam_size=beam_size, lm=lm,
+                lm_weight=float(rng.uniform(-3, -0.1)),
+                word_score=float(rng.uniform(-1, 1))))
+
+    @pytest.mark.parametrize("order", [None, 3])
+    def test_zero_probability_entries(self, rng, order):
+        # -inf masses and scores are legal and may tie at the floor
+        for beam_size in (1, 4, 20):
+            grid = random_grid(rng, 20, 3)
+            arr = grid.log_probs.data
+            arr[rng.random(arr.shape) < 0.3] = NEG_INF
+            arr[5] = NEG_INF
+            arr[6, :3] = NEG_INF
+            lm = None if order is None else random_lm(rng, grid.vocab, order)
+            self.assert_matches(grid, BeamConfig(beam_size=beam_size, lm=lm))
+
+    @pytest.mark.parametrize("beam_size", [2, 5, 20])
+    @pytest.mark.parametrize("order", [None, 2])
+    def test_quantized_rows_tie_at_floor(self, rng, beam_size, order):
+        # rows on a coarse grid of values make many candidates score
+        # exactly the floor; those are kept, and rank by insertion order
+        vocab = ["a", "b", "c", "d"]
+        lm = None if order is None else random_lm(rng, vocab, order)
+        levels = np.log([0.05, 0.1, 0.2, 0.4])
+        for _ in range(3):
+            grid = PosteriorGrid(
+                log_probs=ad.Tensor(rng.choice(levels, size=(16, 5))),
+                vocab=vocab, blank_index=4)
+            for lm_weight, word_score in ((0.0, 0.0), (0.5, 0.5)):
+                self.assert_matches(grid, BeamConfig(
+                    beam_size=beam_size, lm=lm, lm_weight=lm_weight,
+                    word_score=word_score))
+
+    def test_beam_wider_than_candidates(self, rng):
+        # fewer beams than beam_size: no floor, so nothing is dropped
+        for T in range(6):
+            grid = random_grid(rng, T, 3)
+            lm = random_lm(rng, grid.vocab, 2)
+            self.assert_matches(grid, BeamConfig(beam_size=4 ** (T + 1),
+                                                 lm=lm))
+
+    def test_fuzz(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            V = int(rng.integers(1, 6))
+            T = int(rng.integers(0, 13))
+            logits = rng.normal(size=(T, V + 1)) * rng.choice([0.5, 3.0])
+            if rng.random() < 0.3:
+                logits = np.round(logits)
+            logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            if rng.random() < 0.3:
+                logp[rng.random(logp.shape) < 0.2] = NEG_INF
+            vocab = [chr(ord("a") + i) for i in range(V)]
+            grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab,
+                                 blank_index=V)
+            order = int(rng.integers(0, 5))
+            lm = random_lm(rng, vocab, order) if order else None
+            if lm is not None and set(vocab) - set(lm.vocab):
+                lm = train_ngram([tuple(vocab)], order=order)
+            self.assert_matches(grid, BeamConfig(
+                beam_size=int(rng.integers(1, 13)), lm=lm,
+                lm_weight=float(rng.uniform(-2, 2)),
+                word_score=float(rng.uniform(-1, 1))))
+
+
+class TestBeamInputs:
+    def test_empty_grid_gives_one_empty_hypothesis(self, rng):
+        # the stays are always candidates, so there is always a hypothesis
+        grid = random_grid(rng, 0, 3)
+        lm = random_lm(rng, grid.vocab, 3)
+        for cfg in (BeamConfig(beam_size=1), BeamConfig(lm=lm)):
+            assert beam_search(grid, cfg) == [
+                Hypothesis(tokens=(), score=0.0, ctc_score=0.0, lm_score=0.0)]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, rng, value):
+        # a NaN would rank arbitrarily; -inf (probability zero) is legal
+        grid = random_grid(rng, 6, 3)
+        grid.log_probs.data[3, 1] = value
+        with pytest.raises(DataError, match="NaN or \\+inf"):
+            beam_search(grid, BeamConfig())
+
 
 class TestLmMemo:
     @staticmethod
@@ -307,6 +401,39 @@ class TestLmMemo:
         cfg = BeamConfig(beam_size=20, lm=random_lm(rng, grid.vocab, 1))
         beam_search(grid, cfg)
         assert calls == [((), t) for t in grid.vocab]
+
+
+class TestLmMemoAcrossCalls:
+    def test_second_search_scores_nothing(self, rng, monkeypatch):
+        # a streamer decodes every event with one LM: the second search
+        # finds every score it needs in the LM's memo
+        grid = random_grid(rng, 30, 3)
+        cfg = BeamConfig(beam_size=20, lm=random_lm(rng, grid.vocab, 4))
+        first = beam_search(grid, cfg)
+        calls = []
+        score = NgramLM._score
+
+        def counted(self, hist, token):
+            calls.append((hist, token))
+            return score(self, hist, token)
+
+        monkeypatch.setattr(NgramLM, "_score", counted)
+        assert beam_search(grid, cfg) == first
+        assert calls == []
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_memoized_equals_fresh(self, rng, order):
+        lm = random_lm(rng, ["a", "b", "c"], order)
+        symbols = ["a", "b", "c", "z", BOS]
+        queries = [(hist, token)
+                   for n in range(order + 1)
+                   for hist in itertools.product(symbols, repeat=n)
+                   for token in symbols]
+        for hist, token in queries:
+            lm.score(hist, token)
+        for hist, token in queries:
+            fresh = NgramLM(lm.order, lm.counts)
+            assert lm.score(hist, token) == fresh.score(hist, token)
 
 
 class TestNgram:

@@ -359,6 +359,16 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="'enc2_k'"):
             ModelParams.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        # such a checkpoint used to load and decode from a NaN grid
+        model = small_model()
+        model.params["asr_w"].data[1, 2] = value
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        with pytest.raises(FormatError, match="'asr_w' holds NaN or inf"):
+            ModelParams.load(path)
+
     def test_copy_is_deep(self):
         model = small_model()
         clone = model.copy()

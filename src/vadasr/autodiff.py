@@ -215,10 +215,10 @@ def sigmoid(a):
 
 def relu(a):
     x = value(a)
-    mask = x > 0
-    out = x * mask
+    out = np.maximum(x, 0.0)
     if not _ACTIVE_TAPES:
         return out
+    mask = x > 0
     return _taped(out, (a,), lambda g: (g * mask,))
 
 
@@ -331,19 +331,25 @@ def mean_all(a):
                   lambda g: (np.broadcast_to(g / x.size, x.shape).copy(),))
 
 
-def depthwise_conv1d(x, kernels):
+def depthwise_conv1d(x, kernels, left=None):
     """Causal depthwise convolution over time. x: (T, C), kernels: (C, 1, W)
-    -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w] and x
-    zero before t = 0. Each row is a sum of elementwise products taken in w
-    order, so its value does not depend on T."""
+    -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w].
+    Before t = 0, x is ``left``, the (W - 1, C) rows that precede it (a
+    constant: no gradient flows to it), or zeros. Each row is a sum of
+    elementwise products taken in w order, so its value does not depend on
+    T: a block with its true left rows gives the rows of the whole."""
     xv, kv = value(x), value(kernels)
     if xv.ndim != 2 or kv.ndim != 3 or kv.shape[:2] != (xv.shape[1], 1):
         raise DimensionError("depthwise_conv1d expects (T,C) input and "
                              "(C,1,W) kernels", xv.shape, kv.shape)
     T, C = xv.shape
     W = kv.shape[2]
+    left = np.zeros((W - 1, C)) if left is None else value(left)
+    if left.shape != (W - 1, C):
+        raise DimensionError("depthwise_conv1d's left context must be "
+                             "(W-1, C)", left.shape, (W - 1, C))
     taps = kv[:, 0, :].T  # (W, C)
-    xp = np.concatenate([np.zeros((W - 1, C)), xv])
+    xp = np.concatenate([left, xv])
     out = xp[:T] * taps[0]
     for w in range(1, W):
         out += xp[w:w + T] * taps[w]

@@ -152,14 +152,18 @@ class Hypothesis:
 
 
 def _grid_array(grid) -> np.ndarray:
+    """The grid's log-probabilities; a NaN ranks arbitrarily and +inf makes
+    NaN masses, so both raise DataError, while -inf is probability 0."""
     lp = grid.log_probs
-    return lp.data if hasattr(lp, "data") else np.asarray(lp)
+    arr = lp.data if hasattr(lp, "data") else np.asarray(lp)
+    if not (arr < math.inf).all():
+        raise DataError("posterior grid holds NaN or +inf")
+    return arr
 
 
 def greedy_decode(grid) -> tuple[str, ...]:
     """Per-frame argmax, collapse adjacent repeats, strip blanks."""
-    arr = _grid_array(grid)
-    path = arr.argmax(axis=-1)
+    path = _grid_array(grid).argmax(axis=-1)
     out = []
     prev = -1
     for k in path:
@@ -199,11 +203,7 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     Prefixes are nodes of a trie, so a dropped extension builds nothing. A
     node's LM increments depend only on its last ``order - 1`` tokens and
     are memoized per call by that context."""
-    arr = _grid_array(grid)
-    # a NaN ranks arbitrarily and +inf makes NaN masses; -inf is probability 0
-    if not (arr < math.inf).all():
-        raise DataError("posterior grid holds NaN or +inf")
-    rows = arr.tolist()
+    rows = _grid_array(grid).tolist()
     blank = grid.blank_index
     vocab = grid.vocab
     lm = config.lm

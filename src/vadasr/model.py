@@ -4,8 +4,9 @@ whose output queries the VAD features through cross-task attention before the
 CTC prediction head.
 
 The encoder's receptive field is exactly one 20 ms frame (kernel == stride in
-both conv layers), so each conv is a per-frame matrix product and VAD scores
-are computable frame by frame online, bit-identical to whole-sequence ones.
+both conv layers), so each conv is a per-frame matrix product, and the VAD
+conv is causal: VAD scores are computable online, a block of frames at a
+time, bit-identical to whole-sequence ones.
 
 The forward functions are written once over ``autodiff`` primitives: on a
 tape they build taped Tensors for training, and with no tape active they
@@ -281,12 +282,14 @@ def vad_weights(model: ModelParams) -> tuple:
             p["vad_fc_w"], p["vad_fc_b"])
 
 
-def vad_forward(Z, model: ModelParams, weights: tuple | None = None):
+def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
+                left: np.ndarray | None = None):
     """Cheap VAD branch: causal depthwise temporal conv + per-frame sigmoid.
-    ``weights``, if given, are ``vad_weights(model)``."""
+    ``weights``, if given, are ``vad_weights(model)``; ``left``, if given,
+    is the (vad_kernel_width - 1, d) encoder rows before ``Z``'s first."""
     k, b, fc_w, fc_b = weights or vad_weights(model)
     T, d = Z.shape
-    h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, k), b))
+    h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, k, left), b))
     logits = ad.add(ad.matmul(ad.reshape(h_vad, (T, 1, d)), fc_w), fc_b)
     probs = ad.reshape(ad.sigmoid(logits), (T,))
     return h_vad, probs
@@ -298,19 +301,17 @@ def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
     return ad.tensor(probs)
 
 
-def vad_score_step(frame, rows: np.ndarray, model: ModelParams,
-                   weights: tuple) -> float:
-    """Online VAD score of one new frame, equal to its whole-sequence score.
-    ``rows`` holds the encoder rows of the last ``vad_kernel_width`` frames
-    (zeros before the stream starts, as the causal pad); the new frame is
-    encoded alone and shifted in, in place. ``weights`` are
-    ``(encoder_weights(model), vad_weights(model))``, prepared once."""
+def vad_score_block(frames: np.ndarray, left: np.ndarray,
+                    model: ModelParams, weights: tuple):
+    """Online VAD scores of a (k, 320) block of new frames, equal to their
+    whole-sequence scores. ``left`` holds the encoder rows of the
+    ``vad_kernel_width - 1`` frames before the block (zeros before the
+    stream starts, as the causal pad); ``weights`` are
+    ``(encoder_weights(model), vad_weights(model))``, prepared once.
+    Returns the block's (k, d) encoder rows and its (k,) scores."""
     enc_w, vad_w = weights
-    z = encode_features(np.asarray(frame, dtype=np.float64)[None], model,
-                        enc_w)
-    rows[:-1] = rows[1:]
-    rows[-1] = ad.value(z)[0]
-    return float(ad.value(vad_forward(rows, model, vad_w)[1])[-1])
+    Z = ad.value(encode_features(frames, model, enc_w))
+    return Z, ad.value(vad_forward(Z, model, vad_w, left)[1])
 
 
 def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):

@@ -1,6 +1,17 @@
 """Online VAD&ASR state machine.
 
-Per pushed frame: score it, update the frames-to-process counter ``c`` and
+Frames arrive in blocks: ``push_frames`` takes a (k, 320) block, and
+``push_frame`` is a block of one, so there is one path. A block is scored
+with one call of the scorer, ``scorer(frames, start) -> scores``, where
+``start`` is the absolute index of the block's first frame and the result
+holds one score per frame. ``ModelScorer`` keeps only the VAD conv's
+``vad_kernel_width - 1`` left-context encoder rows between blocks, so any
+split of a stream into blocks gives the same scores, and with them the same
+events. In a live stream a block of k frames waits up to k - 1 frames for
+its last frame before it is scored: that algorithmic latency, in frames, is
+separate from the compute latency of scoring and decoding.
+
+Per frame of a block: update the frames-to-process counter ``c`` and
 the trailing-silence counter ``b``, raise the speaking flag once
 ``c - b >= min_speech``, and flush the pending speech span either when it
 reaches the ASR chunk capacity (forced-length) or when ``min_silence``
@@ -26,7 +37,7 @@ from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InvalidSpecError
 from .model import (ModelParams, PosteriorGrid, encoder_weights, forward,
-                    vad_score_step, vad_weights)
+                    vad_score_block, vad_weights)
 from . import autodiff as ad
 
 FORCED = "forced-length"
@@ -82,21 +93,25 @@ class ExternalScores:
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=np.float64)
 
-    def __call__(self, frame, index: int) -> float:
-        if index >= len(self.scores):
-            raise DataError(f"no external score for frame {index}")
-        return float(self.scores[index])
+    def __call__(self, frames, start: int) -> np.ndarray:
+        end = start + len(frames)
+        if end > len(self.scores):
+            raise DataError("no external score for frame "
+                            f"{max(start, len(self.scores))}")
+        return self.scores[start:end]
 
 
 class ModelScorer:
-    """Cheap VAD path of the model, evaluated frame-by-frame.
+    """Cheap VAD path of the model, evaluated a block of frames at a time.
 
-    Encodes each new frame once, off the tape, and keeps the encoder rows of
-    the VAD conv's receptive field: the encoder is frame-local and the VAD
-    conv is causal. The weights are prepared once, as plain arrays in the
-    layout the forward uses, so a scorer scores with the weights its model
-    held when the scorer was built. ``row`` is the last scored frame's
-    encoder row; a ``Streamer`` keeps these for its ``ModelDecoder``, so the
+    Encodes each new frame once, off the tape, and keeps only the encoder
+    rows of the last ``vad_kernel_width - 1`` frames, the causal left
+    context of the VAD conv: the encoder is frame-local and the conv is
+    causal, so a block scores exactly as the whole sequence does. The
+    weights are prepared once, as plain arrays in the layout the forward
+    uses, so a scorer scores with the weights its model held when the
+    scorer was built. ``rows`` is the last scored block's (k, d) encoder
+    rows; a ``Streamer`` keeps these for its ``ModelDecoder``, so the
     decoded rows carry those same copied encoder weights.
     """
 
@@ -105,15 +120,15 @@ class ModelScorer:
         self._weights = tuple(tuple(np.array(ad.value(w)) for w in ws)
                               for ws in (encoder_weights(model),
                                          vad_weights(model)))
-        self._rows = np.zeros((model.dims.vad_kernel_width,
+        self._left = np.zeros((model.dims.vad_kernel_width - 1,
                                model.dims.d_model))
+        self.rows = self._left[:0]
 
-    def __call__(self, frame, index: int) -> float:
-        return vad_score_step(frame, self._rows, self.model, self._weights)
-
-    @property
-    def row(self) -> np.ndarray:
-        return self._rows[-1].copy()
+    def __call__(self, frames: np.ndarray, start: int) -> np.ndarray:
+        self.rows, scores = vad_score_block(frames, self._left, self.model,
+                                            self._weights)
+        self._left = np.concatenate((self._left, self.rows))[len(frames):]
+        return scores
 
 
 class ModelDecoder:
@@ -148,7 +163,7 @@ class Streamer:
     """Single-writer online VAD&ASR pipeline over pushed frames."""
 
     def __init__(self, config: StreamerConfig,
-                 scorer: Callable[[np.ndarray, int], float],
+                 scorer: Callable[[np.ndarray, int], np.ndarray],
                  decoder: Optional[Callable] = None):
         self.config = config
         self.scorer = scorer
@@ -200,45 +215,65 @@ class Streamer:
     # -- Algorithm-1 transitions
 
     def push_frame(self, frame) -> Optional[SegmentEvent]:
+        """Push one frame: a block of one. Returns its event, if any."""
+        events = self.push_frames(np.asarray(frame, dtype=np.float64)[None])
+        return events[0] if events else None
+
+    def push_frames(self, frames) -> list[SegmentEvent]:
+        """Push a block of frames: score it with one scorer call, then run
+        the transitions frame by frame. Returns the events it flushed, each
+        decoded from a window that ends where it would one frame at a time."""
         cfg = self.config
-        idx = self._t
-        self._t += 1
+        block = np.asarray(frames, dtype=np.float64)
+        if not len(block):  # e.g. a stream shorter than one frame
+            return []
+        start = self._t
         try:
-            theta = float(self.scorer(frame, idx))
+            scores = np.asarray(self.scorer(block, start), dtype=np.float64)
+            if scores.shape != (len(block),):
+                raise DataError(f"{scores.shape} scores for {len(block)} "
+                                "frames")
         except Exception as exc:
-            raise DataError(f"VAD scorer failed at frame {idx}: {exc}") from exc
+            raise DataError(
+                f"VAD scorer failed at frame {start}: {exc}") from exc
+        # the decoder's input per frame, kept as the frame is reached, so
+        # pruning sees no more frames than one frame at a time would
+        store = None
         if self.decoder is not None:
-            self._frames.append(self.scorer.row if self._encoded
-                                else np.asarray(frame, dtype=np.float64))
+            store = self.scorer.rows if self._encoded else block
 
-        self._c += 1
-        if theta >= cfg.vad_threshold:
-            self._b = 0
-        else:
-            self._b += 1
-        speech_len = self._c - self._b
-        if speech_len >= cfg.min_speech_frames:
-            self._speaking = True
-
-        forced = speech_len >= cfg.max_chunk_frames
-        end_of_utt = self._b >= cfg.min_silence_frames and self._speaking
-
-        event = None
-        if forced or end_of_utt:
+        events = []
+        for i, theta in enumerate(scores.tolist()):
+            if store is not None:
+                self._frames.append(store[i])
+            self._t += 1
+            self._c += 1
+            if theta >= cfg.vad_threshold:
+                self._b = 0
+            else:
+                self._b += 1
+            speech_len = self._c - self._b
             if speech_len >= cfg.min_speech_frames:
-                event = self._emit(self._window_start,
-                                   self._window_start + speech_len,
-                                   FORCED if forced else END_OF_UTT)
-            # forced flushes continue the same utterance; end-of-utterance
-            # flushes close it
-            self._speaking = forced
-            self._reset_window()
-        elif self._b == self._c or self._b >= cfg.min_silence_frames:
-            # window is pure silence (or a sub-minimum blip followed by a
-            # long silence) while not speaking: nothing worth keeping
-            self._speaking = False
-            self._reset_window()
-        return event
+                self._speaking = True
+
+            forced = speech_len >= cfg.max_chunk_frames
+            end_of_utt = self._b >= cfg.min_silence_frames and self._speaking
+
+            if forced or end_of_utt:
+                if speech_len >= cfg.min_speech_frames:
+                    events.append(self._emit(
+                        self._window_start, self._window_start + speech_len,
+                        FORCED if forced else END_OF_UTT))
+                # forced flushes continue the same utterance;
+                # end-of-utterance flushes close it
+                self._speaking = forced
+                self._reset_window()
+            elif self._b == self._c or self._b >= cfg.min_silence_frames:
+                # window is pure silence (or a sub-minimum blip followed by
+                # a long silence) while not speaking: nothing worth keeping
+                self._speaking = False
+                self._reset_window()
+        return events
 
     def _reset_window(self) -> None:
         self._c = 0
@@ -262,12 +297,12 @@ class Streamer:
 def run_stream(model: ModelParams, frames: FrameSequence,
                config: StreamerConfig, beam: Optional[BeamConfig] = None,
                decode: bool = True) -> Streamer:
-    """Push every frame through a model-scored streamer, then finalize it.
-    With ``decode``, flushed spans are decoded greedily or with ``beam``."""
+    """Push the whole stream through a model-scored streamer as one block,
+    then finalize it. With ``decode``, flushed spans are decoded greedily or
+    with ``beam``."""
     decoder = ModelDecoder(model, beam) if decode else None
     streamer = Streamer(config, ModelScorer(model), decoder)
-    for fr in frames.frames:
-        streamer.push_frame(fr)
+    streamer.push_frames(frames.frames)
     streamer.finalize()
     return streamer
 
@@ -275,7 +310,7 @@ def run_stream(model: ModelParams, frames: FrameSequence,
 def run_offline_reference(scores: Sequence[float],
                           config: StreamerConfig) -> list[BoundarySpan]:
     """Whole-sequence transliteration of the same transition rules; segment
-    boundaries only, no decoding. Testing oracle for ``push_frame``."""
+    boundaries only, no decoding. Testing oracle for ``push_frames``."""
     c = b = 0
     speaking = False
     window_start = 0

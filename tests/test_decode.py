@@ -130,6 +130,20 @@ class TestGreedy:
         grid = grid_from_probs([[0.1, 0.1, 0.8]] * 4, ["a", "b"])
         assert greedy_decode(grid) == ()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, value):
+        # argmax would pick the NaN (or the +inf) as the frame's token
+        grid = grid_from_probs([[1 / 3] * 3] * 4, ["a", "b"])
+        grid.log_probs.data[2, 0] = value
+        with pytest.raises(DataError, match="NaN or \\+inf"):
+            greedy_decode(grid)
+
+    def test_minus_inf_entry_accepted(self):
+        # probability zero is legal: that token is never the argmax
+        grid = grid_from_probs([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]], ["a", "b"])
+        grid.log_probs.data[:, 1] = -math.inf
+        assert greedy_decode(grid) == ("a",)
+
 
 class TestBeamOracle:
     def test_full_beam_matches_exhaustive(self, rng):

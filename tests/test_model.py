@@ -166,7 +166,7 @@ class TestStructuralIdentities:
         before = model.attention_evals
         scorer = ModelScorer(model)
         for i, frame in enumerate(random_frames(rng, 12).frames):
-            scorer(frame, i)
+            scorer(frame[None], i)
         assert model.attention_evals == before
         decoder = ModelDecoder(model)
         for n in (3, 8, 1):

@@ -38,6 +38,20 @@ SMALL = StreamerConfig(vad_threshold=0.5, min_speech_frames=2,
 DUMMY = np.zeros(320)
 
 
+# block sizes of the block-equivalence tests; None is the whole stream
+BLOCK_SIZES = (1, 2, 5, 7, 100, None)
+
+
+def blocks(n, size):
+    """Consecutive (start, stop) blocks of ``size`` frames over ``n``."""
+    size = size or n
+    return [(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
 def run_online(scores, config):
     s = Streamer(config, ExternalScores(scores), None)
     for _ in scores:
@@ -158,32 +172,52 @@ class TestOfflineEquivalence:
                         SMALL.min_silence_frames
 
 
+def scorer_case(rng, width, n_frames):
+    """A perturbed small model and ``n_frames`` random frames, with their
+    whole-sequence scores from the taped training path."""
+    dims = ModelDims(vocab_size=3, vad_kernel_width=width)
+    model = ModelParams.init(["a", "b", "c"], dims, seed=5)
+    for t in model.params.values():
+        t.data += rng.normal(0.0, 0.1, t.shape)
+    frames = rng.normal(0.0, 0.1, size=(n_frames, 320))
+    with ad.Tape():
+        whole = vad_score_frames(FrameSequence(frames), model).data
+    return model, frames, whole
+
+
 class TestModelScorer:
     def test_frame_by_frame_equals_whole_sequence(self, rng):
         # the README's claim, exactly: every online score, including the
         # first W-1 that see the causal pad, equals the whole-sequence score
-        dims = ModelDims(vocab_size=3, vad_kernel_width=4)
-        model = ModelParams.init(["a", "b", "c"], dims, seed=5)
-        for t in model.params.values():
-            t.data += rng.normal(0.0, 0.1, t.shape)
-        frames = rng.normal(0.0, 0.1, size=(3 * dims.vad_kernel_width + 2,
-                                            320))
-        with ad.Tape():  # the taped training path
-            whole = vad_score_frames(FrameSequence(frames), model).data
+        model, frames, whole = scorer_case(rng, 4, 3 * 4 + 2)
         scorer = ModelScorer(model)
-        online = np.array([scorer(fr, i) for i, fr in enumerate(frames)])
+        online = np.array([scorer(fr[None], i)[0]
+                           for i, fr in enumerate(frames)])
         assert np.array_equal(online, whole)
+        assert np.array_equal(bits(online), bits(whole))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("width", [4, 5])
+    def test_blocks_have_whole_sequence_bits(self, rng, width, size):
+        # bits, not values: -0.0 == +0.0 would hide a sign flip
+        model, frames, whole = scorer_case(rng, width, 230)
+        scorer = ModelScorer(model)
+        online = np.concatenate([scorer(frames[a:b], a)
+                                 for a, b in blocks(len(frames), size)])
+        assert np.array_equal(bits(online), bits(whole))
+        # the rows kept between blocks are the conv's left context only
+        assert scorer._left.shape == (width - 1, model.dims.d_model)
 
 
-def perturbed_stream(seed, width):
-    """A small model with every parameter perturbed, and a stream of loud
-    and quiet 8-frame blocks."""
+def perturbed_stream(seed, width, n_runs=12):
+    """A small model with every parameter perturbed, and a stream of
+    ``n_runs`` loud and quiet 8-frame runs."""
     rng = np.random.default_rng(seed)
     dims = ModelDims(vocab_size=3, vad_kernel_width=width)
     model = ModelParams.init(["a", "b", "c"], dims, seed=seed)
     for t in model.params.values():
         t.data += rng.normal(0.0, 0.1, t.shape)
-    amp = np.repeat(rng.choice([0.01, 0.3], size=12), 8)
+    amp = np.repeat(rng.choice([0.01, 0.3], size=n_runs), 8)
     frames = rng.normal(0.0, 1.0, size=(len(amp), 320)) * amp[:, None]
     return model, FrameSequence(frames)
 
@@ -200,8 +234,8 @@ class TestSharedEncoderRows:
         scorer = ModelScorer(model)
         scores, rows = [], []
         for i, fr in enumerate(frames.frames):
-            scores.append(scorer(fr, i))
-            rows.append(scorer.row)
+            scores.append(scorer(fr[None], i)[0])
+            rows.append(scorer.rows[0])
         Z = np.stack(rows)
         T = len(frames)
         for layout in (None, plan_chunks(T, body_len=5, left_len=3,
@@ -257,12 +291,114 @@ class TestSharedEncoderRows:
         assert model.attention_evals == before + 2 * len(streamer.events)
 
 
+class TestBlockEquivalence:
+    """Pushing a stream in blocks gives the events, texts and boundaries of
+    pushing it one frame at a time."""
+
+    @pytest.mark.parametrize("beam", [None, BeamConfig(beam_size=3)],
+                             ids=["greedy", "beam"])
+    @pytest.mark.parametrize("external", [False, True],
+                             ids=["model", "external"])
+    def test_blocks_match_frame_by_frame(self, beam, external):
+        model, frames = perturbed_stream(0, 5, n_runs=30)
+        x = frames.frames
+        scores = vad_score_frames(frames, model).data
+        cfg = StreamerConfig(vad_threshold=float(np.median(scores)),
+                             min_speech_frames=2, min_silence_frames=3,
+                             max_chunk_frames=6, splice_frames=2)
+
+        def streamer():
+            scorer = ExternalScores(scores) if external else ModelScorer(model)
+            return Streamer(cfg, scorer, ModelDecoder(model, beam))
+
+        ref = streamer()
+        for fr in x:
+            ref.push_frame(fr)
+        ref.finalize()
+        assert {FORCED, END_OF_UTT} <= {b.cause for b in ref.boundaries}
+        assert any(ev.text for ev in ref.events)
+        for size in BLOCK_SIZES:
+            s = streamer()
+            returned = []
+            for a, b in blocks(len(x), size):
+                returned += s.push_frames(x[a:b])
+            last = s.finalize()
+            assert returned + [last] * (last is not None) == s.events
+            assert s.events == ref.events, size
+            assert s.boundaries == ref.boundaries, size
+        if not external:
+            whole = run_stream(model, frames, cfg, beam)
+            assert whole.events == ref.events
+            assert whole.boundaries == ref.boundaries
+
+    def test_push_frame_calls_the_scorer_once(self):
+        calls = []
+
+        def scorer(frames, start):
+            calls.append((len(frames), start))
+            return np.full(len(frames), 0.9)
+
+        s = Streamer(SMALL, scorer, None)
+        for _ in range(3):
+            s.push_frame(DUMMY)
+        s.push_frames(np.zeros((4, 320)))
+        assert calls == [(1, 0), (1, 1), (1, 2), (4, 3)]
+
+    def test_empty_block(self):
+        model, _ = perturbed_stream(0, 5)
+        for scorer in (ExternalScores([]), ModelScorer(model)):
+            s = Streamer(SMALL, scorer, ModelDecoder(model))
+            assert s.push_frames(np.zeros((0, 320))) == []
+            assert s.finalize() is None
+        # a stream shorter than one frame has no frames to push
+        empty = FrameSequence(np.zeros((0, 320)))
+        assert run_stream(model, empty, SMALL).events == []
+
+
 class TestScorerFailure:
     def test_wrapped_as_data_error(self):
         s = Streamer(SMALL, ExternalScores([0.9]), None)
         s.push_frame(DUMMY)
         with pytest.raises(DataError, match="frame 1"):
             s.push_frame(DUMMY)  # no score for index 1
+
+    def test_external_block_names_first_frame_without_score(self):
+        s = Streamer(SMALL, ExternalScores([0.9] * 5), None)
+        s.push_frames(np.zeros((3, 320)))
+        with pytest.raises(DataError,
+                           match="no external score for frame 5$"):
+            s.push_frames(np.zeros((4, 320)))  # frames 3-6, scores for 3-4
+        with pytest.raises(DataError,
+                           match="no external score for frame 7$"):
+            ExternalScores([0.9] * 5)(np.zeros((2, 320)), 7)
+
+    def test_failure_inside_block_names_its_first_frame(self):
+        def scorer(frames, start):
+            if start <= 5 < start + len(frames):
+                raise ValueError("frame 5 is corrupt")
+            return np.full(len(frames), 0.9)
+
+        s = Streamer(SMALL, scorer, None)
+        s.push_frames(np.zeros((4, 320)))
+        with pytest.raises(DataError, match="VAD scorer failed at frame 4: "
+                                            "frame 5 is corrupt"):
+            s.push_frames(np.zeros((3, 320)))
+
+    def test_wrong_number_of_scores(self):
+        s = Streamer(SMALL, lambda frames, start: np.zeros(len(frames) + 1),
+                     None)
+        with pytest.raises(DataError, match="at frame 0: .* for 2 frames"):
+            s.push_frames(np.zeros((2, 320)))
+
+
+class TestDecoderInputs:
+    @pytest.mark.parametrize("beam", [None, BeamConfig(beam_size=3)],
+                             ids=["greedy", "beam"])
+    def test_nan_posteriors_rejected(self, beam):
+        model, frames = perturbed_stream(0, 5)
+        model.params["asr_b"].data[1] = np.nan
+        with pytest.raises(DataError, match="NaN or \\+inf"):
+            ModelDecoder(model, beam)(frames.frames[:6], 1, 4)
 
 
 class TestValidateEvents:

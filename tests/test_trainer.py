@@ -320,8 +320,8 @@ class TestEvaluate:
             def __init__(self, model):
                 pass
 
-            def __call__(self, frame, index):
-                return float(np.sqrt(np.mean(frame ** 2)) > 0.1)
+            def __call__(self, frames, start):
+                return (np.sqrt(np.mean(frames ** 2, axis=1)) > 0.1) * 1.0
 
         monkeypatch.setattr(streamer, "ModelScorer", PerfectScorer)
         pieces = [(10, False), (20, True), (12, False), (20, True),

@@ -110,6 +110,18 @@ def default_vocab(vocab_size: int) -> list[str]:
     return [f"t{k}" for k in range(vocab_size)]
 
 
+def parse_vocab(value, source) -> list[str]:
+    """A vocabulary as read from JSON: a list of distinct, non-empty tokens
+    without whitespace, so each survives a join on spaces and a split.
+    Anything else raises FormatError naming ``source``."""
+    if not (isinstance(value, list)
+            and all(type(t) is str and t.split() == [t] for t in value)
+            and len(set(value)) == len(value)):
+        raise FormatError(f"{source}: vocab must be a JSON list of distinct, "
+                          "non-empty strings without whitespace")
+    return value
+
+
 def symbol_frequency_hz(index: int) -> float:
     return BASE_FREQ_HZ + FREQ_SPACING_HZ * index
 
@@ -305,7 +317,8 @@ def read_corpus(manifest_path) -> tuple[list[Utterance], list[str]]:
     vocab_file = base / "vocab.json"
     if vocab_file.exists():
         try:
-            vocab = list(json.loads(vocab_file.read_text())["vocab"])
+            vocab = parse_vocab(json.loads(vocab_file.read_text())["vocab"],
+                                vocab_file)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise FormatError(f"{vocab_file}: bad vocab file: "
                               f"{type(exc).__name__}: {exc}") from exc

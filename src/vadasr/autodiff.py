@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError
+from .errors import DimensionError, UsageError
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -64,31 +64,9 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _F64 = np.dtype(np.float64)
@@ -144,18 +122,6 @@ def add(a, b):
         return out
     return _taped(out, (a, b), lambda g: (_unbroadcast(g, x.shape),
                                           _unbroadcast(g, y.shape)))
-
-
-def mul(a, b):
-    x, y = value(a), value(b)
-    try:
-        out = x * y
-    except ValueError:
-        raise DimensionError("mul shapes incompatible", x.shape, y.shape)
-    if not _ACTIVE_TAPES:
-        return out
-    return _taped(out, (a, b), lambda g: (_unbroadcast(g * y, x.shape),
-                                          _unbroadcast(g * x, y.shape)))
 
 
 def scale(a, c: float):
@@ -266,33 +232,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     return _taped(out, (x, gain, bias), vjp)
 
 
-def slice_rows(a, start: int, stop: int):
+def slice_axis(a, start: int, stop: int, axis: int = 0):
+    """``a[start:stop]`` along ``axis``, as a copy."""
     x = value(a)
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise DimensionError(f"row slice [{start}:{stop}] out of bounds", x.shape)
-    out = x[start:stop].copy()
+    if not (0 <= start <= stop <= x.shape[axis]):
+        raise DimensionError(f"slice [{start}:{stop}] on axis {axis} out of "
+                             "bounds", x.shape)
+    index = (slice(None),) * (axis % x.ndim) + (slice(start, stop),)
+    out = x[index].copy()
     if not _ACTIVE_TAPES:
         return out
 
     def vjp(g):
         full = np.zeros_like(x)
-        full[start:stop] = g
-        return (full,)
-
-    return _taped(out, (a,), vjp)
-
-
-def slice_cols(a, start: int, stop: int):
-    x = value(a)
-    if not (0 <= start <= stop <= x.shape[-1]):
-        raise DimensionError(f"col slice [{start}:{stop}] out of bounds", x.shape)
-    out = x[..., start:stop].copy()
-    if not _ACTIVE_TAPES:
-        return out
-
-    def vjp(g):
-        full = np.zeros_like(x)
-        full[..., start:stop] = g
+        full[index] = g
         return (full,)
 
     return _taped(out, (a,), vjp)
@@ -312,23 +265,6 @@ def concat(parts: Sequence, axis: int = 0):
         )
 
     return _taped(out, parts, vjp)
-
-
-def sum_all(a):
-    x = value(a)
-    out = np.asarray(x.sum())
-    if not _ACTIVE_TAPES:
-        return out
-    return _taped(out, (a,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-
-
-def mean_all(a):
-    x = value(a)
-    out = np.asarray(x.mean())
-    if not _ACTIVE_TAPES:
-        return out
-    return _taped(out, (a,),
-                  lambda g: (np.broadcast_to(g / x.size, x.shape).copy(),))
 
 
 def depthwise_conv1d(x, kernels, left=None):
@@ -405,40 +341,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
                 grads[key] = pg
                 by_id[key] = p
     return {by_id[k]: v for k, v in grads.items() if k in by_id}
-
-
-def finite_diff_check(f: Callable, params: Sequence[Tensor],
-                      eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f(params) -> scalar Tensor``; must be deterministic. Relative error is
-    |analytic - numeric| / max(1, |numeric|), maximized over all coordinates
-    of all params.
-    """
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    with Tape() as tape:
-        loss = f(params)
-    if not np.isfinite(loss.data):
-        raise NumericError("objective is not finite at the evaluation point")
-    grads = backward(tape, loss)
-    worst = 0.0
-    for p in params:
-        analytic = grads.get(p, np.zeros_like(p.data))
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = float(value(f(params)))
-            flat[i] = orig - eps
-            fm = float(value(f(params)))
-            flat[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise NumericError("objective not finite under perturbation")
-            numeric = (fp - fm) / (2.0 * eps)
-            err = abs(analytic.ravel()[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .audio import (
     default_vocab,
     frame_stream,
     gen_synthetic_corpus,
+    parse_vocab,
     read_corpus,
     read_wav,
     to_frames,
@@ -35,7 +36,7 @@ from .errors import (
     UsageError,
     VadAsrError,
 )
-from .metrics import edit_counts, error_report_from_counts, segments_to_mask, vad_metrics
+from .metrics import corpus_error_rate, segments_to_mask, vad_metrics
 from .model import ModelParams, PosteriorGrid
 from .streamer import (
     StreamerConfig,
@@ -83,7 +84,7 @@ def load_external_posteriors(path) -> PosteriorGrid:
         raise FormatError(f"missing posterior sidecar {sidecar_path}")
     try:
         sidecar = json.loads(sidecar_path.read_text())
-        vocab = list(sidecar["vocab"])
+        vocab = parse_vocab(sidecar["vocab"], sidecar_path)
         blank = int(sidecar["blank_index"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar_path}: bad posterior sidecar: "
@@ -333,12 +334,7 @@ def _cmd_score(args):
         if len(refs) != len(hyps):
             raise DataError(f"ref has {len(refs)} lines, hyp has {len(hyps)}")
         pairs = list(zip(refs, hyps))
-    n_sub = n_del = n_ins = ref_len = 0
-    for ref, hyp in pairs:
-        s, d, i = edit_counts(ref, hyp)
-        n_sub, n_del, n_ins = n_sub + s, n_del + d, n_ins + i
-        ref_len += len(ref)
-    err = error_report_from_counts(n_sub, n_del, n_ins, ref_len)
+    err = corpus_error_rate(pairs)
     report.update({"cer": err.rate, "sub": err.sub, "del": err.del_,
                    "ins": err.ins, "n_utts": len(pairs)})
     print(json.dumps(report))

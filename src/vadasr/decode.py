@@ -84,12 +84,22 @@ class NgramLM:
     def from_json(cls, text: str) -> "NgramLM":
         try:
             obj = json.loads(text)
-            counts = {tuple(k.split(" ")): int(v)
+            order = obj["order"]
+            counts = {tuple(k.split(" ")): v
                       for k, v in obj["counts"].items()}
-            return cls(order=int(obj["order"]), counts=counts)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise DataError(f"malformed LM file: "
                             f"{type(exc).__name__}: {exc}") from exc
+        # a bool is an int to Python, but never an order or a count
+        if type(order) is not int or order < 1:
+            raise DataError(f"malformed LM file: order must be an int >= 1, "
+                            f"got {order!r}")
+        for gram, c in counts.items():
+            if type(c) is not int or c < 1:
+                raise DataError(f"malformed LM file: the count of "
+                                f"{' '.join(gram)!r} must be a positive "
+                                f"int, got {c!r}")
+        return cls(order=order, counts=counts)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -7,7 +7,6 @@ likelihood), so the joint loss is ctc + vad_weight * bce.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,6 @@ from . import autodiff as ad
 from .errors import DataError, DimensionError, InfeasibleTargetError, VocabularyError
 
 PROB_CLAMP = 1e-7
-BRUTEFORCE_LIMIT = 10 ** 6
 NEG_INF = -np.inf
 
 
@@ -104,8 +102,7 @@ class MtlLoss:
     total: float
     ctc_part: float
     ce_part: float
-    vad_weight: float = 1.0
-    node: ad.Tensor | None = None
+    node: ad.Tensor  # an array when no tape was active
 
 
 def _target_indices(grid, target) -> np.ndarray:
@@ -145,37 +142,6 @@ def ctc_loss(grid, target) -> CtcResult:
     return CtcResult(loss=loss, grad_log_probs=grad, node=node)
 
 
-def _collapse(alignment, blank: int) -> tuple:
-    out = []
-    prev = -1
-    for a in alignment:
-        if a != prev and a != blank:
-            out.append(a)
-        prev = a
-    return tuple(out)
-
-
-def ctc_loss_bruteforce(grid, target) -> float:
-    """Oracle: -log sum over all K^T alignments that collapse to the target.
-
-    Only for tiny instances; complements the recursion in tests.
-    """
-    logp = grid.log_probs
-    arr = ad.value(logp)
-    T, K = arr.shape
-    if K ** T > BRUTEFORCE_LIMIT:
-        raise DataError(f"instance too large for enumeration: {K}^{T}")
-    idx = tuple(_target_indices(grid, target))
-    blank = grid.blank_index
-    total = -math.inf
-    for alignment in itertools.product(range(K), repeat=T):
-        if _collapse(alignment, blank) != idx:
-            continue
-        lp = sum(arr[t, a] for t, a in enumerate(alignment))
-        total = np.logaddexp(total, lp)
-    return float(-total)
-
-
 def bce_loss(speech_probs, speech_mask) -> BceResult:
     """Per-frame-mean binary cross entropy between predicted speech
     probabilities and the boolean reference mask."""
@@ -195,31 +161,13 @@ def bce_loss(speech_probs, speech_mask) -> BceResult:
     return BceResult(loss=loss, grad_probs=grad, node=node)
 
 
-def _part_value(part) -> float:
-    if isinstance(part, (CtcResult, BceResult)):
-        return part.loss
-    if isinstance(part, ad.Tensor):
-        return part.item()
-    return float(part)
-
-
-def _part_node(part) -> ad.Tensor | None:
-    if isinstance(part, (CtcResult, BceResult)):
-        return part.node
-    if isinstance(part, ad.Tensor):
-        return part
-    return None
-
-
-def mtl_loss(ctc_part, ce_part, vad_weight: float = 1.0) -> MtlLoss:
-    """Joint objective: total = ctc + vad_weight * ce (vad_weight 1.0 gives
+def mtl_loss(ctc: CtcResult, bce: BceResult,
+             vad_weight: float = 1.0) -> MtlLoss:
+    """Joint objective: total = ctc + vad_weight * bce (vad_weight 1.0 gives
     the plain unweighted sum)."""
-    cv, ev = _part_value(ctc_part), _part_value(ce_part)
-    if not (math.isfinite(cv) and math.isfinite(ev)):
-        raise DataError(f"loss parts must be finite, got ctc={cv} ce={ev}")
-    cn, en = _part_node(ctc_part), _part_node(ce_part)
-    node = None
-    if cn is not None and en is not None:
-        node = ad.add(cn, ad.scale(en, vad_weight))
-    return MtlLoss(total=cv + vad_weight * ev, ctc_part=cv, ce_part=ev,
-                   vad_weight=vad_weight, node=node)
+    if not (math.isfinite(ctc.loss) and math.isfinite(bce.loss)):
+        raise DataError(f"loss parts must be finite, got ctc={ctc.loss} "
+                        f"ce={bce.loss}")
+    return MtlLoss(total=ctc.loss + vad_weight * bce.loss, ctc_part=ctc.loss,
+                   ce_part=bce.loss,
+                   node=ad.add(ctc.node, ad.scale(bce.node, vad_weight)))

@@ -5,7 +5,7 @@ substitution/deletion/insertion split from one minimal-cost backtrace."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,11 +92,16 @@ def edit_counts(ref: Sequence, hyp: Sequence) -> tuple[int, int, int]:
     return n_sub, n_del, n_ins
 
 
-def token_error_rate(ref: Sequence, hyp: Sequence) -> ErrorRateReport:
-    if len(ref) == 0:
-        raise DataError("reference is empty; error rate undefined")
-    n_sub, n_del, n_ins = edit_counts(ref, hyp)
-    return error_report_from_counts(n_sub, n_del, n_ins, len(ref))
+def corpus_error_rate(pairs: Iterable[tuple[Sequence, Sequence]]
+                      ) -> ErrorRateReport:
+    """Token error rate of (ref, hyp) pairs: their edit counts and reference
+    lengths summed over the pairs, then divided once."""
+    n_sub = n_del = n_ins = ref_len = 0
+    for ref, hyp in pairs:
+        s, d, i = edit_counts(ref, hyp)
+        n_sub, n_del, n_ins = n_sub + s, n_del + d, n_ins + i
+        ref_len += len(ref)
+    return error_report_from_counts(n_sub, n_del, n_ins, ref_len)
 
 
 def error_report_from_counts(n_sub: int, n_del: int, n_ins: int,

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .audio import FRAME_SAMPLES, FrameSequence
+from .audio import FRAME_SAMPLES, FrameSequence, parse_vocab
 from .chunking import ChunkLayout, stitch_outputs, whole_utterance_layout
 from .errors import (
     DataError,
@@ -188,17 +188,7 @@ class ModelParams:
     def save(self, path) -> None:
         path = Path(path)
         ad.save_params(path, self.params)
-        sidecar = {
-            "vocab": self.vocab,
-            "dims": {
-                "vocab_size": self.dims.vocab_size,
-                "d_model": self.dims.d_model,
-                "n_heads": self.dims.n_heads,
-                "conv1_channels": self.dims.conv1_channels,
-                "ffn_dim": self.dims.ffn_dim,
-                "vad_kernel_width": self.dims.vad_kernel_width,
-            },
-        }
+        sidecar = {"vocab": self.vocab, "dims": asdict(self.dims)}
         path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
 
     @classmethod
@@ -211,7 +201,7 @@ class ModelParams:
         sidecar_path = path.with_suffix(path.suffix + ".json")
         try:
             sidecar = json.loads(sidecar_path.read_text())
-            vocab = list(sidecar["vocab"])
+            vocab = parse_vocab(sidecar["vocab"], sidecar_path)
             dims = ModelDims(**sidecar["dims"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                 UsageError) as exc:
@@ -323,9 +313,9 @@ def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):
     v = ad.matmul(x_kv, wv)
     heads = []
     for h in range(n_heads):
-        qs = ad.slice_cols(q, h * dh, (h + 1) * dh)
-        ks = ad.slice_cols(k, h * dh, (h + 1) * dh)
-        vs = ad.slice_cols(v, h * dh, (h + 1) * dh)
+        qs = ad.slice_axis(q, h * dh, (h + 1) * dh, axis=1)
+        ks = ad.slice_axis(k, h * dh, (h + 1) * dh, axis=1)
+        vs = ad.slice_axis(v, h * dh, (h + 1) * dh, axis=1)
         scores = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / math.sqrt(dh))
         attn = ad.softmax(scores, axis=-1)
         heads.append(ad.matmul(attn, vs))
@@ -346,7 +336,7 @@ def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None):
     bodies = []
     for ch in layout.chunks:
         ws, we = ch.window
-        xw = ad.slice_rows(zp, ws, we)
+        xw = ad.slice_axis(zp, ws, we)
         a = _mha(xw, xw, p["ctx_wq"], p["ctx_wk"], p["ctx_wv"], p["ctx_wo"],
                  model.dims.n_heads, model)
         x1 = ad.layer_norm(ad.add(xw, a), p["ctx_ln1_g"], p["ctx_ln1_b"])
@@ -355,7 +345,7 @@ def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None):
             p["ffn_w2"]), p["ffn_b2"])
         x2 = ad.layer_norm(ad.add(x1, ff), p["ctx_ln2_g"], p["ctx_ln2_b"])
         b0, b1 = ch.body
-        bodies.append(ad.slice_rows(x2, b0 - ws, b1 - ws))
+        bodies.append(ad.slice_axis(x2, b0 - ws, b1 - ws))
     return stitch_outputs(bodies, layout)
 
 

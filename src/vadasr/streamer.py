@@ -87,20 +87,6 @@ class BoundarySpan:
 # scorers and decoders
 
 
-class ExternalScores:
-    """Per-frame VAD scores computed elsewhere (e.g. a real acoustic model)."""
-
-    def __init__(self, scores):
-        self.scores = np.asarray(scores, dtype=np.float64)
-
-    def __call__(self, frames, start: int) -> np.ndarray:
-        end = start + len(frames)
-        if end > len(self.scores):
-            raise DataError("no external score for frame "
-                            f"{max(start, len(self.scores))}")
-        return self.scores[start:end]
-
-
 class ModelScorer:
     """Cheap VAD path of the model, evaluated a block of frames at a time.
 

@@ -24,9 +24,14 @@ from .chunking import plan_chunks, sample_chunk_len
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InfeasibleTargetError, NumericError
 from .losses import bce_loss, ctc_loss, mtl_loss
-from .metrics import error_report_from_counts, edit_counts, segments_to_mask, vad_metrics
+from .metrics import corpus_error_rate, segments_to_mask, vad_metrics
 from .model import ModelDims, ModelParams, forward, vad_score_frames
 from .streamer import StreamerConfig, run_stream
+
+# warmup, hold and decay shares of the tri-stage schedule's steps
+SCHEDULE_FRACTIONS = (0.1, 0.4, 0.5)
+GRAD_CLIP = 5.0  # global gradient norm bound per step
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -40,8 +45,6 @@ class TrainConfig:
     splice_s: float = 0.5
     vad_weight: float = 1.0
     seed: int = 0
-    schedule_fractions: tuple[float, float, float] = (0.1, 0.4, 0.5)
-    grad_clip: float = 5.0
     use_chunking: bool | None = None   # default: only in the mtl stage
 
     def __post_init__(self):
@@ -87,11 +90,11 @@ class TrainReport:
 # optimizer
 
 
-def tri_stage_lr(step: int, total_steps: int, peak_lr: float,
-                 fractions: tuple[float, float, float] = (0.1, 0.4, 0.5)) -> float:
-    """Linear warmup, constant hold, linear decay; lr(0) = 0."""
-    warm = max(1, int(total_steps * fractions[0]))
-    hold = int(total_steps * fractions[1])
+def tri_stage_lr(step: int, total_steps: int, peak_lr: float) -> float:
+    """Linear warmup, constant hold, linear decay over ``SCHEDULE_FRACTIONS``
+    of the steps; lr(0) = 0."""
+    warm = max(1, int(total_steps * SCHEDULE_FRACTIONS[0]))
+    hold = int(total_steps * SCHEDULE_FRACTIONS[1])
     if step < warm:
         return peak_lr * step / warm
     if step < warm + hold:
@@ -104,9 +107,7 @@ def tri_stage_lr(step: int, total_steps: int, peak_lr: float,
 class Adam:
     """Adaptive-moment optimizer with bias correction."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -119,7 +120,7 @@ class Adam:
                     f"non-finite gradient for {name!r}: "
                     f"|g|max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, g in grads.items():
             p = params[name]
             m = self.m.setdefault(name, np.zeros_like(p.data))
@@ -128,7 +129,7 @@ class Adam:
             v += (1 - b2) * (g * g - v)
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -216,9 +217,8 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
             if grads:
                 for g in grads.values():
                     g /= max(1, len(batch))
-                clip_gradients(grads, config.grad_clip)
-                lr = tri_stage_lr(step, total_steps, config.learning_rate,
-                                  config.schedule_fractions)
+                clip_gradients(grads, GRAD_CLIP)
+                lr = tri_stage_lr(step, total_steps, config.learning_rate)
                 opt.step(model.params, grads, lr)
             step += 1
         denom = max(1, ep_count)
@@ -357,18 +357,13 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     if not corpus:
         raise DataError("cannot evaluate on an empty corpus")
     if mode == "segmented":
-        n_sub = n_del = n_ins = ref_len = 0
+        pairs = []
         for utt in corpus:
-            frames = frame_stream(utt.audio)
-            art = forward(frames, model)
-            hyp = (greedy_decode(art.log_posteriors) if beam is None
-                   else beam_search(art.log_posteriors, beam)[0].tokens)
-            s, d, i = edit_counts(utt.transcript, hyp)
-            n_sub += s
-            n_del += d
-            n_ins += i
-            ref_len += len(utt.transcript)
-        rep = error_report_from_counts(n_sub, n_del, n_ins, ref_len)
+            grid = forward(frame_stream(utt.audio), model).log_posteriors
+            hyp = (greedy_decode(grid) if beam is None
+                   else beam_search(grid, beam)[0].tokens)
+            pairs.append((utt.transcript, hyp))
+        rep = corpus_error_rate(pairs)
         return {**rep.as_dict(), **_vad_report(model, corpus),
                 "n_utts": len(corpus)}
 
@@ -378,11 +373,8 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     frames = frame_stream(SampleBuffer(samples))
     cfg = StreamerConfig(max_chunk_frames=max(to_frames(l_asr_s), 5))
     streamer = run_stream(model, frames, cfg, beam)
-    hyp_tokens: list[str] = []
-    for ev in streamer.events:
-        hyp_tokens.extend(ev.text)
-    s, d, i = edit_counts(ref_tokens, hyp_tokens)
-    rep = error_report_from_counts(s, d, i, len(ref_tokens))
+    hyp_tokens = [t for ev in streamer.events for t in ev.text]
+    rep = corpus_error_rate([(ref_tokens, hyp_tokens)])
     ev_mask = segments_to_mask(streamer.events, len(frames), FRAME_DURATION_S)
     vad = vad_metrics(ref_mask, ev_mask)
     return {**rep.as_dict(), "deter": vad.deter, "fa": vad.fa,

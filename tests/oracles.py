@@ -1,0 +1,135 @@
+"""Test-only oracles and helpers: finite-difference gradients, elementwise
+product and reductions for building test losses on the tape, brute-force
+CTC, and a scorer that replays precomputed VAD scores."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Callable, Sequence
+
+import numpy as np
+
+import vadasr.autodiff as ad
+from vadasr.errors import DataError, NumericError, UsageError
+from vadasr.losses import _target_indices
+
+BRUTEFORCE_LIMIT = 10 ** 6
+
+
+# ---------------------------------------------------------------------------
+# test losses, built on the public ``ad.custom``
+
+
+def mul(a, b) -> ad.Tensor:
+    """Elementwise product, with numpy broadcasting."""
+    ta, tb = ad.tensor(a), ad.tensor(b)
+    x, y = ta.data, tb.data
+    return ad.custom(x * y, (ta, tb),
+                     lambda g: (ad._unbroadcast(g * y, x.shape),
+                                ad._unbroadcast(g * x, y.shape)))
+
+
+def sum_all(a) -> ad.Tensor:
+    ta = ad.tensor(a)
+    x = ta.data
+    return ad.custom(x.sum(), (ta,),
+                     lambda g: (np.broadcast_to(g, x.shape).copy(),))
+
+
+def mean_all(a) -> ad.Tensor:
+    ta = ad.tensor(a)
+    x = ta.data
+    return ad.custom(x.mean(), (ta,),
+                     lambda g: (np.broadcast_to(g / x.size, x.shape).copy(),))
+
+
+# ---------------------------------------------------------------------------
+# finite differences
+
+
+def finite_diff_check(f: Callable, params: Sequence[ad.Tensor],
+                      eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f(params) -> scalar Tensor``; must be deterministic. Relative error is
+    |analytic - numeric| / max(1, |numeric|), maximized over all coordinates
+    of all params.
+    """
+    if eps <= 0:
+        raise UsageError("eps must be positive")
+    with ad.Tape() as tape:
+        loss = f(params)
+    if not np.isfinite(loss.data):
+        raise NumericError("objective is not finite at the evaluation point")
+    grads = ad.backward(tape, loss)
+    worst = 0.0
+    for p in params:
+        analytic = grads.get(p, np.zeros_like(p.data))
+        flat = p.data.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(ad.value(f(params)))
+            flat[i] = orig - eps
+            fm = float(ad.value(f(params)))
+            flat[i] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise NumericError("objective not finite under perturbation")
+            numeric = (fp - fm) / (2.0 * eps)
+            err = abs(analytic.ravel()[i] - numeric) / max(1.0, abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# brute-force CTC
+
+
+def _collapse(alignment, blank: int) -> tuple:
+    out = []
+    prev = -1
+    for a in alignment:
+        if a != prev and a != blank:
+            out.append(a)
+        prev = a
+    return tuple(out)
+
+
+def ctc_loss_bruteforce(grid, target) -> float:
+    """Oracle: -log sum over all K^T alignments that collapse to the target.
+
+    Only for tiny instances; complements the recursion in tests.
+    """
+    arr = grid.array
+    T, K = arr.shape
+    if K ** T > BRUTEFORCE_LIMIT:
+        raise DataError(f"instance too large for enumeration: {K}^{T}")
+    idx = tuple(_target_indices(grid, target))
+    blank = grid.blank_index
+    total = -math.inf
+    for alignment in itertools.product(range(K), repeat=T):
+        if _collapse(alignment, blank) != idx:
+            continue
+        lp = sum(arr[t, a] for t, a in enumerate(alignment))
+        total = np.logaddexp(total, lp)
+    return float(-total)
+
+
+# ---------------------------------------------------------------------------
+# streaming
+
+
+class ExternalScores:
+    """A ``Streamer`` scorer that replays per-frame VAD scores computed
+    elsewhere."""
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=np.float64)
+
+    def __call__(self, frames, start: int) -> np.ndarray:
+        end = start + len(frames)
+        if end > len(self.scores):
+            raise DataError("no external score for frame "
+                            f"{max(start, len(self.scores))}")
+        return self.scores[start:end]

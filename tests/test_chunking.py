@@ -14,6 +14,8 @@ from vadasr.chunking import (
 )
 from vadasr.errors import InvalidSpecError, LayoutError
 
+from oracles import mul, sum_all
+
 
 class TestPlanChunks:
     def test_hand_checked_layout(self):
@@ -119,7 +121,7 @@ class TestStitch:
         parts = [ad.Tensor(full[c.body[0]:c.body[1]]) for c in layout.chunks]
         with ad.Tape() as tape:
             out = stitch_outputs(parts, layout)
-            loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+            loss = sum_all(mul(out, ad.Tensor(weights)))
         grads = ad.backward(tape, loss)
         assert np.array_equal(out.data, full)
         for part, c in zip(parts, layout.chunks):

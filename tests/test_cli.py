@@ -91,6 +91,26 @@ def _checkpoint_dims(**dims):
     return build
 
 
+def _checkpoint_vocab(vocab):
+    # a real WAV, so a checkpoint read as valid goes on to decode and print
+    def build(tmp, corpus_dir, model_ckpt):
+        (tmp / "m.ckpt").write_bytes(model_ckpt.read_bytes())
+        meta = json.loads(Path(str(model_ckpt) + ".json").read_text())
+        meta["vocab"] = vocab
+        (tmp / "m.ckpt.json").write_text(json.dumps(meta))
+        return ["transcribe", "--greedy", "--model", str(tmp / "m.ckpt"),
+                "--wav", str(corpus_dir[0] / "utt0000.wav")]
+    return build
+
+
+def _vocab_file(vocab):
+    def build(tmp, corpus_dir, model_ckpt):
+        argv = _manifest_line(tmp, corpus_dir)
+        (tmp / "vocab.json").write_text(json.dumps({"vocab": vocab}))
+        return argv
+    return build
+
+
 def _checkpoint(blob):
     def build(tmp, corpus_dir, model_ckpt):
         (tmp / "m.ckpt").write_bytes(blob)
@@ -132,6 +152,18 @@ def _posteriors(tmp, blob=None, sidecar=None, lm=None):
         (tmp / "lm.json").write_bytes(lm)
         argv += ["--lm-path", str(tmp / "lm.json")]
     return argv
+
+
+def _lm_for_transcribe(lm):
+    def build(tmp, corpus_dir, model_ckpt):
+        (tmp / "lm.json").write_text(json.dumps(lm))
+        return ["transcribe", "--model", str(model_ckpt), "--wav",
+                str(corpus_dir[0] / "utt0000.wav"), "--lm-path",
+                str(tmp / "lm.json")]
+    return build
+
+
+_LM_COUNTS = {tok: 2 for tok in default_vocab(5)}
 
 
 def _nan_row_posteriors(tmp, *_):
@@ -192,6 +224,27 @@ MALFORMED_INPUTS = [
     ("lm-counts-not-object",
      lambda tmp, *_: _posteriors(tmp, lm=b'{"order":2,"counts":[1]}'), 2),
     ("lm-not-utf8", lambda tmp, *_: _posteriors(tmp, lm=b'{"\xff'), 2),
+    # a vocabulary is a JSON list of distinct, non-empty strings without
+    # whitespace
+    ("checkpoint-sidecar-numeric-vocab", _checkpoint_vocab([1, 2, 3, 4, 5]),
+     2),
+    ("checkpoint-sidecar-string-vocab", _checkpoint_vocab("abcde"), 2),
+    ("posterior-sidecar-numeric-vocab", lambda tmp, *_: _posteriors(
+        tmp, sidecar='{"vocab": [1, 2], "blank_index": 2}'), 2),
+    ("posterior-sidecar-string-vocab", lambda tmp, *_: _posteriors(
+        tmp, sidecar='{"vocab": "ab", "blank_index": 2}'), 2),
+    ("vocab-file-string", _vocab_file("abcde"), 2),
+    ("vocab-file-repeated-token", _vocab_file([*default_vocab(5), "a"]), 2),
+    ("vocab-file-empty-token", _vocab_file([*default_vocab(5), ""]), 2),
+    ("vocab-file-token-with-space", _vocab_file([*default_vocab(5), "f g"]),
+     2),
+    # an LM file's order is an int >= 1 and each count a positive int
+    ("lm-order-zero", _lm_for_transcribe({"order": 0, "counts": _LM_COUNTS}),
+     2),
+    ("lm-negative-count", _lm_for_transcribe(
+        {"order": 2, "counts": {**_LM_COUNTS, "a b": -3}}), 2),
+    ("lm-fractional-count", _lm_for_transcribe(
+        {"order": 1, "counts": {**_LM_COUNTS, "a": 1.5}}), 2),
 ]
 
 

@@ -14,10 +14,10 @@ from vadasr.errors import (
     VocabularyError,
 )
 from vadasr.losses import (
+    CtcResult,
     bce_loss,
     ctc_forward_backward,
     ctc_loss,
-    ctc_loss_bruteforce,
     extend_with_blanks,
     min_frames_required,
     mtl_loss,
@@ -25,6 +25,7 @@ from vadasr.losses import (
 from vadasr.model import PosteriorGrid
 
 from conftest import random_grid
+from oracles import ctc_loss_bruteforce, finite_diff_check
 
 NEG_INF = -np.inf
 
@@ -165,7 +166,7 @@ class TestCtcOracle:
                               blank_index=grid.blank_index)
             return ctc_loss(g, target).node
 
-        err = ad.finite_diff_check(f, [grid.log_probs])
+        err = finite_diff_check(f, [grid.log_probs])
         assert err < 1e-6
 
 
@@ -292,7 +293,7 @@ class TestBce:
         def f(params):
             return bce_loss(params[0], y).node
 
-        assert ad.finite_diff_check(f, [p]) < 1e-7
+        assert finite_diff_check(f, [p]) < 1e-7
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -309,13 +310,13 @@ class TestMtl:
             assert m.total == pytest.approx(ctc.loss + w * ce.loss, abs=1e-12)
             assert m.ctc_part == ctc.loss and m.ce_part == ce.loss
 
-    def test_accepts_plain_floats(self):
-        m = mtl_loss(1.5, 0.25, vad_weight=2.0)
-        assert m.total == 2.0 and m.node is None
-
-    def test_rejects_non_finite(self):
+    def test_rejects_non_finite(self, rng):
+        grid = random_grid(rng, 5, 2)
+        ctc = ctc_loss(grid, ("a",))
+        ce = bce_loss(rng.uniform(0.1, 0.9, 5), rng.random(5) > 0.5)
+        inf = CtcResult(float("inf"), ctc.grad_log_probs, ctc.node)
         with pytest.raises(DataError):
-            mtl_loss(float("inf"), 0.0)
+            mtl_loss(inf, ce)
 
     def test_node_gradient_composes(self, rng):
         grid = random_grid(rng, 5, 2)

@@ -6,10 +6,10 @@ import pytest
 
 from vadasr.errors import DataError, DimensionError
 from vadasr.metrics import (
+    corpus_error_rate,
     edit_counts,
     error_report_from_counts,
     segments_to_mask,
-    token_error_rate,
     vad_metrics,
 )
 from vadasr.streamer import END_OF_UTT, SegmentEvent
@@ -84,14 +84,22 @@ class TestEditCounts:
             assert len(ref) - d + i == len(hyp) + 0  # alignment bookkeeping
 
     def test_token_error_rate(self):
-        rep = token_error_rate(list("abcde"), list("abxe"))
+        rep = corpus_error_rate([(list("abcde"), list("abxe"))])
         assert rep.n_sub + rep.n_del + rep.n_ins == 2
         assert rep.rate == pytest.approx(0.4)
         assert rep.rate == rep.sub + rep.del_ + rep.ins  # exact
 
     def test_empty_reference(self):
         with pytest.raises(DataError):
-            token_error_rate([], ["a"])
+            corpus_error_rate([([], ["a"])])
+
+    def test_corpus_rate_pools_counts(self):
+        # counts and reference lengths are summed over pairs, not rates
+        # averaged
+        rep = corpus_error_rate([(list("ab"), list("ab")),
+                                 (list("abcdef"), list("abc"))])
+        assert (rep.n_sub, rep.n_del, rep.n_ins, rep.ref_len) == (0, 3, 0, 8)
+        assert rep.rate == 3 / 8
 
 
 class TestPublishedRowSums:

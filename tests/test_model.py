@@ -32,6 +32,8 @@ from vadasr.model import (
 )
 from vadasr.streamer import ModelDecoder, ModelScorer
 
+from oracles import finite_diff_check, mul, sum_all
+
 VOCAB = ["a", "b", "c"]
 
 
@@ -328,10 +330,10 @@ class TestGradients:
         def f(params):
             art = forward(frames, model)
             return ad.add(
-                ad.sum_all(ad.mul(art.log_posteriors.log_probs, w)),
-                ad.sum_all(ad.mul(art.speech_probs, wp)))
+                sum_all(mul(art.log_posteriors.log_probs, w)),
+                sum_all(mul(art.speech_probs, wp)))
 
-        assert ad.finite_diff_check(f, tensors) < 1e-4
+        assert finite_diff_check(f, tensors) < 1e-4
 
 
 class TestSaveLoad:

@@ -18,7 +18,6 @@ from vadasr.streamer import (
     END_OF_UTT,
     FINALIZE,
     FORCED,
-    ExternalScores,
     ModelDecoder,
     ModelScorer,
     SegmentEvent,
@@ -30,6 +29,8 @@ from vadasr.streamer import (
     validate_events,
     write_events,
 )
+
+from oracles import ExternalScores
 
 SMALL = StreamerConfig(vad_threshold=0.5, min_speech_frames=2,
                        min_silence_frames=3, max_chunk_frames=10,

@@ -11,6 +11,7 @@ import argparse
 import json
 import struct
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +267,7 @@ def _cmd_train(args):
     if o["lm_out"]:
         train_ngram([u.transcript for u in corpus],
                     order=o["lm_order"]).save(o["lm_out"])
-    report_json = json.dumps(report.as_dict(), indent=2)
+    report_json = json.dumps(asdict(report), indent=2)
     if o["report"]:
         Path(o["report"]).write_text(report_json)
     else:

@@ -1,14 +1,15 @@
 """Training objectives: CTC (forward-backward), per-frame BCE for the VAD
-head, and their unweighted joint combination.
+head, and their weighted joint combination.
 
 Sign convention: everything here is a quantity to *minimize* (negative log
-likelihood), so the joint loss is ctc + vad_weight * bce.
+likelihood), so the joint loss is ctc + vad_weight * bce. Each loss is a
+scalar autodiff node: its value is the loss, and ``autodiff.backward``
+gives its exact gradient when it was taped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,28 +84,6 @@ def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
     return float(-log_z), -grad
 
 
-@dataclass
-class CtcResult:
-    loss: float
-    grad_log_probs: np.ndarray
-    node: ad.Tensor  # scalar, differentiable when the grid was taped
-
-
-@dataclass
-class BceResult:
-    loss: float
-    grad_probs: np.ndarray
-    node: ad.Tensor
-
-
-@dataclass
-class MtlLoss:
-    total: float
-    ctc_part: float
-    ce_part: float
-    node: ad.Tensor  # an array when no tape was active
-
-
 def _target_indices(grid, target) -> np.ndarray:
     idx = []
     for tok in target:
@@ -126,9 +105,9 @@ def min_frames_required(target_idx: np.ndarray) -> int:
     return len(target_idx) + repeats
 
 
-def ctc_loss(grid, target) -> CtcResult:
+def ctc_loss(grid, target) -> ad.Tensor:
     """Negative log-likelihood of ``target`` under the posterior grid,
-    marginalized over all collapsing alignments, plus its exact gradient."""
+    marginalized over all collapsing alignments."""
     logp = grid.log_probs
     tensor_in = ad.tensor(logp)
     arr = tensor_in.data
@@ -138,11 +117,10 @@ def ctc_loss(grid, target) -> CtcResult:
         raise InfeasibleTargetError(
             f"target needs >= {min_frames_required(idx)} frames, grid has {T}")
     loss, grad = ctc_forward_backward(arr, idx, grid.blank_index)
-    node = ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
-    return CtcResult(loss=loss, grad_log_probs=grad, node=node)
+    return ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
 
 
-def bce_loss(speech_probs, speech_mask) -> BceResult:
+def bce_loss(speech_probs, speech_mask) -> ad.Tensor:
     """Per-frame-mean binary cross entropy between predicted speech
     probabilities and the boolean reference mask."""
     tensor_in = ad.tensor(speech_probs)
@@ -157,17 +135,13 @@ def bce_loss(speech_probs, speech_mask) -> BceResult:
     loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
     grad = (-(y / p - (1.0 - y) / (1.0 - p)) / T) * inside
     grad = grad.reshape(tensor_in.shape)
-    node = ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
-    return BceResult(loss=loss, grad_probs=grad, node=node)
+    return ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
 
 
-def mtl_loss(ctc: CtcResult, bce: BceResult,
-             vad_weight: float = 1.0) -> MtlLoss:
-    """Joint objective: total = ctc + vad_weight * bce (vad_weight 1.0 gives
-    the plain unweighted sum)."""
-    if not (math.isfinite(ctc.loss) and math.isfinite(bce.loss)):
-        raise DataError(f"loss parts must be finite, got ctc={ctc.loss} "
-                        f"ce={bce.loss}")
-    return MtlLoss(total=ctc.loss + vad_weight * bce.loss, ctc_part=ctc.loss,
-                   ce_part=bce.loss,
-                   node=ad.add(ctc.node, ad.scale(bce.node, vad_weight)))
+def mtl_loss(ctc, bce, vad_weight: float = 1.0):
+    """Joint objective ctc + vad_weight * bce, from the two loss nodes: a
+    Tensor on a tape, else an array."""
+    c, b = float(ad.value(ctc)), float(ad.value(bce))
+    if not (math.isfinite(c) and math.isfinite(b)):
+        raise DataError(f"loss parts must be finite, got ctc={c} ce={b}")
+    return ad.add(ctc, ad.scale(bce, vad_weight))

@@ -1,17 +1,18 @@
 """Two-stage training recipe and evaluation loops.
 
-Stage 1 trains the ASR branch alone (CTC only, vad weight 0). Stage 2
-finetunes the full multi-task objective with random-size chunk-hopping.
-A VAD-only baseline trains just the encoder + VAD head for the MTL-vs-STL
-comparison. Learning rates follow a tri-stage schedule (linear warmup,
-hold, linear decay); constants are rescaled for desk-scale runs.
+Every stage trains through one loss path, and the stage picks the
+objective: stage 1 (``asr_only``) minimises CTC alone, stage 2 (``mtl``)
+finetunes CTC + vad_weight * BCE with random-size chunk-hopping, and the
+VAD-only baseline trains just the encoder + VAD head on BCE for the
+MTL-vs-STL comparison. Learning rates follow a tri-stage schedule (linear
+warmup, hold, linear decay); constants are rescaled for desk-scale runs.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,9 @@ from .streamer import StreamerConfig, run_stream
 SCHEDULE_FRACTIONS = (0.1, 0.4, 0.5)
 GRAD_CLIP = 5.0  # global gradient norm bound per step
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+VAD_THRESHOLD = 0.5  # speech decision on a whole-sequence VAD score
+DEV_STREAM_SEED = 1234  # gaps and noise of the streaming evaluation's stream
+DEV_GAP_RANGE_S = (0.5, 2.0)  # silence between a dev stream's utterances
 
 
 @dataclass
@@ -43,9 +47,8 @@ class TrainConfig:
     chunk_min_s: float = 0.5
     chunk_max_s: float = 3.0
     splice_s: float = 0.5
-    vad_weight: float = 1.0
+    vad_weight: float = 1.0            # mtl only
     seed: int = 0
-    use_chunking: bool | None = None   # default: only in the mtl stage
 
     def __post_init__(self):
         if self.stage not in ("asr_only", "mtl", "vad_only"):
@@ -59,8 +62,6 @@ class TrainConfig:
             raise DataError(f"need 0 < chunk_min_s <= chunk_max_s, both "
                             f"finite, got {self.chunk_min_s!r} and "
                             f"{self.chunk_max_s!r}")
-        if self.use_chunking is None:
-            self.use_chunking = self.stage == "mtl"
 
 
 @dataclass
@@ -73,17 +74,6 @@ class TrainReport:
     wall_clock_s: float = 0.0
     skipped_infeasible: int = 0
     param_count: int = 0
-
-    def as_dict(self):
-        return {
-            "ctc_curve": self.ctc_curve, "ce_curve": self.ce_curve,
-            "total_curve": self.total_curve,
-            "final_dev_cer": self.final_dev_cer,
-            "final_dev_vad": self.final_dev_vad,
-            "wall_clock_s": self.wall_clock_s,
-            "skipped_infeasible": self.skipped_infeasible,
-            "param_count": self.param_count,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +135,25 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 
 
 def _utterance_loss(model: ModelParams, utt: Utterance, frames: FrameSequence,
-                    vad_weight: float, layout) -> tuple[ad.Tensor, float, float]:
-    """Returns (loss node, ctc value, ce value) for one utterance, given
-    its frames."""
+                    config: TrainConfig, layout
+                    ) -> tuple[ad.Tensor, float, float]:
+    """The loss node ``config.stage`` minimises for one utterance, given its
+    frames, and the CTC and BCE values for the curves (CTC 0 when VAD-only)."""
+    if config.stage == "vad_only":
+        bce = bce_loss(vad_score_frames(frames, model), utt.speech_mask)
+        return bce, 0.0, float(bce.data)
     art = forward(frames, model, layout)
     ctc = ctc_loss(art.log_posteriors, utt.transcript)
     bce = bce_loss(art.speech_probs, utt.speech_mask)
-    joint = mtl_loss(ctc, bce, vad_weight)
-    node = ctc.node if vad_weight == 0.0 else joint.node
-    return node, ctc.loss, bce.loss
-
-
-def _vad_only_loss(model: ModelParams, utt: Utterance,
-                   frames: FrameSequence) -> tuple[ad.Tensor, float]:
-    bce = bce_loss(vad_score_frames(frames, model), utt.speech_mask)
-    return bce.node, bce.loss
+    node = (ctc if config.stage == "asr_only"
+            else mtl_loss(ctc, bce, config.vad_weight))
+    return node, float(ctc.data), float(bce.data)
 
 
 def _run_training(model: ModelParams, corpus: Sequence[Utterance],
-                  config: TrainConfig,
-                  trainable: Sequence[str]) -> TrainReport:
+                  config: TrainConfig) -> TrainReport:
+    trainable = (ModelParams.VAD_BRANCH if config.stage == "vad_only"
+                 else list(model.params))
     report = TrainReport()
     report.param_count = sum(model.params[n].size for n in trainable)
     rng = np.random.default_rng(config.seed)
@@ -182,7 +171,7 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
             batch = order[bstart:bstart + config.batch_size]
             body_frames = (sample_chunk_len(rng, config.chunk_min_s,
                                             config.chunk_max_s)
-                           if config.use_chunking else None)
+                           if config.stage == "mtl" else None)
             grads: dict[str, np.ndarray] = {}
             for ui in batch:
                 utt = corpus[int(ui)]
@@ -192,12 +181,8 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                           if body_frames is not None else None)
                 with ad.Tape() as tape:
                     try:
-                        if config.stage == "vad_only":
-                            node, ce_val = _vad_only_loss(model, utt, frames)
-                            ctc_val = 0.0
-                        else:
-                            node, ctc_val, ce_val = _utterance_loss(
-                                model, utt, frames, config.vad_weight, layout)
+                        node, ctc_val, ce_val = _utterance_loss(
+                            model, utt, frames, config, layout)
                     except InfeasibleTargetError:
                         report.skipped_infeasible += 1
                         continue
@@ -212,7 +197,7 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                         grads[name] = g.copy()
                 ep_ctc += ctc_val
                 ep_ce += ce_val
-                ep_total += ctc_val + config.vad_weight * ce_val
+                ep_total += float(node.data)
                 ep_count += 1
             if grads:
                 for g in grads.values():
@@ -229,13 +214,21 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
     return report
 
 
-def _attach_dev_metrics(model: ModelParams, report: TrainReport,
-                        dev_corpus: Optional[Sequence[Utterance]]) -> None:
-    if not dev_corpus:
-        return
-    ev = evaluate(model, dev_corpus, mode="segmented")
-    report.final_dev_cer = ev["cer"]
-    report.final_dev_vad = {k: ev[k] for k in ("deter", "fa", "miss")}
+def _train_stage(model: ModelParams, corpus: Sequence[Utterance],
+                 config: TrainConfig,
+                 dev_corpus: Optional[Sequence[Utterance]], stage: str
+                 ) -> tuple[ModelParams, TrainReport]:
+    """Train a copy of ``model`` on every parameter; attach segmented dev
+    metrics when there is a dev corpus."""
+    if config.stage != stage:
+        raise DataError(f"stage must be {stage}")
+    model = model.copy()
+    report = _run_training(model, corpus, config)
+    if dev_corpus:
+        ev = evaluate(model, dev_corpus, mode="segmented")
+        report.final_dev_cer = ev["cer"]
+        report.final_dev_vad = {k: ev[k] for k in ("deter", "fa", "miss")}
+    return model, report
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +241,7 @@ def train_stage1_asr(model: ModelParams, corpus: Sequence[Utterance],
                      ) -> tuple[ModelParams, TrainReport]:
     """Single-task ASR: CTC only; cross-task attention stays in the graph
     with whatever the untrained VAD branch produces."""
-    if config.stage != "asr_only":
-        raise DataError("stage must be asr_only")
-    config = replace(config, vad_weight=0.0)
-    model = model.copy()
-    report = _run_training(model, corpus, config,
-                           trainable=list(model.params))
-    _attach_dev_metrics(model, report, dev_corpus)
-    return model, report
+    return _train_stage(model, corpus, config, dev_corpus, "asr_only")
 
 
 def train_stage2_mtl(model: ModelParams, corpus: Sequence[Utterance],
@@ -263,13 +249,7 @@ def train_stage2_mtl(model: ModelParams, corpus: Sequence[Utterance],
                      dev_corpus: Optional[Sequence[Utterance]] = None
                      ) -> tuple[ModelParams, TrainReport]:
     """Joint CTC + VAD finetuning with freshly sampled chunk layouts."""
-    if config.stage != "mtl":
-        raise DataError("stage must be mtl")
-    model = model.copy()
-    report = _run_training(model, corpus, config,
-                           trainable=list(model.params))
-    _attach_dev_metrics(model, report, dev_corpus)
-    return model, report
+    return _train_stage(model, corpus, config, dev_corpus, "mtl")
 
 
 def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
@@ -281,8 +261,7 @@ def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
     if config.stage != "vad_only":
         raise DataError("stage must be vad_only")
     model = ModelParams.init(vocab, dims, seed=config.seed)
-    report = _run_training(model, corpus, config,
-                           trainable=list(ModelParams.VAD_BRANCH))
+    report = _run_training(model, corpus, config)
     if dev_corpus:
         report.final_dev_vad = _vad_report(model, dev_corpus)
     return model, report
@@ -292,27 +271,26 @@ def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
 # evaluation
 
 
-def _vad_report(model: ModelParams, corpus: Sequence[Utterance],
-                threshold: float = 0.5) -> dict:
+def _vad_report(model: ModelParams, corpus: Sequence[Utterance]) -> dict:
     """DetER, FA and miss of each utterance's whole-sequence VAD scores at
-    ``threshold``, over the corpus's frames."""
-    hyp = [vad_score_frames(frame_stream(u.audio), model).data >= threshold
+    ``VAD_THRESHOLD``, over the corpus's frames."""
+    hyp = [vad_score_frames(frame_stream(u.audio), model).data >= VAD_THRESHOLD
            for u in corpus]
     rep = vad_metrics(np.concatenate([u.speech_mask for u in corpus]),
                       np.concatenate(hyp))
     return {"deter": rep.deter, "fa": rep.fa, "miss": rep.miss}
 
 
-def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
-                     gap_range_s: tuple[float, float] = (0.5, 2.0),
+def build_dev_stream(corpus: Sequence[Utterance], seed: int = DEV_STREAM_SEED,
                      noise_amplitude: float = 0.005
                      ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Concatenate utterances with silence gaps into one long stream.
+    """Concatenate utterances with silence gaps of ``DEV_GAP_RANGE_S`` into
+    one long stream.
 
     Returns (samples, frame speech mask, reference token sequence).
     """
     rng = np.random.default_rng(seed)
-    max_gap = max(1, to_frames(max(gap_range_s)))
+    max_gap = max(1, to_frames(max(DEV_GAP_RANGE_S)))
     # filled in place at an upper bound, so the stream is never held twice;
     # the untouched tail is never resident
     samples = np.empty((len(corpus) + 1) * max_gap * FRAME_SAMPLES
@@ -326,7 +304,7 @@ def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
         n += len(audio)
 
     def gap():
-        g_frames = draw_frames(rng, *gap_range_s)
+        g_frames = draw_frames(rng, *DEV_GAP_RANGE_S)
         put(rng.normal(0.0, noise_amplitude, g_frames * FRAME_SAMPLES)
             if noise_amplitude > 0 else np.zeros(g_frames * FRAME_SAMPLES))
         masks.append(np.zeros(g_frames, dtype=bool))
@@ -342,13 +320,14 @@ def build_dev_stream(corpus: Sequence[Utterance], seed: int = 1234,
 
 def evaluate(model: ModelParams, corpus: Sequence[Utterance],
              beam: Optional[BeamConfig] = None, mode: str = "segmented",
-             l_asr_s: float = 3.0, stream_seed: int = 1234) -> dict:
+             l_asr_s: float = 3.0) -> dict:
     """Score a trained model.
 
     ``segmented``: decode each utterance whole (oracle segmentation).
-    ``streaming``: run the online pipeline over one concatenated stream with
-    ASR chunk capacity ``l_asr_s`` and score events against the
-    concatenated reference. Its ``deter`` scores the event spans against
+    ``streaming``: run the online pipeline over one concatenated stream
+    (``build_dev_stream`` at ``DEV_STREAM_SEED``) with ASR chunk capacity
+    ``l_asr_s`` and score events against the concatenated reference. Its
+    ``deter`` scores the event spans against
     the reference mask, so it measures segment coverage: a pause inside an
     utterance that one event bridges counts as false alarm (1346 of the
     7424 frames of the seed-8 corpus joined with gap seed 1 lie in such
@@ -369,7 +348,7 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
 
     if mode != "streaming":
         raise DataError(f"unknown evaluation mode {mode!r}")
-    samples, ref_mask, ref_tokens = build_dev_stream(corpus, seed=stream_seed)
+    samples, ref_mask, ref_tokens = build_dev_stream(corpus)
     frames = frame_stream(SampleBuffer(samples))
     cfg = StreamerConfig(max_chunk_frames=max(to_frames(l_asr_s), 5))
     streamer = run_stream(model, frames, cfg, beam)

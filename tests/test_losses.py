@@ -14,7 +14,6 @@ from vadasr.errors import (
     VocabularyError,
 )
 from vadasr.losses import (
-    CtcResult,
     bce_loss,
     ctc_forward_backward,
     ctc_loss,
@@ -89,6 +88,17 @@ def reference_ctc_forward_backward(log_probs, targets, blank):
     return float(-log_z), -grad
 
 
+def loss_value(node) -> float:
+    return float(ad.value(node))
+
+
+def gradient(loss_fn, x: ad.Tensor) -> np.ndarray:
+    """d loss / d ``x`` of the loss node ``loss_fn()``, through the tape."""
+    with ad.Tape() as tape:
+        node = loss_fn()
+    return ad.backward(tape, node)[x]
+
+
 def uniform_grid(T, vocab_size):
     K = vocab_size + 1
     logp = np.full((T, K), -np.log(K))
@@ -101,25 +111,25 @@ class TestCtcHandValues:
     def test_two_frame_uniform_single_token(self):
         # paths a-, -a, aa out of 4 equally likely -> p = 3/4
         grid = uniform_grid(2, 1)
-        res = ctc_loss(grid, ("a",))
-        assert res.loss == pytest.approx(-math.log(0.75), abs=1e-12)
+        loss = loss_value(ctc_loss(grid, ("a",)))
+        assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_single_frame_single_token(self):
         grid = uniform_grid(1, 1)
-        res = ctc_loss(grid, ("a",))
-        assert res.loss == pytest.approx(math.log(2.0), abs=1e-12)
+        loss = loss_value(ctc_loss(grid, ("a",)))
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_repeat_needs_blank(self):
         # target "aa" over 3 uniform frames: only path a-a, p = 1/8
         grid = uniform_grid(3, 1)
-        res = ctc_loss(grid, ("a", "a"))
-        assert res.loss == pytest.approx(3 * math.log(2.0), abs=1e-12)
+        loss = loss_value(ctc_loss(grid, ("a", "a")))
+        assert loss == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
     def test_empty_target(self):
         # all-blank path only
         grid = uniform_grid(3, 1)
-        res = ctc_loss(grid, ())
-        assert res.loss == pytest.approx(3 * math.log(2.0), abs=1e-12)
+        loss = loss_value(ctc_loss(grid, ()))
+        assert loss == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
     def test_deterministic_grid_certain_path(self):
         logp = np.log(np.array([[0.7, 0.2, 0.1],
@@ -128,7 +138,8 @@ class TestCtcHandValues:
                              blank_index=2)
         # target "a": alignments a-, aa, -a
         expect = -math.log(0.7 * 0.7 + 0.7 * 0.1 + 0.1 * 0.1)
-        assert ctc_loss(grid, ("a",)).loss == pytest.approx(expect, abs=1e-12)
+        assert loss_value(ctc_loss(grid, ("a",))) == pytest.approx(expect,
+                                                                 abs=1e-12)
 
 
 class TestCtcOracle:
@@ -145,17 +156,18 @@ class TestCtcOracle:
                 with pytest.raises(InfeasibleTargetError):
                     ctc_loss(grid, target)
                 continue
-            res = ctc_loss(grid, target)
+            loss = loss_value(ctc_loss(grid, target))
             oracle = ctc_loss_bruteforce(grid, target)
-            assert res.loss == pytest.approx(oracle, abs=1e-9)
+            assert loss == pytest.approx(oracle, abs=1e-9)
 
     def test_gradient_rows_are_posteriors(self, rng):
         for _ in range(20):
             grid = random_grid(rng, 6, 3)
-            res = ctc_loss(grid, ("a", "b"))
-            rowsums = (-res.grad_log_probs).sum(axis=1)
+            grad = gradient(lambda: ctc_loss(grid, ("a", "b")),
+                            grid.log_probs)
+            rowsums = (-grad).sum(axis=1)
             assert np.allclose(rowsums, 1.0, atol=1e-12)
-            assert np.all(-res.grad_log_probs >= -1e-15)
+            assert np.all(-grad >= -1e-15)
 
     def test_gradient_by_finite_difference(self, rng):
         grid = random_grid(rng, 5, 2)
@@ -164,7 +176,7 @@ class TestCtcOracle:
         def f(params):
             g = PosteriorGrid(log_probs=params[0], vocab=grid.vocab,
                               blank_index=grid.blank_index)
-            return ctc_loss(g, target).node
+            return ctc_loss(g, target)
 
         err = finite_diff_check(f, [grid.log_probs])
         assert err < 1e-6
@@ -245,7 +257,8 @@ class TestCtcValidation:
 
     def test_integer_targets(self, rng):
         grid = random_grid(rng, 4, 2)
-        assert ctc_loss(grid, (0, 1)).loss == ctc_loss(grid, ("a", "b")).loss
+        assert (loss_value(ctc_loss(grid, (0, 1)))
+                == loss_value(ctc_loss(grid, ("a", "b"))))
         with pytest.raises(VocabularyError):
             ctc_loss(grid, (5,))
 
@@ -268,30 +281,33 @@ class TestCtcValidation:
 class TestBce:
     def test_hand_value(self):
         # -ln 0.7 on a single frame
-        res = bce_loss(np.array([0.7]), np.array([True]))
-        assert res.loss == pytest.approx(-math.log(0.7), abs=1e-12)
+        loss = loss_value(bce_loss(np.array([0.7]), np.array([True])))
+        assert loss == pytest.approx(-math.log(0.7), abs=1e-12)
 
     def test_mean_over_frames(self):
-        res = bce_loss(np.array([0.7, 0.3]), np.array([True, False]))
-        assert res.loss == pytest.approx(-math.log(0.7), abs=1e-12)
+        loss = loss_value(bce_loss(np.array([0.7, 0.3]),
+                                   np.array([True, False])))
+        assert loss == pytest.approx(-math.log(0.7), abs=1e-12)
 
     def test_clamp_extreme_probs_finite(self):
-        res = bce_loss(np.array([0.0, 1.0]), np.array([True, False]))
-        assert math.isfinite(res.loss)
+        p = ad.Tensor(np.array([0.0, 1.0]))
+        y = np.array([True, False])
+        assert math.isfinite(loss_value(bce_loss(p, y)))
         # clamped coordinates get zero gradient
-        assert np.all(res.grad_probs == 0.0)
+        assert np.all(gradient(lambda: bce_loss(p, y), p) == 0.0)
 
     def test_gradient_hand_value(self):
         # d/dp of -ln p at p=0.5 is -2; mean over 1 frame
-        res = bce_loss(np.array([0.5]), np.array([True]))
-        assert res.grad_probs[0] == pytest.approx(-2.0, abs=1e-12)
+        p = ad.Tensor(np.array([0.5]))
+        grad = gradient(lambda: bce_loss(p, np.array([True])), p)
+        assert grad[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_gradient_by_finite_difference(self, rng):
         p = ad.Tensor(rng.uniform(0.05, 0.95, size=8))
         y = rng.random(8) > 0.5
 
         def f(params):
-            return bce_loss(params[0], y).node
+            return bce_loss(params[0], y)
 
         assert finite_diff_check(f, [p]) < 1e-7
 
@@ -303,18 +319,23 @@ class TestBce:
 class TestMtl:
     def test_weighted_sum(self, rng):
         grid = random_grid(rng, 5, 2)
+        probs, y = rng.uniform(0.1, 0.9, 5), rng.random(5) > 0.5
         ctc = ctc_loss(grid, ("a",))
-        ce = bce_loss(rng.uniform(0.1, 0.9, 5), rng.random(5) > 0.5)
+        ce = bce_loss(probs, y)
+        # the parts are the plain CTC and BCE values
+        assert loss_value(ctc) == ctc_forward_backward(
+            grid.array, np.array([0]), grid.blank_index)[0]
+        assert loss_value(ce) == pytest.approx(
+            -np.mean(np.where(y, np.log(probs), np.log(1.0 - probs))),
+            abs=1e-12)
         for w in (0.0, 0.5, 1.0, 2.0):
-            m = mtl_loss(ctc, ce, vad_weight=w)
-            assert m.total == pytest.approx(ctc.loss + w * ce.loss, abs=1e-12)
-            assert m.ctc_part == ctc.loss and m.ce_part == ce.loss
+            total = loss_value(mtl_loss(ctc, ce, vad_weight=w))
+            assert total == pytest.approx(
+                loss_value(ctc) + w * loss_value(ce), abs=1e-12)
 
     def test_rejects_non_finite(self, rng):
-        grid = random_grid(rng, 5, 2)
-        ctc = ctc_loss(grid, ("a",))
         ce = bce_loss(rng.uniform(0.1, 0.9, 5), rng.random(5) > 0.5)
-        inf = CtcResult(float("inf"), ctc.grad_log_probs, ctc.node)
+        inf = ad.Tensor(float("inf"))
         with pytest.raises(DataError):
             mtl_loss(inf, ce)
 
@@ -324,12 +345,14 @@ class TestMtl:
         y = rng.random(5) > 0.5
         w = 0.7
         with ad.Tape() as tape:
-            ctc = ctc_loss(grid, ("a", "b"))
-            ce = bce_loss(probs, y)
-            m = mtl_loss(ctc, ce, vad_weight=w)
-            grads = ad.backward(tape, m.node)
-        assert np.allclose(grads[grid.log_probs], ctc.grad_log_probs)
-        assert np.allclose(grads[probs], w * ce.grad_probs)
+            m = mtl_loss(ctc_loss(grid, ("a", "b")), bce_loss(probs, y),
+                         vad_weight=w)
+            grads = ad.backward(tape, m)
+        _, ctc_grad = ctc_forward_backward(grid.array, np.array([0, 1]),
+                                           grid.blank_index)
+        assert np.allclose(grads[grid.log_probs], ctc_grad)
+        assert np.allclose(grads[probs],
+                           w * gradient(lambda: bce_loss(probs, y), probs))
 
 
 def test_extend_with_blanks():

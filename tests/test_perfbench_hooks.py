@@ -1,6 +1,9 @@
 """What the benchmark in ``perfbench/`` relies on in the package: the names
-its layer hooks wrap, and the checkpoint sidecar of its fixture model."""
+it imports, the names its layer hooks wrap, and the checkpoint sidecar of
+its fixture model."""
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -53,3 +56,47 @@ def test_fixture_sidecar_bytes(perfbench, tmp_path):
         b'{"vocab": ["a", "b", "c", "d", "e"], "dims": {"vocab_size": 5, '
         b'"d_model": 32, "n_heads": 2, "conv1_channels": 16, "ffn_dim": 64, '
         b'"vad_kernel_width": 5}}')
+
+
+def _vadasr_name(module: str, name: str):
+    """``name`` as ``from module import name`` finds it, or None."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def test_perfbench_package_names_resolve():
+    # perfbench imports some names inside functions (the fixture's training
+    # recipe, run's environment report), which no other test runs; every
+    # ``from vadasr... import`` name, and every attribute read off an
+    # imported vadasr module, must exist
+    checked, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "vadasr"):
+                for alias in node.names:
+                    found = _vadasr_name(node.module, alias.name)
+                    checked.add((node.module, alias.name))
+                    if found is None:
+                        missing.append(f"{path.name}: {node.module}."
+                                       f"{alias.name}")
+                    elif isinstance(found, type(sys)):
+                        modules[alias.asname or alias.name] = found
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                mod = modules[node.value.id]
+                checked.add((mod.__name__, node.attr))
+                if not hasattr(mod, node.attr):
+                    missing.append(f"{path.name}: {mod.__name__}.{node.attr}")
+    assert not missing
+    assert {("vadasr.trainer", "train_stage1_asr"),
+            ("vadasr.trainer", "build_dev_stream")} <= checked

@@ -1,6 +1,7 @@
 """Optimizer behavior, schedule shape, and short deterministic training runs."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -10,7 +11,9 @@ import vadasr.autodiff as ad
 import vadasr.trainer as trainer
 from vadasr.audio import (CorpusSpec, SampleBuffer, Utterance, default_vocab,
                           frame_stream, gen_synthetic_corpus)
+from vadasr.chunking import sample_chunk_len
 from vadasr.errors import DataError, NumericError
+from vadasr.losses import mtl_loss
 from vadasr.metrics import vad_metrics
 from vadasr.model import ModelParams, forward, vad_score_frames
 from vadasr.trainer import (
@@ -104,10 +107,6 @@ class TestConfig:
     def test_zero_splice_allowed(self):
         assert TrainConfig(stage="mtl", splice_s=0.0).splice_s == 0.0
 
-    def test_chunking_defaults_by_stage(self):
-        assert TrainConfig(stage="asr_only").use_chunking is False
-        assert TrainConfig(stage="mtl").use_chunking is True
-
     def test_stage_guards(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=0)
         with pytest.raises(DataError):
@@ -153,18 +152,6 @@ class TestTraining:
                                               seed=0))
         assert rep.ctc_curve[-1] < rep.ctc_curve[0]
 
-    def test_stage2_without_chunking_reduces_to_stage1(self, tiny_corpus):
-        # with chunking off and vad_weight 0, the mtl stage optimizes the
-        # same objective as stage 1; the loss curves must agree exactly
-        model = ModelParams.init(default_vocab(5), seed=1)
-        cfg1 = TrainConfig(stage="asr_only", epochs=2, seed=3,
-                           use_chunking=False)
-        cfg2 = TrainConfig(stage="mtl", epochs=2, seed=3, vad_weight=0.0,
-                           use_chunking=False)
-        _, rep1 = train_stage1_asr(model, tiny_corpus, cfg1)
-        _, rep2 = train_stage2_mtl(model, tiny_corpus, cfg2)
-        assert rep1.ctc_curve == rep2.ctc_curve
-
     def test_vad_stl_trains_only_vad_branch(self, tiny_corpus):
         cfg = TrainConfig(stage="vad_only", epochs=2, seed=4)
         model, rep = train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
@@ -178,6 +165,52 @@ class TestTraining:
                 assert same, f"{name} should be frozen"
         assert rep.param_count == sum(
             fresh.params[n].size for n in ModelParams.VAD_BRANCH)
+
+    def test_vad_total_curve_is_ce_curve(self, tiny_corpus):
+        # the VAD-only stage minimises unweighted BCE, whatever vad_weight
+        cfg = TrainConfig(stage="vad_only", epochs=2, seed=4, vad_weight=2.0)
+        _, rep = train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
+        assert rep.total_curve == rep.ce_curve
+        assert rep.ctc_curve == [0.0, 0.0]
+
+    @pytest.mark.parametrize("stage,per_utt", [("asr_only", 0), ("mtl", 1)])
+    def test_joint_node_only_in_mtl(self, tiny_corpus, monkeypatch, stage,
+                                    per_utt):
+        # stage 1 differentiates the CTC node and builds no joint node
+        calls = []
+
+        def counting_mtl_loss(*args):
+            calls.append(args)
+            return mtl_loss(*args)
+
+        monkeypatch.setattr(trainer, "mtl_loss", counting_mtl_loss)
+        train = train_stage1_asr if stage == "asr_only" else train_stage2_mtl
+        train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus[:3],
+              TrainConfig(stage=stage, epochs=1, seed=0))
+        assert len(calls) == 3 * per_utt
+
+    @pytest.mark.parametrize("stage,per_step", [("asr_only", 0), ("mtl", 1),
+                                                ("vad_only", 0)])
+    def test_chunk_len_drawn_per_step_in_mtl_only(self, tiny_corpus,
+                                                  monkeypatch, stage,
+                                                  per_step):
+        draws = []
+
+        def counting_sample_chunk_len(*args):
+            draws.append(args)
+            return sample_chunk_len(*args)
+
+        monkeypatch.setattr(trainer, "sample_chunk_len",
+                            counting_sample_chunk_len)
+        cfg = TrainConfig(stage=stage, epochs=2, seed=0, batch_size=4)
+        if stage == "vad_only":
+            train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
+        else:
+            train = (train_stage1_asr if stage == "asr_only"
+                     else train_stage2_mtl)
+            train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus, cfg)
+        steps = 2 * math.ceil(len(tiny_corpus) / 4)
+        assert len(draws) == steps * per_step
 
     def test_infeasible_utterances_skipped(self):
         # stage-2 chunking cannot make a whole utterance infeasible (layouts

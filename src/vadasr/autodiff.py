@@ -132,26 +132,49 @@ def scale(a, c: float):
     return _taped(out, (a,), lambda g: (g * c,))
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None, act: str | None = None):
     """Matrix product; one operand may be a (T, m, n) stack of matrices, each
-    multiplied on its own, so an item's arithmetic does not depend on T."""
+    multiplied on its own, so an item's arithmetic does not depend on T.
+    Then, fused into the same tape node, ``+ bias`` if given and ``act``
+    ("relu", "sigmoid" or None): the arithmetic of ``matmul``, ``add`` and
+    the activation, in that order, and a vjp that returns the arrays those
+    three nodes' vjps would."""
+    if act not in (None, "relu", "sigmoid"):
+        raise UsageError(f"unknown activation {act!r}")
     x, y = value(a), value(b)
-    if (x.ndim not in (2, 3) or y.ndim not in (2, 3) or x.ndim + y.ndim > 5
-            or x.shape[-1] != y.shape[-2]):
+    c = None if bias is None else value(bias)
+    if (x.ndim, y.ndim) not in ((2, 2), (2, 3), (3, 2)):
         raise DimensionError("matmul shapes incompatible", x.shape, y.shape)
-    out = x @ y
+    try:
+        z = x @ y
+        zshape = z.shape
+        if c is not None:
+            z = z + c
+    except ValueError:
+        raise DimensionError("matmul shapes incompatible", x.shape, y.shape,
+                             *(() if c is None else (c.shape,)))
+    out = (z if act is None else np.maximum(z, 0.0) if act == "relu"
+           else 1.0 / (1.0 + np.exp(-z)))
     if not _ACTIVE_TAPES:
         return out
+    mask = z > 0 if act == "relu" else None
 
     def vjp(g):
+        if act == "relu":
+            g = g * mask
+        elif act == "sigmoid":
+            g = g * out * (1.0 - out)
+        gz = g if c is None else _unbroadcast(g, zshape)
         # sum over the stack as one flat 2-D product, not T small ones
         if x.ndim == 3:
-            return g @ y.T, np.tensordot(x, g, axes=([0, 1], [0, 1]))
-        if y.ndim == 3:
-            return np.tensordot(g, y, axes=([0, 2], [0, 2])), x.T @ g
-        return g @ y.T, x.T @ g
+            grads = gz @ y.T, np.tensordot(x, gz, axes=([0, 1], [0, 1]))
+        elif y.ndim == 3:
+            grads = np.tensordot(gz, y, axes=([0, 2], [0, 2])), x.T @ gz
+        else:
+            grads = gz @ y.T, x.T @ gz
+        return grads if c is None else (*grads, _unbroadcast(g, c.shape))
 
-    return _taped(out, (a, b), vjp)
+    return _taped(out, (a, b) if c is None else (a, b, bias), vjp)
 
 
 def transpose(a):
@@ -170,13 +193,6 @@ def reshape(a, shape):
     if not _ACTIVE_TAPES:
         return out
     return _taped(out, (a,), lambda g: (g.reshape(x.shape),))
-
-
-def sigmoid(a):
-    s = 1.0 / (1.0 + np.exp(-value(a)))
-    if not _ACTIVE_TAPES:
-        return s
-    return _taped(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a):
@@ -215,9 +231,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     of the squared deviations), spelled out so the deviations are computed
     once."""
     xv, gv, bv = value(x), value(gain), value(bias)
-    n = xv.shape[-1]
-    d = xv - xv.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + eps)
+    n = float(xv.shape[-1])  # a float divides faster than an int, same bits
+    d = xv - np.add.reduce(xv, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True) / n + eps)
     y = d * inv
     out = y * gv + bv
     if not _ACTIVE_TAPES:
@@ -284,21 +300,25 @@ def depthwise_conv1d(x, kernels, left=None):
     if left.shape != (W - 1, C):
         raise DimensionError("depthwise_conv1d's left context must be "
                              "(W-1, C)", left.shape, (W - 1, C))
-    taps = kv[:, 0, :].T  # (W, C)
+    taps = kv.transpose(2, 1, 0)  # (W, 1, C)
     xp = np.concatenate([left, xv])
-    out = xp[:T] * taps[0]
-    for w in range(1, W):
-        out += xp[w:w + T] * taps[w]
+    s0, s1 = xp.strides
+    win = np.ndarray((W, T, C), buffer=xp, strides=(s0, s0, s1))  # xp[w:w+T]
+    # one reduction along the tap axis adds the products in w order; from
+    # -0.0, so that a sum of -0.0 products stays -0.0
+    out = np.add.reduce(win * taps, axis=0, initial=-0.0)
     if not _ACTIVE_TAPES:
         return out
 
     def vjp(g):
-        dxp = np.zeros_like(xp)
-        dtaps = np.empty_like(taps)
-        for w in range(W):
-            dxp[w:w + T] += g * taps[w]
-            dtaps[w] = (g * xp[w:w + T]).sum(axis=0)
-        return dxp[W - 1:], dtaps.T.reshape(kv.shape)
+        # dx[t] = sum of g[t + W-1 - w] * taps[w] in w order from +0.0; the
+        # zero rows padded after g add zero products, which change no such sum
+        gp = np.concatenate([g, np.zeros((W - 1, C))])
+        r0, r1 = gp.strides
+        gwin = np.ndarray((W, T, C), buffer=gp, offset=(W - 1) * r0,
+                          strides=(-r0, r0, r1))
+        return (np.add.reduce(gwin * taps, axis=0, initial=0.0),
+                np.add.reduce(win * g, axis=1).T.reshape(kv.shape))
 
     return _taped(out, (x, kernels), vjp)
 

@@ -49,15 +49,6 @@ class ChunkLayout:
             raise LayoutError("empty layout with nonzero total_T")
 
 
-def whole_utterance_layout(total_T: int) -> ChunkLayout:
-    if total_T == 0:
-        return ChunkLayout(chunks=(), total_T=0)
-    return ChunkLayout(
-        chunks=(Chunk(body=(0, total_T), left_ctx=(0, 0),
-                      right_ctx=(total_T, total_T)),),
-        total_T=total_T)
-
-
 def plan_chunks(total_T: int, body_len: int, left_len: int = 0,
                 right_len: int = 0) -> ChunkLayout:
     """Bodies of ``body_len`` frames (last one possibly shorter) with contexts
@@ -77,6 +68,10 @@ def plan_chunks(total_T: int, body_len: int, left_len: int = 0,
             right_ctx=(stop, min(total_T, stop + right_len)),
         ))
     return ChunkLayout(chunks=tuple(chunks), total_T=total_T)
+
+
+def whole_utterance_layout(total_T: int) -> ChunkLayout:
+    return plan_chunks(total_T, max(total_T, 1))
 
 
 def stitch_outputs(per_chunk_outputs, layout: ChunkLayout):

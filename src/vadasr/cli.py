@@ -275,7 +275,9 @@ def _cmd_train(args):
     return 0
 
 
-def _run_stream(args, with_decoder: bool):
+def _cmd_stream(args):
+    """``transcribe`` decodes each event; ``segment`` finds boundaries only."""
+    with_decoder = args.command == "transcribe"
     defaults = {**_STREAM_DEFAULTS, **_BEAM_DEFAULTS,
                 "model": None, "wav": None, "out": None, "validate": False}
     o = _merge_config(args, defaults)
@@ -296,20 +298,9 @@ def _run_stream(args, with_decoder: bool):
     return 0
 
 
-def _cmd_transcribe(args):
-    return _run_stream(args, with_decoder=True)
-
-
-def _cmd_segment(args):
-    return _run_stream(args, with_decoder=False)
-
-
 def _read_transcript_lines(path) -> list[tuple[str, ...]]:
-    out = []
     with open(path) as fh:
-        for line in fh:
-            out.append(tuple(line.split()))
-    return out
+        return [tuple(line.split()) for line in fh]
 
 
 def _cmd_score(args):
@@ -349,10 +340,8 @@ def _cmd_decode_posteriors(args):
         raise UsageError("--posteriors is required")
     grid = load_external_posteriors(o["posteriors"])
     beam = _beam_config(o)
-    if beam is None:
-        tokens = greedy_decode(grid)
-    else:
-        tokens = beam_search(grid, beam)[0].tokens
+    tokens = (greedy_decode(grid) if beam is None
+              else beam_search(grid, beam)[0].tokens)
     print(" ".join(tokens))
     return 0
 
@@ -398,9 +387,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lm-order", dest="lm_order", type=int)
     p.set_defaults(func=_cmd_train)
 
-    for name, func, help_text in (
-            ("transcribe", _cmd_transcribe, "stream a WAV and decode events"),
-            ("segment", _cmd_segment, "stream a WAV, boundaries only")):
+    for name, help_text in (
+            ("transcribe", "stream a WAV and decode events"),
+            ("segment", "stream a WAV, boundaries only")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model")
         p.add_argument("--wav")
@@ -409,7 +398,7 @@ def build_parser() -> _Parser:
         _add_stream_flags(p)
         if name == "transcribe":
             _add_beam_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("score", help="score hypotheses against references")
     p.add_argument("--ref")
@@ -442,10 +431,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except VadAsrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VadAsrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -34,7 +34,7 @@ LOG2 = math.log(2.0)
 class NgramLM:
     """Count-based n-gram scorer. Stupid backoff yields a score, not a
     normalized distribution; every (history, token) gets a finite value.
-    Scores are memoized on the instance, so its counts must not change."""
+    Its counts must not change: ``beam_search`` memoizes scores on it."""
 
     def __init__(self, order: int, counts: dict[tuple[str, ...], int]):
         if order < 1:
@@ -46,20 +46,16 @@ class NgramLM:
             self.context_totals[gram[:-1]] += c
         self.unigram_total = sum(c for g, c in counts.items() if len(g) == 1)
         self.vocab = sorted({g[-1] for g in counts if len(g) == 1})
-        # (padded history, token) -> score, shared by every caller of this
-        # instance, such as the events of one stream
-        self._memo: dict[tuple[tuple[str, ...], str], float] = {}
+        # (vocabulary, lm_weight >= 0) -> beam_search's increments table,
+        # shared by every search with this LM, such as one stream's events
+        self._increments: dict[tuple, dict] = {}
 
     def score(self, history: Sequence[str], token: str) -> float:
         """Stupid-backoff log score of ``token`` after ``history``."""
         hist = tuple(history)[-(self.order - 1):] if self.order > 1 else ()
         if len(hist) < self.order - 1:
             hist = (BOS,) * (self.order - 1 - len(hist)) + hist
-        key = (hist, token)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = self._score(hist, token)
-        return value
+        return self._score(hist, token)
 
     def _score(self, hist: tuple[str, ...], token: str) -> float:
         if hist:
@@ -211,8 +207,9 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     in the order a full pass would insert them, so ties rank as before.
 
     Prefixes are nodes of a trie, so a dropped extension builds nothing. A
-    node's LM increments depend only on its last ``order - 1`` tokens and
-    are memoized per call by that context."""
+    node's LM increments depend only on its last ``order - 1`` tokens; they
+    are memoized by that context on the LM, per vocabulary, so a later search
+    with the same LM and vocabulary reuses them."""
     rows = _grid_array(grid).tolist()
     blank = grid.blank_index
     vocab = grid.vocab
@@ -224,8 +221,9 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
         if missing:
             raise VocabularyError(f"grid tokens absent from LM: {missing}")
         n_ctx = lm.order - 1
-    # (increments, the one that scores highest) per context
-    increments: dict[tuple[int, ...], tuple[list[float], float]] = {}
+        # (increments, the one that scores highest) per context
+        increments = lm._increments.setdefault((tuple(vocab), lm_weight >= 0),
+                                               {})
     best_inc = max if lm_weight >= 0 else min
     no_lm = ([0.0] * blank, 0.0)
 

@@ -232,14 +232,17 @@ class ModelParams:
 
 
 def encoder_weights(model: ModelParams) -> tuple:
-    """The encoder's weights in the layout its products use: conv1's kernel
-    as a (c1, CONV1_WIDTH) matrix, conv2's as a contiguous
-    (c1 * CONV2_WIDTH, d) matrix, then the biases and layer-norm terms."""
+    """The encoder's weights in the layout its ops use: conv1's kernel as a
+    (c1, CONV1_WIDTH) matrix, conv2's as a contiguous (c1 * CONV2_WIDTH, d)
+    matrix, then the biases and layer-norm terms. Conv2's bias and the
+    layer-norm terms have one frame's shape where they apply, so numpy adds
+    and multiplies a single frame's arrays without broadcasting."""
     p = model.params
     d, c1 = model.dims.d_model, model.dims.conv1_channels
     return (ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), p["enc1_b"],
             ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH))),
-            ad.reshape(p["enc2_b"], (d,)), p["enc_ln_g"], p["enc_ln_b"])
+            ad.reshape(p["enc2_b"], (1, 1, d)),
+            *(ad.reshape(p[k], (1, d)) for k in ("enc_ln_g", "enc_ln_b")))
 
 
 def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
@@ -259,17 +262,17 @@ def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
     d, c1 = model.dims.d_model, model.dims.conv1_channels
     # (T, CONV1_WIDTH, CONV2_WIDTH): column j holds conv1 position j's samples
     x = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
-    h1 = ad.relu(ad.add(ad.matmul(k1, x), b1))  # (T, c1, CONV2_WIDTH)
-    h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2)  # (T, 1, d)
-    h2 = ad.relu(ad.add(ad.reshape(h2, (T, d)), b2))
-    return ad.layer_norm(h2, ln_g, ln_b)
+    h1 = ad.matmul(k1, x, b1, "relu")  # (T, c1, CONV2_WIDTH)
+    h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2, b2, "relu")
+    return ad.layer_norm(ad.reshape(h2, (T, d)), ln_g, ln_b)
 
 
 def vad_weights(model: ModelParams) -> tuple:
-    """The VAD head's weights in the layout its ops use."""
+    """The VAD head's weights in the layout its ops use, the biases shaped
+    as in ``encoder_weights``."""
     p = model.params
-    return (p["vad_k"], ad.reshape(p["vad_b"], (model.dims.d_model,)),
-            p["vad_fc_w"], p["vad_fc_b"])
+    return (p["vad_k"], ad.reshape(p["vad_b"], (1, model.dims.d_model)),
+            p["vad_fc_w"], ad.reshape(p["vad_fc_b"], (1, 1, 1)))
 
 
 def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
@@ -280,8 +283,8 @@ def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
     k, b, fc_w, fc_b = weights or vad_weights(model)
     T, d = Z.shape
     h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, k, left), b))
-    logits = ad.add(ad.matmul(ad.reshape(h_vad, (T, 1, d)), fc_w), fc_b)
-    probs = ad.reshape(ad.sigmoid(logits), (T,))
+    probs = ad.reshape(ad.matmul(ad.reshape(h_vad, (T, 1, d)), fc_w, fc_b,
+                                 "sigmoid"), (T,))
     return h_vad, probs
 
 
@@ -289,19 +292,6 @@ def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
     """Low-cost VAD path: encoder + VAD head only, no attention, no ASR."""
     _, probs = vad_forward(encode_features(frames, model), model)
     return ad.tensor(probs)
-
-
-def vad_score_block(frames: np.ndarray, left: np.ndarray,
-                    model: ModelParams, weights: tuple):
-    """Online VAD scores of a (k, 320) block of new frames, equal to their
-    whole-sequence scores. ``left`` holds the encoder rows of the
-    ``vad_kernel_width - 1`` frames before the block (zeros before the
-    stream starts, as the causal pad); ``weights`` are
-    ``(encoder_weights(model), vad_weights(model))``, prepared once.
-    Returns the block's (k, d) encoder rows and its (k,) scores."""
-    enc_w, vad_w = weights
-    Z = ad.value(encode_features(frames, model, enc_w))
-    return Z, ad.value(vad_forward(Z, model, vad_w, left)[1])
 
 
 def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):
@@ -340,9 +330,8 @@ def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None):
         a = _mha(xw, xw, p["ctx_wq"], p["ctx_wk"], p["ctx_wv"], p["ctx_wo"],
                  model.dims.n_heads, model)
         x1 = ad.layer_norm(ad.add(xw, a), p["ctx_ln1_g"], p["ctx_ln1_b"])
-        ff = ad.add(ad.matmul(
-            ad.relu(ad.add(ad.matmul(x1, p["ffn_w1"]), p["ffn_b1"])),
-            p["ffn_w2"]), p["ffn_b2"])
+        ff = ad.matmul(ad.matmul(x1, p["ffn_w1"], p["ffn_b1"], "relu"),
+                       p["ffn_w2"], p["ffn_b2"])
         x2 = ad.layer_norm(ad.add(x1, ff), p["ctx_ln2_g"], p["ctx_ln2_b"])
         b0, b1 = ch.body
         bodies.append(ad.slice_axis(x2, b0 - ws, b1 - ws))
@@ -363,7 +352,7 @@ def cross_task_attend(C, H_vad, model: ModelParams):
 
 def asr_head(G, model: ModelParams) -> PosteriorGrid:
     p = model.params
-    logits = ad.add(ad.matmul(G, p["asr_w"]), p["asr_b"])
+    logits = ad.matmul(G, p["asr_w"], p["asr_b"])
     return PosteriorGrid(log_probs=ad.log_softmax(logits, axis=-1),
                          vocab=model.vocab,
                          blank_index=len(model.vocab))

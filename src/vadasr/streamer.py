@@ -4,12 +4,12 @@ Frames arrive in blocks: ``push_frames`` takes a (k, 320) block, and
 ``push_frame`` is a block of one, so there is one path. A block is scored
 with one call of the scorer, ``scorer(frames, start) -> scores``, where
 ``start`` is the absolute index of the block's first frame and the result
-holds one score per frame. ``ModelScorer`` keeps only the VAD conv's
-``vad_kernel_width - 1`` left-context encoder rows between blocks, so any
-split of a stream into blocks gives the same scores, and with them the same
-events. In a live stream a block of k frames waits up to k - 1 frames for
-its last frame before it is scored: that algorithmic latency, in frames, is
-separate from the compute latency of scoring and decoding.
+holds one score per frame. ``ModelScorer`` carries only the VAD conv's
+``vad_kernel_width - 1`` left-context encoder rows from block to block, so
+any split of a stream into blocks gives the same scores, and with them the
+same events. In a live stream a block of k frames waits up to k - 1 frames
+for its last frame before it is scored: that algorithmic latency, in
+frames, is separate from the compute latency of scoring and decoding.
 
 Per frame of a block: update the frames-to-process counter ``c`` and
 the trailing-silence counter ``b``, raise the speaking flag once
@@ -37,12 +37,13 @@ from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InvalidSpecError
 from .model import (ModelParams, PosteriorGrid, encoder_weights, forward,
-                    vad_score_block, vad_weights)
-from . import autodiff as ad
+                    vad_weights)
+from . import autodiff as ad, model as net
 
 FORCED = "forced-length"
 END_OF_UTT = "end-of-utterance"
 FINALIZE = "finalize"
+_SCORER_ROWS = 256  # rows a ModelScorer's buffer holds past the context
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,16 @@ class BoundarySpan:
 class ModelScorer:
     """Cheap VAD path of the model, evaluated a block of frames at a time.
 
-    Encodes each new frame once, off the tape, and keeps only the encoder
-    rows of the last ``vad_kernel_width - 1`` frames, the causal left
-    context of the VAD conv: the encoder is frame-local and the conv is
-    causal, so a block scores exactly as the whole sequence does. The
+    Encodes each new frame once, off the tape. The encoder is frame-local
+    and the VAD conv causal, so with the encoder rows of the
+    ``vad_kernel_width - 1`` frames before it (the conv's left context) a
+    block scores exactly as in the whole sequence. Its rows are copied once,
+    after those, into a row buffer that restarts from them when full. The
     weights are prepared once, as plain arrays in the layout the forward
-    uses, so a scorer scores with the weights its model held when the
-    scorer was built. ``rows`` is the last scored block's (k, d) encoder
-    rows; a ``Streamer`` keeps these for its ``ModelDecoder``, so the
-    decoded rows carry those same copied encoder weights.
+    uses, so a scorer scores with the weights its model held when it was
+    built. ``rows`` is the last scored block's (k, d) encoder rows; a
+    ``Streamer`` keeps these for its ``ModelDecoder``, so the decoded rows
+    carry those same copied encoder weights.
     """
 
     def __init__(self, model: ModelParams):
@@ -106,14 +108,24 @@ class ModelScorer:
         self._weights = tuple(tuple(np.array(ad.value(w)) for w in ws)
                               for ws in (encoder_weights(model),
                                          vad_weights(model)))
-        self._left = np.zeros((model.dims.vad_kernel_width - 1,
-                               model.dims.d_model))
-        self.rows = self._left[:0]
+        self._n = model.dims.vad_kernel_width - 1  # zeros: the causal pad
+        self._buf = np.zeros((self._n + _SCORER_ROWS, model.dims.d_model))
+        self._end = self._n
+        self.rows = self._buf[:0]
 
     def __call__(self, frames: np.ndarray, start: int) -> np.ndarray:
-        self.rows, scores = vad_score_block(frames, self._left, self.model,
-                                            self._weights)
-        self._left = np.concatenate((self._left, self.rows))[len(frames):]
+        n, end = self._n, self._end
+        enc_w, vad_w = self._weights
+        self.rows = ad.value(net.encode_features(frames, self.model, enc_w))
+        scores = ad.value(net.vad_forward(self.rows, self.model, vad_w,
+                                          self._buf[end - n:end])[1])
+        k = len(scores)
+        if end + k > len(self._buf):
+            self._buf = np.concatenate((self._buf[end - n:end], np.empty(
+                (max(k, _SCORER_ROWS), self._buf.shape[1]))))
+            end = n
+        self._buf[end:end + k] = self.rows
+        self._end = end + k
         return scores
 
 
@@ -136,9 +148,8 @@ class ModelDecoder:
         rows = art.log_posteriors.array[span_start:span_start + span_len]
         sub = PosteriorGrid(log_probs=rows, vocab=self.model.vocab,
                             blank_index=len(self.model.vocab))
-        if self.beam is None:
-            return greedy_decode(sub)
-        return beam_search(sub, self.beam)[0].tokens
+        return (greedy_decode(sub) if self.beam is None
+                else beam_search(sub, self.beam)[0].tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,10 @@ class TrainConfig:
             raise DataError(f"unknown training stage {self.stage!r}")
         if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("learning_rate, epochs, batch_size must be positive")
-        if not 0 <= self.splice_s < math.inf:
-            raise DataError(f"splice_s must be finite and >= 0, "
-                            f"got {self.splice_s!r}")
+        for name in ("splice_s", "vad_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= 0, "
+                                f"got {getattr(self, name)!r}")
         if not 0 < self.chunk_min_s <= self.chunk_max_s < math.inf:
             raise DataError(f"need 0 < chunk_min_s <= chunk_max_s, both "
                             f"finite, got {self.chunk_min_s!r} and "

@@ -1,6 +1,8 @@
 """Test-only oracles and helpers: finite-difference gradients, elementwise
-product and reductions for building test losses on the tape, brute-force
-CTC, and a scorer that replays precomputed VAD scores."""
+product and reductions for building test losses on the tape, the unfused
+ops that a fused ``ad.matmul`` and ``ad.depthwise_conv1d`` must match bit
+for bit, brute-force CTC, and a scorer that replays precomputed VAD
+scores."""
 
 from __future__ import annotations
 
@@ -42,6 +44,70 @@ def mean_all(a) -> ad.Tensor:
     x = ta.data
     return ad.custom(x.mean(), (ta,),
                      lambda g: (np.broadcast_to(g / x.size, x.shape).copy(),))
+
+
+# ---------------------------------------------------------------------------
+# the unfused ops behind a fused ``ad.matmul`` and ``ad.depthwise_conv1d``
+
+
+def sigmoid(a) -> ad.Tensor:
+    ta = ad.tensor(a)
+    s = 1.0 / (1.0 + np.exp(-ta.data))
+    return ad.custom(s, (ta,), lambda g: (g * s * (1.0 - s),))
+
+
+def matmul_unfused(a, b, bias, act=None):
+    """``ad.matmul(a, b, bias, act)`` as the chain of ops it fuses: matmul,
+    add, activation."""
+    z = ad.add(ad.matmul(a, b), bias)
+    if act == "relu":
+        return ad.relu(z)
+    return sigmoid(z) if act == "sigmoid" else z
+
+
+def depthwise_conv1d_taps(x, kernels, left=None) -> ad.Tensor:
+    """``ad.depthwise_conv1d`` as a loop over its W taps: the forward adds
+    one (T, C) product per tap, the vjp scatters one per tap."""
+    tx, tk = ad.tensor(x), ad.tensor(kernels)
+    xv, kv = tx.data, tk.data
+    T, C = xv.shape
+    W = kv.shape[2]
+    left = np.zeros((W - 1, C)) if left is None else ad.value(left)
+    taps = kv[:, 0, :].T  # (W, C)
+    xp = np.concatenate([left, xv])
+    out = xp[:T] * taps[0]
+    for w in range(1, W):
+        out += xp[w:w + T] * taps[w]
+
+    def vjp(g):
+        dxp = np.zeros_like(xp)
+        dtaps = np.empty_like(taps)
+        for w in range(W):
+            dxp[w:w + T] += g * taps[w]
+            dtaps[w] = (g * xp[w:w + T]).sum(axis=0)
+        return dxp[W - 1:], dtaps.T.reshape(kv.shape)
+
+    return ad.custom(out, (tx, tk), vjp)
+
+
+def with_upstream(fn, arrays, g):
+    """``fn`` on Tensors of ``arrays``, and the gradient of each when the
+    output's upstream gradient is exactly ``g``."""
+    ts = [ad.Tensor(a) for a in arrays]
+    with ad.Tape() as tape:
+        out = ad.tensor(fn(*ts))
+        seed = ad.custom(np.zeros(()), (out,), lambda _: (g,))
+    grads = ad.backward(tape, seed)
+    return out.data, [grads.get(t) for t in ts]
+
+
+def signed_zeros(rng, shape, zero_frac: float = 0.5) -> np.ndarray:
+    """Normal draws with about ``zero_frac`` of them replaced by +0.0 or
+    -0.0, half each."""
+    x = rng.normal(size=shape)
+    zeros = rng.random(shape) < zero_frac
+    x[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 
 import vadasr.autodiff as ad
 from vadasr.errors import DimensionError, FormatError, NumericError, UsageError
-from oracles import finite_diff_check, mean_all, mul, sum_all
+from oracles import (depthwise_conv1d_taps, finite_diff_check,
+                     matmul_unfused, mean_all, mul, sigmoid, signed_zeros,
+                     sum_all, with_upstream)
 
 
 def fd(f, params, tol=1e-6):
@@ -77,8 +79,22 @@ class TestOpGradients:
 
     def test_sigmoid_relu_exp(self, rng):
         a = ad.Tensor(rng.normal(size=(5,)) + 0.3)
-        fd(lambda p: sum_all(ad.sigmoid(p[0])), [a])
+        fd(lambda p: sum_all(sigmoid(p[0])), [a])
+        fd(lambda p: sum_all(ad.relu(p[0])), [a])
         fd(lambda p: sum_all(ad.exp(ad.scale(p[0], 0.3))), [a])
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    def test_matmul_bias_activation(self, rng, act):
+        x = ad.Tensor(rng.normal(size=(4, 3, 5)))
+        w = ad.Tensor(rng.normal(size=(5, 2)))
+        b = ad.Tensor(rng.normal(size=(3, 1)))
+        u = rng.normal(size=(4, 3, 2))
+        fd(lambda p: sum_all(mul(ad.matmul(p[0], p[1], p[2], act), u)),
+           [x, w, b])
+
+    def test_matmul_rejects_unknown_activation(self):
+        with pytest.raises(UsageError, match="activation"):
+            ad.matmul(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), "tanh")
 
     def test_log_softmax_rows_normalize(self, rng):
         a = ad.Tensor(rng.normal(size=(4, 6)))
@@ -181,11 +197,87 @@ class TestOpGradients:
             ad.depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
                                 ad.Tensor(np.ones((3, 2, 2))))
 
+    def test_depthwise_conv1d_left_context(self, rng):
+        x = ad.Tensor(rng.normal(size=(6, 3)))
+        k = ad.Tensor(rng.normal(size=(3, 1, 4)))
+        left = rng.normal(size=(3, 3))
+        w = rng.normal(size=(6, 3))
+        fd(lambda p: sum_all(mul(ad.depthwise_conv1d(p[0], p[1], left), w)),
+           [x, k])
+
     def test_transpose_reshape_mean(self, rng):
         a = ad.Tensor(rng.normal(size=(3, 4)))
         w = rng.normal(size=(4, 3))
         fd(lambda p: sum_all(mul(ad.transpose(p[0]), w)), [a])
         fd(lambda p: mean_all(ad.reshape(p[0], (2, 6))), [a])
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(ours, oracle):
+    assert ours.shape == oracle.shape
+    assert np.array_equal(bits(ours), bits(oracle))
+
+
+class TestSameBitsAsUnfused:
+    """The fused ops against the ops they replace, compared as uint64 bits
+    (so -0.0 differs from +0.0), forward and every parent's gradient, with
+    +0.0 and -0.0 seeded into inputs, weights and upstream gradients."""
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 118])
+    @pytest.mark.parametrize("W", [1, 2, 4, 5])
+    @pytest.mark.parametrize("with_left", [False, True])
+    def test_depthwise_conv1d(self, rng, T, W, with_left):
+        C = 6
+        for zero_frac in (0.0, 0.5, 0.9, 1.0):
+            x = signed_zeros(rng, (T, C), zero_frac)
+            k = signed_zeros(rng, (C, 1, W), zero_frac)
+            left = (signed_zeros(rng, (W - 1, C), zero_frac) if with_left
+                    else None)
+            g = signed_zeros(rng, (T, C), zero_frac)
+            ours = with_upstream(
+                lambda a, b: ad.depthwise_conv1d(a, b, left), (x, k), g)
+            oracle = with_upstream(
+                lambda a, b: depthwise_conv1d_taps(a, b, left), (x, k), g)
+            assert_same_bits(ours[0], oracle[0])
+            for mine, theirs in zip(ours[1], oracle[1]):
+                assert_same_bits(mine, theirs)
+            # off the tape too
+            assert_same_bits(ad.depthwise_conv1d(x, k, left), oracle[0])
+
+    def test_depthwise_conv1d_all_negative_zero_sum(self):
+        # every product is -0.0, so the sum is -0.0, not +0.0
+        x = np.full((3, 2), -0.0)
+        k = np.ones((2, 1, 4))
+        out = ad.depthwise_conv1d(x, k, np.full((3, 2), -0.0))
+        assert np.signbit(out).all()
+        assert_same_bits(out, depthwise_conv1d_taps(
+            x, k, np.full((3, 2), -0.0)).data)
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    @pytest.mark.parametrize("shapes", [
+        ((7, 5), (5, 3), (3,)),          # rows times a matrix
+        ((7, 1, 5), (5, 3), (3,)),       # a (T, 1, n) stack
+        ((7, 1, 5), (5, 1), (1,)),       # the VAD FC: one logit per frame
+        ((4, 6), (7, 6, 5), (4, 1)),     # matrix times a stack, (c, 1) bias
+    ])
+    def test_fused_matmul(self, rng, act, shapes):
+        for zero_frac in (0.0, 0.5):
+            arrays = [signed_zeros(rng, s, zero_frac) for s in shapes]
+            out_shape = np.broadcast_shapes(
+                (arrays[0] @ arrays[1]).shape, shapes[2])
+            g = signed_zeros(rng, out_shape, zero_frac)
+            ours = with_upstream(
+                lambda a, b, c: ad.matmul(a, b, c, act), arrays, g)
+            oracle = with_upstream(
+                lambda a, b, c: matmul_unfused(a, b, c, act), arrays, g)
+            assert_same_bits(ours[0], oracle[0])
+            assert len(ours[1]) == 3
+            for mine, theirs in zip(ours[1], oracle[1]):
+                assert_same_bits(mine, theirs)
+            assert_same_bits(ad.matmul(*arrays, act), oracle[0])
 
 
 class TestFiniteDiffValidation:

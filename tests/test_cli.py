@@ -281,6 +281,8 @@ class TestExitCodes:
         ["transcribe", "--beam-size", "0"],
         ["decode-posteriors", "--lm-weight=-inf"],
         ["train", "--splice-s", "nan"], ["train", "--splice-s", "-1"],
+        ["train", "--stage", "mtl", "--vad-weight", "-1"],
+        ["train", "--stage", "mtl", "--vad-weight", "nan"],
         ["train", "--chunk-min-s", "-1"],
         ["train", "--chunk-min-s", "2", "--chunk-max-s", "1"],
         ["segment", "--max-chunk-s", "nan"],

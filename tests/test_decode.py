@@ -435,6 +435,21 @@ class TestLmMemoAcrossCalls:
         assert beam_search(grid, cfg) == first
         assert calls == []
 
+    def test_second_grid_makes_no_score_call(self, rng, monkeypatch):
+        # the context -> increments table lives on the LM, so a later
+        # search with the same LM and vocabulary looks up every context
+        grid = random_grid(rng, 30, 3)
+        cfg = BeamConfig(beam_size=20, lm=random_lm(rng, grid.vocab, 4))
+        first = beam_search(grid, cfg)
+        calls = TestLmMemo.count_score_calls(monkeypatch)
+        assert beam_search(grid, cfg) == first
+        assert calls == []
+        # another vocabulary gets a table of its own
+        other = random_grid(rng, 30, 2)
+        hyps = beam_search(other, cfg)
+        assert calls
+        assert hyps == reference_beam_search(other, cfg)
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_memoized_equals_fresh(self, rng, order):
         lm = random_lm(rng, ["a", "b", "c"], order)

@@ -206,8 +206,22 @@ class TestModelScorer:
         online = np.concatenate([scorer(frames[a:b], a)
                                  for a, b in blocks(len(frames), size)])
         assert np.array_equal(bits(online), bits(whole))
-        # the rows kept between blocks are the conv's left context only
-        assert scorer._left.shape == (width - 1, model.dims.d_model)
+        # the scorer's row buffer stays bounded, however long the stream
+        assert len(scorer._buf) <= width - 1 + max(size or 230, 256)
+
+    @pytest.mark.parametrize("sizes", [(1,), (7, 1, 100), (300, 2)])
+    def test_restarted_row_buffer_keeps_bits(self, rng, sizes):
+        # 700 frames fill the scorer's row buffer more than once; each
+        # restart carries the left context over, whatever the block sizes
+        model, frames, whole = scorer_case(rng, 5, 700)
+        scorer = ModelScorer(model)
+        online, a, i = [], 0, 0
+        while a < len(frames):
+            b = min(a + sizes[i % len(sizes)], len(frames))
+            online.append(scorer(frames[a:b], a))
+            a, i = b, i + 1
+        assert np.array_equal(bits(np.concatenate(online)), bits(whole))
+        assert len(scorer._buf) <= 4 + 300
 
 
 def perturbed_stream(seed, width, n_runs=12):

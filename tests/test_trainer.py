@@ -104,6 +104,13 @@ class TestConfig:
         with pytest.raises(DataError):
             TrainConfig(stage="mtl", **kwargs)
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")],
+                             ids=str)
+    def test_bad_vad_weight_rejected(self, weight):
+        # a NaN weight would reach Adam.step as NaN gradients
+        with pytest.raises(DataError, match="vad_weight"):
+            TrainConfig(stage="mtl", vad_weight=weight)
+
     def test_zero_splice_allowed(self):
         assert TrainConfig(stage="mtl", splice_s=0.0).splice_s == 0.0
 

@@ -158,6 +158,8 @@ def matmul(a, b, bias=None, act: str | None = None):
     if not _ACTIVE_TAPES:
         return out
     mask = z > 0 if act == "relu" else None
+    # a plain-array operand (such as the encoder's input frames) gets none
+    need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         if act == "relu":
@@ -165,14 +167,17 @@ def matmul(a, b, bias=None, act: str | None = None):
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
         gz = g if c is None else _unbroadcast(g, zshape)
-        # sum over the stack as one flat 2-D product, not T small ones
-        if x.ndim == 3:
-            grads = gz @ y.T, np.tensordot(x, gz, axes=([0, 1], [0, 1]))
-        elif y.ndim == 3:
-            grads = np.tensordot(gz, y, axes=([0, 2], [0, 2])), x.T @ gz
-        else:
-            grads = gz @ y.T, x.T @ gz
-        return grads if c is None else (*grads, _unbroadcast(g, c.shape))
+        # a stack's sum is np.tensordot's one 2-D np.dot, on the same arrays
+        ga = gb = None
+        if need_a:
+            ga = gz @ y.T if y.ndim == 2 else np.dot(
+                gz.transpose(1, 0, 2).reshape(gz.shape[1], -1),
+                y.transpose(0, 2, 1).reshape(-1, y.shape[1]))
+        if need_b:
+            gb = x.T @ gz if x.ndim == 2 else np.dot(
+                x.transpose(2, 0, 1).reshape(x.shape[2], -1),
+                gz.reshape(-1, gz.shape[2]))
+        return (ga, gb) if c is None else (ga, gb, _unbroadcast(g, c.shape))
 
     return _taped(out, (a, b) if c is None else (a, b, bias), vjp)
 
@@ -204,13 +209,6 @@ def relu(a):
     return _taped(out, (a,), lambda g: (g * mask,))
 
 
-def exp(a):
-    e = np.exp(value(a))
-    if not _ACTIVE_TAPES:
-        return e
-    return _taped(e, (a,), lambda g: (g * e,))
-
-
 def log_softmax(a, axis: int = -1):
     x = value(a)
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -221,8 +219,47 @@ def log_softmax(a, axis: int = -1):
         g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
 
 
-def softmax(a, axis: int = -1):
-    return exp(log_softmax(a, axis=axis))
+def attention(q, k, v, n_heads: int):
+    """Multi-head attention of (T, d) queries over (S, d) keys and values:
+    column block h is softmax(q_h k_h^T / sqrt(d / n_heads)) v_h. One tape
+    node with the arithmetic of the per-head chain it replaces (slice,
+    transpose, matmul, scale, log-softmax, exp, matmul, concat)."""
+    qv, kv, vv = value(q), value(k), value(v)
+    if (qv.ndim != 2 or kv.shape != vv.shape or kv.shape[1:] != qv.shape[1:]
+            or qv.shape[1] % n_heads):
+        raise DimensionError("attention shapes", qv.shape, kv.shape, vv.shape)
+    dh = qv.shape[1] // n_heads
+    c = 1.0 / math.sqrt(dh)
+    out = np.empty(qv.shape)
+    saved = []
+    for b in (slice(h * dh, (h + 1) * dh) for h in range(n_heads)):
+        qs, kt, vs = qv[:, b].copy(), kv[:, b].T.copy(), vv[:, b].copy()
+        # in place (same bits): a fresh (T, S) array costs more than its math
+        a = qs @ kt
+        a *= c
+        a -= a.max(axis=-1, keepdims=True)
+        a -= np.log(np.exp(a).sum(-1, keepdims=True))
+        out[:, b] = np.exp(a, out=a) @ vs
+        saved.append((b, qs, kt, vs, a))
+    if not _ACTIVE_TAPES:
+        return out
+
+    def vjp(g):
+        # the arrays the chain's vjps return
+        dq, dk, dv = np.empty(qv.shape), np.empty(kv.shape), np.empty(vv.shape)
+        for b, qs, kt, vs, a in saved:
+            gh = g[:, b].copy()
+            dv[:, b] = a.T @ gh
+            ga = gh @ vs.T
+            ga *= a
+            ga -= a * ga.sum(-1, keepdims=True)
+            ga *= c
+            dq[:, b] = ga @ kt.T
+            dk[:, b] = (qs.T @ ga).T
+        # the chain summed the heads' zero-padded gradients: each entry + 0.0
+        return (dq, dk, dv) if n_heads == 1 else (dq + 0.0, dk + 0.0, dv + 0.0)
+
+    return _taped(out, (q, k, v), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -241,8 +278,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
 
     def vjp(g):
         gy = g * gv
-        dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                    - y * (gy * y).mean(axis=-1, keepdims=True))
+        dx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / n
+                    - y * (np.add.reduce(gy * y, -1, keepdims=True) / n))
         return dx, _unbroadcast(g * y, gv.shape), _unbroadcast(g, bv.shape)
 
     return _taped(out, (x, gain, bias), vjp)

@@ -223,7 +223,7 @@ def _cmd_train(args):
     defaults = {
         "corpus": None, "dev_manifest": None, "stage": "asr", "out": None,
         "init": None, "epochs": None, "lr": None, "batch_size": 4,
-        "seed": 0, "vad_weight": 2.0, "chunk_min_s": 0.5, "chunk_max_s": 3.0,
+        "seed": 0, "vad_weight": None, "chunk_min_s": 0.5, "chunk_max_s": 3.0,
         "splice_s": 0.5, "report": None, "lm_out": None, "lm_order": 4,
     }
     o = _merge_config(args, defaults)
@@ -233,6 +233,9 @@ def _cmd_train(args):
     if o["stage"] not in stage_map:
         raise UsageError(f"unknown stage {o['stage']!r}")
     stage = stage_map[o["stage"]]
+    if stage != "mtl" and o["vad_weight"] is not None:
+        raise UsageError(f"vad_weight applies only to --stage mtl, not "
+                         f"--stage {o['stage']}")
     # Per-stage recipes: the ASR stage needs many optimizer steps at a high
     # peak rate to escape the blank-heavy plateau; fine-tuning stages need
     # less.
@@ -243,7 +246,8 @@ def _cmd_train(args):
     try:
         config = TrainConfig(stage=stage, learning_rate=lr, epochs=epochs,
                              batch_size=o["batch_size"], seed=o["seed"],
-                             vad_weight=o["vad_weight"],
+                             vad_weight=(2.0 if o["vad_weight"] is None
+                                         else o["vad_weight"]),
                              chunk_min_s=o["chunk_min_s"],
                              chunk_max_s=o["chunk_max_s"],
                              splice_s=o["splice_s"])

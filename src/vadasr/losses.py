@@ -63,7 +63,7 @@ def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
     for t in range(1, T):
         prev, out = state[t - 1], merged[t]
         np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=out)
-        np.logaddexp(out, np.where(can_skip, prev[:, :-2], NEG_INF), out=out)
+        np.logaddexp(out, prev[:, :-2], out=out, where=can_skip)
         np.add(out, emit[t], out=state[t, :, 2:])
     alpha = state[:, 0, 2:]
     beta = merged[::-1, 1, ::-1]

@@ -296,20 +296,9 @@ def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
 
 def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):
     model.attention_evals += 1
-    d = wq.shape[1]
-    dh = d // n_heads
-    q = ad.matmul(x_q, wq)
-    k = ad.matmul(x_kv, wk)
-    v = ad.matmul(x_kv, wv)
-    heads = []
-    for h in range(n_heads):
-        qs = ad.slice_axis(q, h * dh, (h + 1) * dh, axis=1)
-        ks = ad.slice_axis(k, h * dh, (h + 1) * dh, axis=1)
-        vs = ad.slice_axis(v, h * dh, (h + 1) * dh, axis=1)
-        scores = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / math.sqrt(dh))
-        attn = ad.softmax(scores, axis=-1)
-        heads.append(ad.matmul(attn, vs))
-    return ad.matmul(ad.concat(heads, axis=1), wo)
+    heads = ad.attention(ad.matmul(x_q, wq), ad.matmul(x_kv, wk),
+                         ad.matmul(x_kv, wv), n_heads)
+    return ad.matmul(heads, wo)
 
 
 def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None):

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,3 +20,21 @@ def random_grid(rng, T, vocab_size) -> PosteriorGrid:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's ``fixture``, ``layers``, ``spans`` and ``workloads``
+    modules, imported from its directory and forgotten afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import fixture
+    import layers
+    import spans
+    import workloads
+    yield fixture, layers, spans, workloads
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+            del sys.modules[name]

@@ -1,8 +1,8 @@
 """Test-only oracles and helpers: finite-difference gradients, elementwise
 product and reductions for building test losses on the tape, the unfused
-ops that a fused ``ad.matmul`` and ``ad.depthwise_conv1d`` must match bit
-for bit, brute-force CTC, and a scorer that replays precomputed VAD
-scores."""
+ops that a fused ``ad.matmul``, ``ad.depthwise_conv1d`` and
+``ad.attention`` must match bit for bit, brute-force CTC, and a scorer that
+replays precomputed VAD scores."""
 
 from __future__ import annotations
 
@@ -47,13 +47,39 @@ def mean_all(a) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the unfused ops behind a fused ``ad.matmul`` and ``ad.depthwise_conv1d``
+# the unfused ops behind a fused ``ad.matmul``, ``ad.depthwise_conv1d`` and
+# ``ad.attention``
 
 
 def sigmoid(a) -> ad.Tensor:
     ta = ad.tensor(a)
     s = 1.0 / (1.0 + np.exp(-ta.data))
     return ad.custom(s, (ta,), lambda g: (g * s * (1.0 - s),))
+
+
+def exp(a) -> ad.Tensor:
+    ta = ad.tensor(a)
+    e = np.exp(ta.data)
+    return ad.custom(e, (ta,), lambda g: (g * e,))
+
+
+def softmax(a, axis: int = -1) -> ad.Tensor:
+    return exp(ad.log_softmax(a, axis=axis))
+
+
+def attention_unfused(q, k, v, n_heads: int):
+    """``ad.attention(q, k, v, n_heads)`` as the per-head chain it fuses:
+    slice the three inputs, transpose the keys, matmul, scale, softmax
+    (log-softmax, then exp), matmul by the values, and concat the heads."""
+    dh = ad.value(q).shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        qs, ks, vs = (ad.slice_axis(t, h * dh, (h + 1) * dh, axis=1)
+                      for t in (q, k, v))
+        scores = ad.scale(ad.matmul(qs, ad.transpose(ks)),
+                          1.0 / math.sqrt(dh))
+        heads.append(ad.matmul(softmax(scores, axis=-1), vs))
+    return ad.concat(heads, axis=1)
 
 
 def matmul_unfused(a, b, bias, act=None):

@@ -5,9 +5,9 @@ import pytest
 
 import vadasr.autodiff as ad
 from vadasr.errors import DimensionError, FormatError, NumericError, UsageError
-from oracles import (depthwise_conv1d_taps, finite_diff_check,
-                     matmul_unfused, mean_all, mul, sigmoid, signed_zeros,
-                     sum_all, with_upstream)
+from oracles import (attention_unfused, depthwise_conv1d_taps, exp,
+                     finite_diff_check, matmul_unfused, mean_all, mul,
+                     sigmoid, signed_zeros, softmax, sum_all, with_upstream)
 
 
 def fd(f, params, tol=1e-6):
@@ -81,7 +81,7 @@ class TestOpGradients:
         a = ad.Tensor(rng.normal(size=(5,)) + 0.3)
         fd(lambda p: sum_all(sigmoid(p[0])), [a])
         fd(lambda p: sum_all(ad.relu(p[0])), [a])
-        fd(lambda p: sum_all(ad.exp(ad.scale(p[0], 0.3))), [a])
+        fd(lambda p: sum_all(exp(ad.scale(p[0], 0.3))), [a])
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     def test_matmul_bias_activation(self, rng, act):
@@ -106,7 +106,37 @@ class TestOpGradients:
     def test_softmax_grad(self, rng):
         a = ad.Tensor(rng.normal(size=(3, 5)))
         w = rng.normal(size=(3, 5))
-        fd(lambda p: sum_all(mul(ad.softmax(p[0]), w)), [a])
+        fd(lambda p: sum_all(mul(softmax(p[0]), w)), [a])
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_attention(self, rng, n_heads):
+        q = ad.Tensor(rng.normal(size=(3, 4)))
+        k = ad.Tensor(rng.normal(size=(5, 4)))
+        v = ad.Tensor(rng.normal(size=(5, 4)))
+        w = rng.normal(size=(3, 4))
+        fd(lambda p: sum_all(mul(ad.attention(*p, n_heads), w)), [q, k, v])
+
+    @pytest.mark.parametrize("shapes,n_heads", [
+        (((3, 4), (5, 4), (6, 4)), 2),   # keys and values disagree
+        (((3, 4), (5, 6), (5, 6)), 2),   # queries and keys disagree
+        (((3, 4), (5, 4), (5, 4)), 3),   # heads do not divide d
+        (((2, 3, 4), (5, 4), (5, 4)), 1),   # queries not a matrix
+    ])
+    def test_attention_shape_error(self, shapes, n_heads):
+        with pytest.raises(DimensionError):
+            ad.attention(*(np.ones(s) for s in shapes), n_heads)
+
+    @pytest.mark.parametrize("stack_first", [True, False])
+    def test_plain_array_operand_gets_no_gradient(self, rng, stack_first):
+        # like the encoder's input frames: a constant, so no vjp work
+        stack = rng.normal(size=(4, 3, 5))
+        w = ad.Tensor(rng.normal(size=(5, 2) if stack_first else (2, 3)))
+        with ad.Tape() as tape:
+            out = ad.matmul(stack, w) if stack_first else ad.matmul(w, stack)
+            loss = sum_all(out)
+        grads = ad.backward(tape, loss)
+        assert w in grads
+        assert not [t for t in grads if t.shape == stack.shape]
 
     def test_layer_norm(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 6)))
@@ -278,6 +308,42 @@ class TestSameBitsAsUnfused:
             for mine, theirs in zip(ours[1], oracle[1]):
                 assert_same_bits(mine, theirs)
             assert_same_bits(ad.matmul(*arrays, act), oracle[0])
+
+    @pytest.mark.parametrize("shapes", [
+        ((7, 1, 5), (5, 3)),    # a (T, 1, n) stack, as in the encoder
+        ((4, 3, 5), (5, 2)),    # a stack of wider matrices
+        ((4, 6), (7, 6, 5)),    # matrix times a stack
+    ])
+    def test_stack_gradient_is_tensordot(self, rng, shapes):
+        # the matrix's gradient has the bits of np.tensordot over the stack
+        stack_first = len(shapes[0]) == 3
+        for zero_frac in (0.0, 0.5):
+            x, y = (signed_zeros(rng, s, zero_frac) for s in shapes)
+            g = signed_zeros(rng, (x @ y).shape, zero_frac)
+            _, (gx, gy) = with_upstream(ad.matmul, (x, y), g)
+            if stack_first:
+                assert_same_bits(gy, np.tensordot(x, g, axes=([0, 1], [0, 1])))
+            else:
+                assert_same_bits(gx, np.tensordot(g, y, axes=([0, 2], [0, 2])))
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 118])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_attention(self, rng, T, n_heads, cross):
+        d = 8
+        S = T + 3 if cross else T  # cross: keys and values of another length
+        for zero_frac in (0.0, 0.5, 0.9, 1.0):
+            q = signed_zeros(rng, (T, d), zero_frac)
+            k, v = (signed_zeros(rng, (S, d), zero_frac) for _ in "kv")
+            g = signed_zeros(rng, (T, d), zero_frac)
+            ours = with_upstream(lambda *a: ad.attention(*a, n_heads),
+                                 (q, k, v), g)
+            oracle = with_upstream(lambda *a: attention_unfused(*a, n_heads),
+                                   (q, k, v), g)
+            assert_same_bits(ours[0], oracle[0])
+            for mine, theirs in zip(ours[1], oracle[1]):
+                assert_same_bits(mine, theirs)
+            assert_same_bits(ad.attention(q, k, v, n_heads), oracle[0])
 
 
 class TestFiniteDiffValidation:

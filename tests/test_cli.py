@@ -16,6 +16,7 @@ from vadasr.cli import (_STREAM_DEFAULTS, _streamer_config,
                         load_external_posteriors, main, save_posteriors)
 from vadasr.errors import FormatError
 from vadasr.model import ModelParams, PosteriorGrid
+from vadasr.trainer import TrainReport
 
 
 def run_cli(*args):
@@ -71,6 +72,14 @@ def _string_for_int(tmp, corpus_dir, model_ckpt):
     (tmp / "cfg.json").write_text(json.dumps({"beam_size": "20"}))
     return ["decode-posteriors", "--posteriors", str(tmp / "p.bin"),
             "--config", str(tmp / "cfg.json")]
+
+
+def _vad_weight_for_vad_stage(tmp, corpus_dir, model_ckpt):
+    # only stage mtl has a joint loss to weight
+    (tmp / "cfg.json").write_text(json.dumps({"stage": "vad",
+                                              "vad_weight": 3.0}))
+    return ["train", "--corpus", str(corpus_dir[1]),
+            "--out", str(tmp / "o.ckpt"), "--config", str(tmp / "cfg.json")]
 
 
 def _checkpoint_sidecar_not_json(tmp, corpus_dir, model_ckpt):
@@ -190,6 +199,7 @@ MALFORMED_INPUTS = [
     ("mask-5-bytes", _short_mask, 2),
     ("vocab-file-not-json", _bad_vocab_file, 2),
     ("config-string-for-int", _string_for_int, 1),
+    ("config-vad-weight-for-vad-stage", _vad_weight_for_vad_stage, 1),
     ("checkpoint-sidecar-not-json", _checkpoint_sidecar_not_json, 2),
     # the shape check reads no more than the checkpoint holds, so a huge
     # d_model fails as cheaply as a small one
@@ -283,6 +293,7 @@ class TestExitCodes:
         ["train", "--splice-s", "nan"], ["train", "--splice-s", "-1"],
         ["train", "--stage", "mtl", "--vad-weight", "-1"],
         ["train", "--stage", "mtl", "--vad-weight", "nan"],
+        ["train", "--stage", "asr", "--vad-weight", "3"],
         ["train", "--chunk-min-s", "-1"],
         ["train", "--chunk-min-s", "2", "--chunk-max-s", "1"],
         ["segment", "--max-chunk-s", "nan"],
@@ -621,6 +632,24 @@ class TestTrainCommand:
         assert ckpt.exists() and lm.exists()
         back = ModelParams.load(ckpt)
         assert back.vocab == default_vocab(5)
+
+    def test_mtl_stage_default_vad_weight(self, corpus_dir, tmp_path, capsys,
+                                          monkeypatch):
+        # stage mtl weights BCE by 2.0 when no vad_weight is given, silently
+        import vadasr.cli as cli
+
+        configs = []
+
+        def recording_stage2(model, corpus, config, dev=None):
+            configs.append(config)
+            return model, TrainReport()
+
+        monkeypatch.setattr(cli, "train_stage2_mtl", recording_stage2)
+        _, manifest, _ = corpus_dir
+        assert run_cli("train", "--corpus", str(manifest), "--stage", "mtl",
+                       "--out", str(tmp_path / "m.ckpt")) == 0
+        assert capsys.readouterr().err == ""
+        assert [c.vad_weight for c in configs] == [2.0]
 
     def test_bad_stage(self, corpus_dir, tmp_path, capsys):
         root, manifest, utts = corpus_dir

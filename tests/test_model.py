@@ -23,6 +23,7 @@ from vadasr.model import (
     ForwardArtifacts,
     ModelDims,
     ModelParams,
+    _mha,
     cross_task_attend,
     encode_features,
     forward,
@@ -212,6 +213,19 @@ class TestStructuralIdentities:
         v = art.H_vad.data @ p["xattn_wv"].data
         expect = art.C.data + v @ p["xattn_wo"].data
         assert np.allclose(art.G.data, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_mha_records_five_nodes(self, rng, n_heads):
+        # three projections, one attention node, the output projection
+        model = small_model(n_heads=n_heads)
+        p = model.params
+        x = ad.Tensor(rng.normal(size=(6, 32)))
+        kv = ad.Tensor(rng.normal(size=(4, 32)))
+        for x_kv in (x, kv):
+            with ad.Tape() as tape:
+                _mha(x, x_kv, p["xattn_wq"], p["xattn_wk"], p["xattn_wv"],
+                     p["xattn_wo"], n_heads, model)
+            assert len(tape) == 5
 
     def test_cross_task_length_mismatch(self, rng):
         model = small_model()

@@ -5,28 +5,10 @@ its fixture model."""
 import ast
 import importlib
 import sys
-from pathlib import Path
-
-import pytest
 
 from vadasr import autodiff, model, streamer, trainer
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture
-def perfbench(monkeypatch):
-    """perfbench's ``fixture``, ``layers``, ``spans`` and ``workloads``
-    modules, imported from its directory and forgotten afterwards."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import fixture
-    import layers
-    import spans
-    import workloads
-    yield fixture, layers, spans, workloads
-    for name, module in list(sys.modules.items()):
-        if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
-            del sys.modules[name]
+from conftest import PERFBENCH
 
 
 def test_layer_hooks_install_and_uninstall(perfbench):

@@ -1,5 +1,6 @@
 """Optimizer behavior, schedule shape, and short deterministic training runs."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -11,7 +12,7 @@ import vadasr.autodiff as ad
 import vadasr.trainer as trainer
 from vadasr.audio import (CorpusSpec, SampleBuffer, Utterance, default_vocab,
                           frame_stream, gen_synthetic_corpus)
-from vadasr.chunking import sample_chunk_len
+from vadasr.chunking import plan_chunks, sample_chunk_len
 from vadasr.errors import DataError, NumericError
 from vadasr.losses import mtl_loss
 from vadasr.metrics import vad_metrics
@@ -260,6 +261,53 @@ class TestTraining:
             train_stage2_mtl(ModelParams.init(default_vocab(5), seed=1),
                              tiny_corpus, cfg)
         assert len(calls) == 2 * len(tiny_corpus)
+
+
+# One stage-2 epoch from the benchmark fixture: the sha256 of the trained
+# parameters' bytes (sorted by name) and the epoch's total loss, recorded
+# before attention became one tape node per call.
+STAGE2_EPOCH_PARAMS_SHA256 = ("2d679024caa736fe5b5103bcb57d4ea0"
+                              "1fe2e500e0b76c37029b93efdd2d1c9a")
+STAGE2_EPOCH_TOTAL_LOSS = 0.5592670779094429
+
+
+class TestSameBits:
+    def test_stage2_epoch_from_fixture(self, perfbench):
+        """One stage-2 epoch from ``perfbench/fixture_mtl.npz`` at run seed
+        1, on the first 40 utterances of the seed-7 corpus, ends at pinned
+        parameter bytes and a pinned first ``total_curve`` entry, so a
+        change to the tape, the primitives or the losses that is meant to
+        keep every bit is checked here. Like ``FIXTURE_SHA256``, the values
+        pin this machine's numpy (2.4.6) and one BLAS thread (the products
+        here are too small for BLAS to split): another numpy or BLAS may
+        round differently, and then the values are re-recorded from a
+        commit known to be good, never loosened."""
+        fixture = perfbench[0]
+        corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=40, seed=7))
+        model, rep = train_stage2_mtl(
+            fixture.load_fixture(), corpus,
+            TrainConfig(stage="mtl", epochs=1, learning_rate=2e-3,
+                        batch_size=4, seed=1, vad_weight=2.0))
+        digest = hashlib.sha256()
+        for name in sorted(model.params):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(model.params[name].data,
+                                               dtype="<f8").tobytes())
+        assert rep.total_curve[0] == STAGE2_EPOCH_TOTAL_LOSS
+        assert digest.hexdigest() == STAGE2_EPOCH_PARAMS_SHA256
+
+    def test_mtl_tape_size(self):
+        # each _mha call is five nodes (three projections, attention, output
+        # projection); a refactor that expands the tape again fails here
+        utt = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=3))[0]
+        frames = frame_stream(utt.audio)
+        layout = plan_chunks(len(frames), 50, 25, 25)
+        assert (len(frames), len(layout.chunks)) == (98, 2)
+        with ad.Tape() as tape:
+            trainer._utterance_loss(ModelParams.init(default_vocab(5), seed=0),
+                                    utt, frames, TrainConfig(stage="mtl"),
+                                    layout)
+        assert len(tape) == 59
 
 
 class TestDevStream:

@@ -97,10 +97,17 @@ class CorpusSpec:
             raise InvalidSpecError("utterance_count must be >= 1")
         for name in ("symbols_per_utterance", "tone_duration_s", "gap_duration_s"):
             lo, hi = getattr(self, name)
-            if lo <= 0 or hi < lo:
+            if not 0 < lo <= hi < math.inf:
                 raise InvalidSpecError(f"{name} range invalid: [{lo}, {hi}]")
-        if self.noise_amplitude < 0:
-            raise InvalidSpecError("noise_amplitude must be >= 0")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise InvalidSpecError("noise_amplitude must be finite and >= 0")
+        # the longest utterance the draws allow must fit in one WAV
+        n = self.symbols_per_utterance[1]
+        if (n * max(1, to_frames(self.tone_duration_s[1]))
+                + (n + 1) * max(1, to_frames(self.gap_duration_s[1]))
+                > to_frames(MAX_STREAM_S)):
+            raise InvalidSpecError(f"an utterance may run past {MAX_STREAM_S}"
+                                   " s, the longest stream one WAV holds")
 
 
 def default_vocab(vocab_size: int) -> list[str]:
@@ -177,10 +184,11 @@ def frame_stream(buf: SampleBuffer) -> FrameSequence:
 
 def to_frames(seconds: float) -> int:
     """A duration in seconds as the nearest whole number of frames."""
-    if not 0 <= seconds < math.inf:
+    frames = seconds / FRAME_DURATION_S  # 1e308 s is inf frames
+    if not 0 <= frames < math.inf:
         raise InvalidSpecError(
             f"a duration must be finite and >= 0 s, got {seconds!r}")
-    return int(round(seconds / FRAME_DURATION_S))
+    return int(round(frames))
 
 
 def draw_frames(rng: np.random.Generator, lo_s: float, hi_s: float) -> int:

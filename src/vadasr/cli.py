@@ -55,18 +55,9 @@ _POST_MAGIC = b"VAP1"
 # external posterior interchange format
 
 
-def save_posteriors(path, grid: PosteriorGrid) -> None:
-    """magic VAP1, u32 T, u32 K, then T*K little-endian f64 log-probs."""
-    arr = np.ascontiguousarray(grid.array, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_POST_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
-    Path(str(path) + ".json").write_text(json.dumps(
-        {"vocab": grid.vocab, "blank_index": grid.blank_index}))
-
-
 def load_external_posteriors(path) -> PosteriorGrid:
+    """magic VAP1, u32 T, u32 K, then T*K little-endian f64 log-probs, with
+    ``vocab`` and ``blank_index`` in a JSON sidecar at ``path + ".json"``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _POST_MAGIC:
@@ -101,156 +92,148 @@ def load_external_posteriors(path) -> PosteriorGrid:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# options: one table per subcommand
+#
+# Each table maps a key to its type and default. The key's flag is
+# ``--key-with-dashes``, a ``bool`` key is a flag that takes no value, and a
+# ``_REQUIRED`` key must come from its flag or the config file. A default
+# that a package dataclass holds is read from it.
+
+_REQUIRED = object()
+# each streamer setting ``X_frames`` is the flag ``--X-s`` in seconds
+_SPANS = ("min_speech", "min_silence", "max_chunk", "splice")
+
+_GEN_CORPUS = {
+    "out": (str, _REQUIRED), "vocab_size": (int, CorpusSpec.vocab_size),
+    "count": (int, CorpusSpec.utterance_count), "seed": (int, CorpusSpec.seed),
+    "symbols_min": (int, CorpusSpec.symbols_per_utterance[0]),
+    "symbols_max": (int, CorpusSpec.symbols_per_utterance[1]),
+    "tone_min_s": (float, CorpusSpec.tone_duration_s[0]),
+    "tone_max_s": (float, CorpusSpec.tone_duration_s[1]),
+    "gap_min_s": (float, CorpusSpec.gap_duration_s[0]),
+    "gap_max_s": (float, CorpusSpec.gap_duration_s[1]),
+    "noise": (float, CorpusSpec.noise_amplitude),
+}
+_TRAIN = {
+    "corpus": (str, _REQUIRED), "dev_manifest": (str, None),
+    "stage": (str, "asr"), "out": (str, _REQUIRED), "init": (str, None),
+    # None: the stage's recipe (epochs, lr) or TrainConfig's (vad_weight)
+    "epochs": (int, None), "lr": (float, None), "vad_weight": (float, None),
+    "batch_size": (int, TrainConfig.batch_size),
+    "seed": (int, TrainConfig.seed),
+    "chunk_min_s": (float, TrainConfig.chunk_min_s),
+    "chunk_max_s": (float, TrainConfig.chunk_max_s),
+    "splice_s": (float, TrainConfig.splice_s),
+    "report": (str, None), "lm_out": (str, None), "lm_order": (int, 4),
+}
+_STREAM = {
+    "model": (str, _REQUIRED), "wav": (str, _REQUIRED), "out": (str, None),
+    "validate": (bool, False),
+    "vad_threshold": (float, StreamerConfig.vad_threshold),
+    **{f"{span}_s": (float, getattr(StreamerConfig, f"{span}_frames")
+                     * FRAME_DURATION_S) for span in _SPANS},
+}
+_BEAM = {
+    "beam_size": (int, BeamConfig.beam_size),
+    "lm_weight": (float, BeamConfig.lm_weight),
+    "word_score": (float, BeamConfig.word_score),
+    "lm_path": (str, None), "greedy": (bool, False),
+}
+_SCORE = {"ref": (str, _REQUIRED), "hyp": (str, _REQUIRED),
+          "events": (bool, False)}
+# Per-stage recipes, by --stage: the stage, its epochs and its peak learning
+# rate. The ASR stage needs many optimizer steps at a high peak rate to
+# escape the blank-heavy plateau; fine-tuning stages need less.
+_STAGES = {"asr": ("asr_only", 24, 5e-3), "mtl": ("mtl", 8, 2e-3),
+           "vad": ("vad_only", 8, 5e-3)}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-class _ConfigFile(argparse.Action):
-    """``--config FILE``: a flat JSON object keyed by flag names without
-    dashes. A value must have the type its flag parses to (an int stands for
-    a float); null leaves the default. Keys with no flag here are left to
-    ``_merge_config``."""
-
-    def __call__(self, parser, namespace, path, option_string=None):
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each option's value: its flag over ``--config FILE`` over its default.
+    The file is a flat JSON object keyed like the table; each value must
+    have its option's type (an int stands for a float), and null leaves the
+    default."""
+    cfg = {}
+    if args.config is not None:
         try:
-            cfg = json.loads(Path(path).read_text())
+            cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config {path}: {exc}")
+            raise DataError(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
-            raise DataError(f"config {path} must be a JSON object")
-        kinds = {a.dest: a.type or (str if a.const is None else type(a.const))
-                 for a in parser._actions}
-        for key, value in cfg.items():
-            kind = kinds.get(key)
-            if (value is None or kind is None or type(value) is kind
-                    or (kind is float and type(value) is int)):
-                continue
-            raise UsageError(f"config key {key!r} must be {kind.__name__}, "
-                             f"got {type(value).__name__} {value!r}")
-        setattr(namespace, self.dest,
-                {k: v for k, v in cfg.items() if v is not None})
-
-
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config file > default."""
-    provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config") and v is not None}
-    file_cfg = args.config or {}
-    unknown = set(file_cfg) - set(defaults)
+            raise DataError(f"config {args.config} must be a JSON object")
+    unknown = set(cfg) - set(args.options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return {**defaults, **file_cfg, **provided}
+    values = {}
+    for key, (kind, default) in args.options.items():
+        value = cfg.get(key)
+        if not (value is None or type(value) is kind
+                or (kind is float and type(value) is int)):
+            raise UsageError(f"config key {key!r} must be {kind.__name__}, "
+                             f"got {type(value).__name__} {value!r}")
+        flag = getattr(args, key, None)  # segment has no beam flags
+        values[key] = (flag if flag is not None
+                       else default if value is None else value)
+    for key, (_, default) in args.options.items():
+        if default is _REQUIRED and values[key] in (_REQUIRED, ""):
+            raise UsageError(f"--{key.replace('_', '-')} is required")
+    return values
 
 
 def _streamer_config(opts: dict) -> StreamerConfig:
     try:
         return StreamerConfig(
             vad_threshold=opts["vad_threshold"],
-            min_speech_frames=to_frames(opts["min_speech_s"]),
-            min_silence_frames=to_frames(opts["min_silence_s"]),
-            max_chunk_frames=to_frames(opts["max_chunk_s"]),
-            splice_frames=to_frames(opts["splice_s"]),
-        )
+            **{f"{span}_frames": to_frames(opts[f"{span}_s"])
+               for span in _SPANS})
     except InvalidSpecError as exc:  # the values came from flags or config
         raise UsageError(str(exc)) from exc
 
 
 def _beam_config(opts: dict) -> BeamConfig | None:
-    if opts.get("greedy"):
+    if opts["greedy"]:
         return None
-    lm = NgramLM.load(opts["lm_path"]) if opts.get("lm_path") else None
+    lm = NgramLM.load(opts["lm_path"]) if opts["lm_path"] else None
     return BeamConfig(beam_size=opts["beam_size"], lm_weight=opts["lm_weight"],
                       word_score=opts["word_score"], lm=lm)
-
-
-_STREAM_DEFAULTS = {
-    "vad_threshold": 0.45, "min_speech_s": 0.1, "min_silence_s": 0.6,
-    "max_chunk_s": 3.0, "splice_s": 0.64,
-}
-_BEAM_DEFAULTS = {
-    "beam_size": 20, "lm_weight": 0.46, "word_score": 0.52, "lm_path": None,
-    "greedy": False,
-}
-
-
-def _add_stream_flags(p):
-    p.add_argument("--vad-threshold", dest="vad_threshold", type=float)
-    p.add_argument("--min-speech-s", dest="min_speech_s", type=float)
-    p.add_argument("--min-silence-s", dest="min_silence_s", type=float)
-    p.add_argument("--max-chunk-s", dest="max_chunk_s", type=float)
-    p.add_argument("--splice-s", dest="splice_s", type=float)
-
-
-def _add_beam_flags(p):
-    p.add_argument("--beam-size", dest="beam_size", type=int)
-    p.add_argument("--lm-weight", dest="lm_weight", type=float)
-    p.add_argument("--word-score", dest="word_score", type=float)
-    p.add_argument("--lm-path", dest="lm_path")
-    p.add_argument("--greedy", dest="greedy", action="store_const", const=True)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_corpus(args):
-    defaults = {
-        "out": None, "vocab_size": 5, "count": 200, "seed": 7,
-        "symbols_min": 2, "symbols_max": 4, "tone_min_s": 0.10,
-        "tone_max_s": 0.24, "gap_min_s": 0.12, "gap_max_s": 0.40,
-        "noise": 0.005,
-    }
-    o = _merge_config(args, defaults)
-    if not o["out"]:
-        raise UsageError("--out is required")
-    spec = CorpusSpec(
-        vocab_size=o["vocab_size"], utterance_count=o["count"],
-        symbols_per_utterance=(o["symbols_min"], o["symbols_max"]),
-        tone_duration_s=(o["tone_min_s"], o["tone_max_s"]),
-        gap_duration_s=(o["gap_min_s"], o["gap_max_s"]),
-        noise_amplitude=o["noise"], seed=o["seed"])
+def _cmd_gen_corpus(o):
+    try:
+        spec = CorpusSpec(
+            vocab_size=o["vocab_size"], utterance_count=o["count"],
+            symbols_per_utterance=(o["symbols_min"], o["symbols_max"]),
+            tone_duration_s=(o["tone_min_s"], o["tone_max_s"]),
+            gap_duration_s=(o["gap_min_s"], o["gap_max_s"]),
+            noise_amplitude=o["noise"], seed=o["seed"])
+    except InvalidSpecError as exc:  # the values came from flags or config
+        raise UsageError(str(exc)) from exc
     utts = gen_synthetic_corpus(spec)
     manifest = write_corpus(o["out"], utts, default_vocab(spec.vocab_size))
     print(f"wrote {len(utts)} utterances to {manifest}")
     return 0
 
 
-def _cmd_train(args):
-    defaults = {
-        "corpus": None, "dev_manifest": None, "stage": "asr", "out": None,
-        "init": None, "epochs": None, "lr": None, "batch_size": 4,
-        "seed": 0, "vad_weight": None, "chunk_min_s": 0.5, "chunk_max_s": 3.0,
-        "splice_s": 0.5, "report": None, "lm_out": None, "lm_order": 4,
-    }
-    o = _merge_config(args, defaults)
-    if not o["corpus"] or not o["out"]:
-        raise UsageError("--corpus and --out are required")
-    stage_map = {"asr": "asr_only", "mtl": "mtl", "vad": "vad_only"}
-    if o["stage"] not in stage_map:
+def _cmd_train(o):
+    if o["stage"] not in _STAGES:
         raise UsageError(f"unknown stage {o['stage']!r}")
-    stage = stage_map[o["stage"]]
+    stage, epochs, lr = _STAGES[o["stage"]]
     if stage != "mtl" and o["vad_weight"] is not None:
         raise UsageError(f"vad_weight applies only to --stage mtl, not "
                          f"--stage {o['stage']}")
-    # Per-stage recipes: the ASR stage needs many optimizer steps at a high
-    # peak rate to escape the blank-heavy plateau; fine-tuning stages need
-    # less.
-    stage_epochs = {"asr_only": 24, "mtl": 8, "vad_only": 8}
-    stage_lr = {"asr_only": 5e-3, "mtl": 2e-3, "vad_only": 5e-3}
-    epochs = stage_epochs[stage] if o["epochs"] is None else o["epochs"]
-    lr = stage_lr[stage] if o["lr"] is None else o["lr"]
+    if o["lm_order"] < 1:
+        raise UsageError(f"lm_order must be >= 1, got {o['lm_order']}")
     try:
-        config = TrainConfig(stage=stage, learning_rate=lr, epochs=epochs,
-                             batch_size=o["batch_size"], seed=o["seed"],
-                             vad_weight=(2.0 if o["vad_weight"] is None
-                                         else o["vad_weight"]),
-                             chunk_min_s=o["chunk_min_s"],
-                             chunk_max_s=o["chunk_max_s"],
-                             splice_s=o["splice_s"])
+        config = TrainConfig(
+            stage=stage, epochs=epochs if o["epochs"] is None else o["epochs"],
+            learning_rate=lr if o["lr"] is None else o["lr"],
+            **{key: o[key] for key in ("batch_size", "seed", "vad_weight",
+                                       "chunk_min_s", "chunk_max_s",
+                                       "splice_s") if o[key] is not None})
     except DataError as exc:  # every value here came from a flag or config
         raise UsageError(str(exc)) from exc
     corpus, vocab = read_corpus(o["corpus"])
@@ -279,19 +262,13 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_stream(args):
+def _cmd_stream(o, decode):
     """``transcribe`` decodes each event; ``segment`` finds boundaries only."""
-    with_decoder = args.command == "transcribe"
-    defaults = {**_STREAM_DEFAULTS, **_BEAM_DEFAULTS,
-                "model": None, "wav": None, "out": None, "validate": False}
-    o = _merge_config(args, defaults)
-    if not o["model"] or not o["wav"]:
-        raise UsageError("--model and --wav are required")
     cfg = _streamer_config(o)
     model = ModelParams.load(o["model"])
     frames = frame_stream(read_wav(o["wav"]))
-    beam = _beam_config(o) if with_decoder else None
-    streamer = run_stream(model, frames, cfg, beam, decode=with_decoder)
+    beam = _beam_config(o) if decode else None
+    streamer = run_stream(model, frames, cfg, beam, decode=decode)
     if o["validate"]:
         validate_events(streamer.events, cfg)
     if o["out"]:
@@ -307,11 +284,7 @@ def _read_transcript_lines(path) -> list[tuple[str, ...]]:
         return [tuple(line.split()) for line in fh]
 
 
-def _cmd_score(args):
-    defaults = {"ref": None, "hyp": None, "events": False}
-    o = _merge_config(args, defaults)
-    if not o["ref"] or not o["hyp"]:
-        raise UsageError("--ref and --hyp are required")
+def _cmd_score(o):
     report: dict = {"deter": None, "fa": None, "miss": None}
     if o["events"]:
         ref_ev = read_events(o["ref"])
@@ -337,11 +310,7 @@ def _cmd_score(args):
     return 0
 
 
-def _cmd_decode_posteriors(args):
-    defaults = {**_BEAM_DEFAULTS, "posteriors": None}
-    o = _merge_config(args, defaults)
-    if not o["posteriors"]:
-        raise UsageError("--posteriors is required")
+def _cmd_decode_posteriors(o):
     grid = load_external_posteriors(o["posteriors"])
     beam = _beam_config(o)
     tokens = (greedy_decode(grid) if beam is None
@@ -353,74 +322,46 @@ def _cmd_decode_posteriors(args):
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {  # name: (help, handler, options)
+    "gen-corpus": ("generate a synthetic corpus", _cmd_gen_corpus,
+                   _GEN_CORPUS),
+    "train": ("train a model stage", _cmd_train, _TRAIN),
+    "transcribe": ("stream a WAV and decode events",
+                   lambda o: _cmd_stream(o, decode=True), {**_STREAM, **_BEAM}),
+    # segment takes transcribe's beam keys, from a config file only
+    "segment": ("stream a WAV, boundaries only",
+                lambda o: _cmd_stream(o, decode=False), {**_STREAM, **_BEAM}),
+    "score": ("score hypotheses against references (with --events, the "
+              "inputs are event JSONL files, not transcript lines)",
+              _cmd_score, _SCORE),
+    "decode-posteriors": ("beam search over an external posterior file",
+                          _cmd_decode_posteriors,
+                          {"posteriors": (str, _REQUIRED), **_BEAM}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="vadasr",
                      description="streaming VAD + CTC ASR at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
-    p.add_argument("--out")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--symbols-min", dest="symbols_min", type=int)
-    p.add_argument("--symbols-max", dest="symbols_max", type=int)
-    p.add_argument("--tone-min-s", dest="tone_min_s", type=float)
-    p.add_argument("--tone-max-s", dest="tone_max_s", type=float)
-    p.add_argument("--gap-min-s", dest="gap_min_s", type=float)
-    p.add_argument("--gap-max-s", dest="gap_max_s", type=float)
-    p.add_argument("--noise", type=float)
-    p.set_defaults(func=_cmd_gen_corpus)
-
-    p = sub.add_parser("train", help="train a model stage")
-    p.add_argument("--corpus")
-    p.add_argument("--dev-manifest", dest="dev_manifest")
-    p.add_argument("--stage", choices=("asr", "mtl", "vad"))
-    p.add_argument("--out")
-    p.add_argument("--init")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--vad-weight", dest="vad_weight", type=float)
-    p.add_argument("--chunk-min-s", dest="chunk_min_s", type=float)
-    p.add_argument("--chunk-max-s", dest="chunk_max_s", type=float)
-    p.add_argument("--splice-s", dest="splice_s", type=float)
-    p.add_argument("--report")
-    p.add_argument("--lm-out", dest="lm_out")
-    p.add_argument("--lm-order", dest="lm_order", type=int)
-    p.set_defaults(func=_cmd_train)
-
-    for name, help_text in (
-            ("transcribe", "stream a WAV and decode events"),
-            ("segment", "stream a WAV, boundaries only")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model")
-        p.add_argument("--wav")
-        p.add_argument("--out")
-        p.add_argument("--validate", action="store_const", const=True)
-        _add_stream_flags(p)
-        if name == "transcribe":
-            _add_beam_flags(p)
-        p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser("score", help="score hypotheses against references")
-    p.add_argument("--ref")
-    p.add_argument("--hyp")
-    p.add_argument("--events", action="store_const", const=True,
-                   help="inputs are event JSONL files, not transcript lines")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("decode-posteriors",
-                       help="beam search over an external posterior file")
-    p.add_argument("--posteriors")
-    _add_beam_flags(p)
-    p.set_defaults(func=_cmd_decode_posteriors)
-
-    for p_ in sub.choices.values():
-        p_.add_argument("--config", action=_ConfigFile,
-                        help="JSON config file (flat, flag names without "
-                             "dashes)")
+    for name, (text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
+        for key, (kind, _) in options.items():
+            if name == "segment" and key in _BEAM:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=kind)
+        p.add_argument("--config", help="JSON config file (flat, flag names "
+                                        "without dashes)")
+        p.set_defaults(func=handler, options=options)
     return parser
 
 
@@ -428,7 +369,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(_resolve(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ class TrainConfig:
     chunk_min_s: float = 0.5
     chunk_max_s: float = 3.0
     splice_s: float = 0.5
-    vad_weight: float = 1.0            # mtl only
+    vad_weight: float = 2.0            # mtl only
     seed: int = 0
 
     def __post_init__(self):

@@ -23,12 +23,20 @@ def rng():
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# importing perfbench's ``fixture`` sets each of these to 1
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 @pytest.fixture
 def perfbench(monkeypatch):
     """perfbench's ``fixture``, ``layers``, ``spans`` and ``workloads``
-    modules, imported from its directory and forgotten afterwards."""
+    modules, imported from its directory and forgotten afterwards, with the
+    BLAS thread variables as they were before."""
+    # setenv records each variable's value, or that it was unset, for undo
+    # (a delenv of an unset variable records nothing)
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, "1")
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import fixture
     import layers

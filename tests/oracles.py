@@ -1,13 +1,17 @@
 """Test-only oracles and helpers: finite-difference gradients, elementwise
 product and reductions for building test losses on the tape, the unfused
 ops that a fused ``ad.matmul``, ``ad.depthwise_conv1d`` and
-``ad.attention`` must match bit for bit, brute-force CTC, and a scorer that
-replays precomputed VAD scores."""
+``ad.attention`` must match bit for bit, brute-force CTC, a scorer that
+replays precomputed VAD scores, and a writer of the posterior files that
+``decode-posteriors`` reads."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import struct
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,3 +229,16 @@ class ExternalScores:
             raise DataError("no external score for frame "
                             f"{max(start, len(self.scores))}")
         return self.scores[start:end]
+
+
+def save_posteriors(path, grid) -> None:
+    """Write ``grid`` as ``vadasr.cli.load_external_posteriors`` reads it:
+    magic VAP1, u32 T, u32 K, then T*K little-endian f64 log-probs, and a
+    JSON sidecar with the vocabulary."""
+    arr = np.ascontiguousarray(grid.array, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(b"VAP1")
+        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
+        fh.write(arr.tobytes())
+    Path(str(path) + ".json").write_text(json.dumps(
+        {"vocab": grid.vocab, "blank_index": grid.blank_index}))

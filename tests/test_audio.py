@@ -105,7 +105,7 @@ class TestFrameClock:
         assert to_frames(seconds) == frames
 
     @pytest.mark.parametrize("seconds", [
-        float("nan"), float("inf"), float("-inf"), -1e-9, -5.0])
+        float("nan"), float("inf"), float("-inf"), -1e-9, -5.0, 1.7e308])
     def test_to_frames_rejects(self, seconds):
         with pytest.raises(InvalidSpecError):
             to_frames(seconds)
@@ -146,10 +146,26 @@ class TestCorpusSpec:
         {"tone_duration_s": (0.2, 0.1)},
         {"gap_duration_s": (0.0, 0.1)},
         {"noise_amplitude": -0.1},
+        {"noise_amplitude": float("nan")},
+        {"tone_duration_s": (0.1, float("inf"))},
+        {"gap_duration_s": (float("nan"), 0.4)},
+        # the longest utterance the draws allow must fit in one WAV
+        {"gap_duration_s": (0.1, 1e300)},
+        {"symbols_per_utterance": (2, 10 ** 11)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidSpecError):
             CorpusSpec(**kwargs)
+
+    def test_longest_utterance_fits_one_wav(self):
+        # n one-frame tones and n + 1 one-frame gaps, against the 6710886
+        # frames one WAV holds
+        one = (0.02, 0.02)
+        CorpusSpec(symbols_per_utterance=(1, 3355442), tone_duration_s=one,
+                   gap_duration_s=one)
+        with pytest.raises(InvalidSpecError, match="WAV"):
+            CorpusSpec(symbols_per_utterance=(1, 3355443),
+                       tone_duration_s=one, gap_duration_s=one)
 
 
 class TestSyntheticCorpus:

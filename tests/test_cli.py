@@ -1,9 +1,12 @@
 """Subcommand smoke tests, config-file precedence, posterior-file format,
 and exit codes."""
 
+import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ import vadasr.autodiff as ad
 from vadasr.audio import (MAX_STREAM_S, CorpusSpec, SampleBuffer,
                           default_vocab, gen_synthetic_corpus, write_corpus,
                           write_mask, write_wav)
-from vadasr.cli import (_STREAM_DEFAULTS, _streamer_config,
-                        load_external_posteriors, main, save_posteriors)
+from vadasr.cli import _STREAM, _streamer_config, load_external_posteriors, main
+from vadasr.decode import train_ngram
 from vadasr.errors import FormatError
 from vadasr.model import ModelParams, PosteriorGrid
 from vadasr.trainer import TrainReport
+
+from oracles import save_posteriors
 
 
 def run_cli(*args):
@@ -301,14 +306,29 @@ class TestExitCodes:
         ["segment", "--min-silence-s", "-5"],
         ["segment", "--min-speech-s", "0.001"],
         ["segment", "--splice-s=-inf"],
+        ["segment", "--splice-s", "1.7e308"],  # finite, but inf frames
         ["segment", "--vad-threshold", "2"],
+        ["train", "--epochs", "1", "--lm-out", "lm.json", "--lm-order", "0"],
+        ["gen-corpus", "--count", "0"],
+        ["gen-corpus", "--vocab-size", "1"],
+        ["gen-corpus", "--noise", "-1"],
+        ["gen-corpus", "--noise", "nan"],
+        ["gen-corpus", "--tone-max-s", "inf"],
+        ["gen-corpus", "--tone-min-s", "nan"],
+        # an utterance that could not fit in one 16-bit WAV
+        ["gen-corpus", "--gap-max-s", "1e300"],
+        ["gen-corpus", "--gap-max-s", "1.7e308"],
+        ["gen-corpus", "--symbols-max", "100000000000"],
     ], ids=" ".join)
     def test_bad_value_is_usage_error(self, flags, tmp_path, corpus_dir,
-                                      model_ckpt, capsys):
-        # each value is rejected before any training or decoding starts
+                                      model_ckpt, capsys, monkeypatch):
+        # each value is rejected before any training, decoding or corpus
+        # generation starts
+        monkeypatch.chdir(tmp_path)
         root, manifest, _ = corpus_dir
         command, *values = flags
         inputs = {
+            "gen-corpus": ["--out", str(tmp_path / "c")],
             "train": ["--corpus", str(manifest),
                       "--out", str(tmp_path / "o.ckpt")],
             "transcribe": ["--model", str(model_ckpt),
@@ -321,6 +341,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o.ckpt").exists()
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("rate", [8000, 16001])
     def test_wav_not_16khz(self, rate, tmp_path, model_ckpt, capsys):
@@ -355,10 +376,11 @@ class TestExitCodes:
         assert not (tmp_path / "o.ckpt").exists()
 
     def test_stream_flags_in_frames(self):
-        cfg = _streamer_config(_STREAM_DEFAULTS)
+        defaults = {key: default for key, (_, default) in _STREAM.items()}
+        cfg = _streamer_config(defaults)
         assert (cfg.min_speech_frames, cfg.min_silence_frames,
                 cfg.max_chunk_frames, cfg.splice_frames) == (5, 30, 150, 32)
-        assert _streamer_config({**_STREAM_DEFAULTS,
+        assert _streamer_config({**defaults,
                                  "splice_s": 0.0}).splice_frames == 0
 
     def test_success_is_zero(self, tmp_path, capsys):
@@ -656,3 +678,218 @@ class TestTrainCommand:
         assert run_cli("train", "--corpus", str(manifest), "--stage", "xxl",
                        "--out", str(tmp_path / "m.ckpt")) == 1
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# what each subcommand builds from its flags, its config file and defaults
+
+_STREAM_FLAGS = ("--vad-threshold --min-speech-s --min-silence-s "
+                 "--max-chunk-s --splice-s")
+_BEAM_FLAGS = "--beam-size --lm-weight --word-score --lm-path --greedy"
+HELP_FLAGS = {
+    "gen-corpus": "--out --vocab-size --count --seed --symbols-min "
+                  "--symbols-max --tone-min-s --tone-max-s --gap-min-s "
+                  "--gap-max-s --noise",
+    "train": "--corpus --dev-manifest --stage --out --init --epochs --lr "
+             "--batch-size --seed --vad-weight --chunk-min-s --chunk-max-s "
+             "--splice-s --report --lm-out --lm-order",
+    "transcribe": f"--model --wav --out --validate {_STREAM_FLAGS} "
+                  f"{_BEAM_FLAGS}",
+    "segment": f"--model --wav --out --validate {_STREAM_FLAGS}",
+    "score": "--ref --hyp --events",
+    "decode-posteriors": f"--posteriors {_BEAM_FLAGS}",
+}
+
+DEFAULT_SPEC = {"vocab_size": 5, "utterance_count": 200,
+                "symbols_per_utterance": (2, 4),
+                "tone_duration_s": (0.10, 0.24),
+                "gap_duration_s": (0.12, 0.40), "noise_amplitude": 0.005,
+                "seed": 7}
+DEFAULT_TRAIN = {"batch_size": 4, "chunk_min_s": 0.5, "chunk_max_s": 3.0,
+                 "splice_s": 0.5, "vad_weight": 2.0, "seed": 0}
+DEFAULT_STREAMER = {"vad_threshold": 0.45, "min_speech_frames": 5,
+                    "min_silence_frames": 30, "max_chunk_frames": 150,
+                    "splice_frames": 32}
+DEFAULT_BEAM = (20, 0.46, 0.52, None)
+
+
+class TestBuiltConfigs:
+    """Pins the config objects each subcommand hands on, against literal
+    values, with only the required flags given and with a config file that
+    sets every key."""
+
+    @pytest.fixture
+    def built(self, monkeypatch, model_ckpt):
+        import vadasr.cli as cli
+
+        record = {}
+
+        def corpus(spec):
+            record["spec"] = dataclasses.asdict(spec)
+            return []
+
+        def stage(model, corpus, config, dev=None):
+            record.update(train=dataclasses.asdict(config), dev=dev)
+            return model, TrainReport()
+
+        def vad_baseline(corpus, config, vocab, dev_corpus=None):
+            record.update(train=dataclasses.asdict(config), dev=dev_corpus)
+            return ModelParams.load(model_ckpt), TrainReport()
+
+        def ngram(transcripts, order):
+            record["lm_order"] = order
+            return train_ngram(transcripts, order=order)
+
+        def stream(model, frames, config, beam=None, decode=True):
+            record.update(streamer=dataclasses.asdict(config), decode=decode,
+                          beam=beam)
+            return SimpleNamespace(events=[])
+
+        def beam_search(grid, beam):
+            record["beam"] = beam
+            return [SimpleNamespace(tokens=())]
+
+        for name, fake in [("gen_synthetic_corpus", corpus),
+                           ("train_stage1_asr", stage),
+                           ("train_stage2_mtl", stage),
+                           ("train_vad_stl_baseline", vad_baseline),
+                           ("train_ngram", ngram), ("run_stream", stream),
+                           ("beam_search", beam_search)]:
+            monkeypatch.setattr(cli, name, fake)
+        return record
+
+    @staticmethod
+    def beam_fields(beam):
+        return (beam.beam_size, beam.lm_weight, beam.word_score,
+                beam.lm and beam.lm.order)
+
+    @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+    def test_help_lists_the_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {*HELP_FLAGS[command].split(), "--help", "--config"}
+
+    def test_required_flags_only(self, built, corpus_dir, model_ckpt,
+                                 tmp_path, capsys):
+        root, manifest, _ = corpus_dir
+        wav = str(root / "utt0000.wav")
+        assert run_cli("gen-corpus", "--out", str(tmp_path / "c")) == 0
+        assert built["spec"] == DEFAULT_SPEC
+        for stage, full, epochs, lr in [("asr", "asr_only", 24, 5e-3),
+                                        ("mtl", "mtl", 8, 2e-3),
+                                        ("vad", "vad_only", 8, 5e-3)]:
+            assert run_cli("train", "--corpus", str(manifest), "--out",
+                           str(tmp_path / "m.ckpt"), "--stage", stage) == 0
+            assert built["train"] == {**DEFAULT_TRAIN, "stage": full,
+                                      "epochs": epochs, "learning_rate": lr}
+            assert built["dev"] is None
+        assert run_cli("train", "--corpus", str(manifest), "--out",
+                       str(tmp_path / "m.ckpt"), "--lm-out",
+                       str(tmp_path / "lm.json")) == 0
+        assert built["lm_order"] == 4
+        assert built["train"]["stage"] == "asr_only"
+        for command, decode in [("transcribe", True), ("segment", False)]:
+            built.clear()
+            assert run_cli(command, "--model", str(model_ckpt),
+                           "--wav", wav) == 0
+            assert built["streamer"] == DEFAULT_STREAMER
+            assert built["decode"] is decode
+            assert (self.beam_fields(built["beam"]) if decode
+                    else built["beam"]) == (DEFAULT_BEAM if decode else None)
+        built.clear()
+        assert run_cli(*_posteriors(tmp_path)) == 0
+        assert self.beam_fields(built["beam"]) == DEFAULT_BEAM
+        capsys.readouterr()
+
+    def test_config_file_sets_every_key(self, built, corpus_dir, model_ckpt,
+                                        tmp_path, capsys):
+        root, manifest, _ = corpus_dir
+        lm = tmp_path / "lm.json"
+        train_ngram([("a", "b")], order=2).save(lm)
+        path = tmp_path / "cfg.json"
+
+        def run(command, **cfg):
+            path.write_text(json.dumps(cfg))
+            return run_cli(command, "--config", str(path))
+
+        assert run("gen-corpus", out=str(tmp_path / "c"), vocab_size=6,
+                   count=3, seed=11, symbols_min=1, symbols_max=5,
+                   tone_min_s=0.08, tone_max_s=0.3, gap_min_s=0.1,
+                   gap_max_s=0.5, noise=0.01) == 0
+        assert built["spec"] == {
+            "vocab_size": 6, "utterance_count": 3,
+            "symbols_per_utterance": (1, 5), "tone_duration_s": (0.08, 0.3),
+            "gap_duration_s": (0.1, 0.5), "noise_amplitude": 0.01,
+            "seed": 11}
+        assert (tmp_path / "c" / "manifest.jsonl").exists()
+
+        assert run("train", corpus=str(manifest), dev_manifest=str(manifest),
+                   stage="mtl", out=str(tmp_path / "m.ckpt"),
+                   init=str(model_ckpt), epochs=3, lr=1e-3, batch_size=2,
+                   seed=5, vad_weight=1.5, chunk_min_s=0.4, chunk_max_s=2.0,
+                   splice_s=0.3, report=str(tmp_path / "r.json"),
+                   lm_out=str(tmp_path / "lm2.json"), lm_order=3) == 0
+        assert built["train"] == {
+            "stage": "mtl", "learning_rate": 1e-3, "epochs": 3,
+            "batch_size": 2, "chunk_min_s": 0.4, "chunk_max_s": 2.0,
+            "splice_s": 0.3, "vad_weight": 1.5, "seed": 5}
+        assert len(built["dev"]) == 4 and built["lm_order"] == 3
+        assert (tmp_path / "r.json").exists()
+        assert (tmp_path / "m.ckpt").exists()
+        assert (tmp_path / "lm2.json").exists()
+
+        stream_keys = dict(
+            model=str(model_ckpt), wav=str(root / "utt0000.wav"),
+            out=str(tmp_path / "ev.jsonl"), validate=True, vad_threshold=0.6,
+            min_speech_s=0.2, min_silence_s=0.4, max_chunk_s=2.0,
+            splice_s=0.3)
+        beam_keys = dict(beam_size=8, lm_weight=0.3, word_score=0.7,
+                         lm_path=str(lm), greedy=False)
+        streamer = {"vad_threshold": 0.6, "min_speech_frames": 10,
+                    "min_silence_frames": 20, "max_chunk_frames": 100,
+                    "splice_frames": 15}
+        for command, decode in [("transcribe", True), ("segment", False)]:
+            built.clear()
+            assert run(command, **stream_keys, **beam_keys) == 0
+            assert built["streamer"] == streamer
+            assert built["decode"] is decode
+            assert (self.beam_fields(built["beam"]) if decode
+                    else built["beam"]) == ((8, 0.3, 0.7, 2) if decode
+                                            else None)
+            assert (tmp_path / "ev.jsonl").exists()
+        built.clear()
+        posteriors = _posteriors(tmp_path)[2]
+        assert run("decode-posteriors", posteriors=posteriors,
+                   **beam_keys) == 0
+        assert self.beam_fields(built["beam"]) == (8, 0.3, 0.7, 2)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flags, cfg", [
+        ("gen-corpus", ["--count", "2"], {"count": "3"}),
+        ("gen-corpus", ["--noise", "0.1"], {"noise": True}),
+        ("train", ["--epochs", "2"], {"epochs": 2.5}),
+        ("transcribe", ["--greedy"], {"greedy": 1}),
+        ("decode-posteriors", ["--lm-path", "lm.json"], {"lm_path": 3}),
+    ])
+    def test_config_type_checked_under_flag(self, command, flags, cfg, built,
+                                            corpus_dir, model_ckpt, tmp_path,
+                                            capsys):
+        root, manifest, _ = corpus_dir
+        inputs = {
+            "gen-corpus": ["--out", str(tmp_path / "c")],
+            "train": ["--corpus", str(manifest),
+                      "--out", str(tmp_path / "o.ckpt")],
+            "transcribe": ["--model", str(model_ckpt),
+                           "--wav", str(root / "utt0000.wav")],
+            "decode-posteriors": _posteriors(tmp_path)[1:],
+        }[command]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli(command, *inputs, *flags,
+                       "--config", str(tmp_path / "cfg.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(cfg)) in err
+        assert built == {}
+        assert not (tmp_path / "c").exists()
+        assert not (tmp_path / "o.ckpt").exists()

@@ -4,11 +4,14 @@ its fixture model."""
 
 import ast
 import importlib
+import os
 import sys
+
+import pytest
 
 from vadasr import autodiff, model, streamer, trainer
 
-from conftest import PERFBENCH
+from conftest import BLAS_THREAD_VARS, PERFBENCH
 
 
 def test_layer_hooks_install_and_uninstall(perfbench):
@@ -29,6 +32,28 @@ def test_layer_hooks_install_and_uninstall(perfbench):
         rec.uninstall()
     for (owner, attr), orig in zip(watched, originals):
         assert getattr(owner, attr) is orig, attr
+
+
+@pytest.fixture
+def blas_env_probe():
+    """Sets the BLAS thread variables, one of them unset, before the
+    ``perfbench`` fixture runs, and checks after its teardown that each
+    reads as it was set."""
+    probe = dict(zip(BLAS_THREAD_VARS, ("3", None, "2")))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in probe.items():
+            if value is None:
+                mp.delenv(name, raising=False)
+            else:
+                mp.setenv(name, value)
+        yield
+        after = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    assert after == probe
+
+
+def test_perfbench_restores_blas_env(blas_env_probe, perfbench):
+    # the probe is set up before ``perfbench`` and torn down after it
+    assert [os.environ[name] for name in BLAS_THREAD_VARS] == ["1"] * 3
 
 
 def test_fixture_sidecar_bytes(perfbench, tmp_path):

@@ -93,7 +93,13 @@ def _taped(out: np.ndarray, parents, vjp: Callable) -> Tensor:
     return t
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+def taping() -> bool:
+    """Whether a tape is active, on which a fused node of a model records
+    itself with ``custom``."""
+    return bool(_ACTIVE_TAPES)
+
+
+def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcasted gradient back to ``shape``."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
@@ -108,8 +114,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 #
 # Each primitive computes its forward arithmetic once, on the arrays behind
 # its inputs. With no tape active it returns that plain array: no Tensor, no
-# vjp closure, no record. On a tape it records the same array, so both
-# paths give the same bits.
+# record. On a tape it records the same array, so both paths give the same
+# bits.
 
 
 def add(a, b):
@@ -120,8 +126,8 @@ def add(a, b):
         raise DimensionError("add shapes incompatible", x.shape, y.shape)
     if not _ACTIVE_TAPES:
         return out
-    return _taped(out, (a, b), lambda g: (_unbroadcast(g, x.shape),
-                                          _unbroadcast(g, y.shape)))
+    return _taped(out, (a, b), lambda g: (unbroadcast(g, x.shape),
+                                         unbroadcast(g, y.shape)))
 
 
 def scale(a, c: float):
@@ -166,20 +172,27 @@ def matmul(a, b, bias=None, act: str | None = None):
             g = g * mask
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
-        gz = g if c is None else _unbroadcast(g, zshape)
-        # a stack's sum is np.tensordot's one 2-D np.dot, on the same arrays
-        ga = gb = None
-        if need_a:
-            ga = gz @ y.T if y.ndim == 2 else np.dot(
-                gz.transpose(1, 0, 2).reshape(gz.shape[1], -1),
-                y.transpose(0, 2, 1).reshape(-1, y.shape[1]))
-        if need_b:
-            gb = x.T @ gz if x.ndim == 2 else np.dot(
-                x.transpose(2, 0, 1).reshape(x.shape[2], -1),
-                gz.reshape(-1, gz.shape[2]))
-        return (ga, gb) if c is None else (ga, gb, _unbroadcast(g, c.shape))
+        ga, gb = matmul_grads(g if c is None else unbroadcast(g, zshape),
+                              x, y, need_a, need_b)
+        return (ga, gb) if c is None else (ga, gb, unbroadcast(g, c.shape))
 
     return _taped(out, (a, b) if c is None else (a, b, bias), vjp)
+
+
+def matmul_grads(gz, x, y, need_a: bool = True, need_b: bool = True):
+    """The gradients of ``x @ y`` for ``x`` and ``y`` (None where not
+    needed) from the product's gradient ``gz``, as ``matmul``'s vjp takes
+    them: a stack's sum is np.tensordot's one 2-D np.dot, on its arrays."""
+    ga = gb = None
+    if need_a:
+        ga = gz @ y.T if y.ndim == 2 else np.dot(
+            gz.transpose(1, 0, 2).reshape(gz.shape[1], -1),
+            y.transpose(0, 2, 1).reshape(-1, y.shape[1]))
+    if need_b:
+        gb = x.T @ gz if x.ndim == 2 else np.dot(
+            x.transpose(2, 0, 1).reshape(x.shape[2], -1),
+            gz.reshape(-1, gz.shape[2]))
+    return ga, gb
 
 
 def transpose(a):
@@ -198,15 +211,6 @@ def reshape(a, shape):
     if not _ACTIVE_TAPES:
         return out
     return _taped(out, (a,), lambda g: (g.reshape(x.shape),))
-
-
-def relu(a):
-    x = value(a)
-    out = np.maximum(x, 0.0)
-    if not _ACTIVE_TAPES:
-        return out
-    mask = x > 0
-    return _taped(out, (a,), lambda g: (g * mask,))
 
 
 def log_softmax(a, axis: int = -1):
@@ -263,26 +267,28 @@ def attention(q, k, v, n_heads: int):
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """Normalize over the last axis, then scale and shift. The mean and the
-    variance are numpy's own arithmetic (a sum divided by the count; the mean
-    of the squared deviations), spelled out so the deviations are computed
-    once."""
-    xv, gv, bv = value(x), value(gain), value(bias)
+    """Normalize over the last axis, then scale and shift."""
+    out, vjp = layer_norm_arrays(value(x), value(gain), value(bias), eps)
+    return _taped(out, (x, gain, bias), vjp) if _ACTIVE_TAPES else out
+
+
+def layer_norm_arrays(xv, gv, bv, eps: float = 1e-5):
+    """``layer_norm`` on arrays: its output, and its vjp. The mean and the
+    variance are numpy's own arithmetic (a sum divided by the count; the
+    mean of the squared deviations), spelled out so the deviations are
+    computed once."""
     n = float(xv.shape[-1])  # a float divides faster than an int, same bits
     d = xv - np.add.reduce(xv, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True) / n + eps)
     y = d * inv
-    out = y * gv + bv
-    if not _ACTIVE_TAPES:
-        return out
 
     def vjp(g):
         gy = g * gv
         dx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / n
                     - y * (np.add.reduce(gy * y, -1, keepdims=True) / n))
-        return dx, _unbroadcast(g * y, gv.shape), _unbroadcast(g, bv.shape)
+        return dx, unbroadcast(g * y, gv.shape), unbroadcast(g, bv.shape)
 
-    return _taped(out, (x, gain, bias), vjp)
+    return y * gv + bv, vjp
 
 
 def slice_axis(a, start: int, stop: int, axis: int = 0):
@@ -320,52 +326,13 @@ def concat(parts: Sequence, axis: int = 0):
     return _taped(out, parts, vjp)
 
 
-def depthwise_conv1d(x, kernels, left=None):
-    """Causal depthwise convolution over time. x: (T, C), kernels: (C, 1, W)
-    -> (T, C), with out[t] = sum_w x[t + w - W + 1] * kernels[:, 0, w].
-    Before t = 0, x is ``left``, the (W - 1, C) rows that precede it (a
-    constant: no gradient flows to it), or zeros. Each row is a sum of
-    elementwise products taken in w order, so its value does not depend on
-    T: a block with its true left rows gives the rows of the whole."""
-    xv, kv = value(x), value(kernels)
-    if xv.ndim != 2 or kv.ndim != 3 or kv.shape[:2] != (xv.shape[1], 1):
-        raise DimensionError("depthwise_conv1d expects (T,C) input and "
-                             "(C,1,W) kernels", xv.shape, kv.shape)
-    T, C = xv.shape
-    W = kv.shape[2]
-    left = np.zeros((W - 1, C)) if left is None else value(left)
-    if left.shape != (W - 1, C):
-        raise DimensionError("depthwise_conv1d's left context must be "
-                             "(W-1, C)", left.shape, (W - 1, C))
-    taps = kv.transpose(2, 1, 0)  # (W, 1, C)
-    xp = np.concatenate([left, xv])
-    s0, s1 = xp.strides
-    win = np.ndarray((W, T, C), buffer=xp, strides=(s0, s0, s1))  # xp[w:w+T]
-    # one reduction along the tap axis adds the products in w order; from
-    # -0.0, so that a sum of -0.0 products stays -0.0
-    out = np.add.reduce(win * taps, axis=0, initial=-0.0)
-    if not _ACTIVE_TAPES:
-        return out
-
-    def vjp(g):
-        # dx[t] = sum of g[t + W-1 - w] * taps[w] in w order from +0.0; the
-        # zero rows padded after g add zero products, which change no such sum
-        gp = np.concatenate([g, np.zeros((W - 1, C))])
-        r0, r1 = gp.strides
-        gwin = np.ndarray((W, T, C), buffer=gp, offset=(W - 1) * r0,
-                          strides=(-r0, r0, r1))
-        return (np.add.reduce(gwin * taps, axis=0, initial=0.0),
-                np.add.reduce(win * g, axis=1).T.reshape(kv.shape))
-
-    return _taped(out, (x, kernels), vjp)
-
-
-def custom(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
-    """Register an externally computed primitive (e.g. CTC) on the tape. It
-    returns a Tensor with or without a tape, recorded only on one."""
+def custom(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
+    """Register an externally computed primitive (e.g. CTC) on the tape, its
+    ``parents`` Tensors or arrays. It returns a Tensor with or without a
+    tape, recorded only on one."""
     out = Tensor(np.asarray(data, dtype=np.float64))
     if _ACTIVE_TAPES:
-        _ACTIVE_TAPES[-1]._record(out, parents, vjp)
+        _ACTIVE_TAPES[-1]._record(out, tuple(map(tensor, parents)), vjp)
     return out
 
 

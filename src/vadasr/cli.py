@@ -225,6 +225,9 @@ def _cmd_train(o):
     if stage != "mtl" and o["vad_weight"] is not None:
         raise UsageError(f"vad_weight applies only to --stage mtl, not "
                          f"--stage {o['stage']}")
+    if stage == "vad_only" and o["init"]:
+        raise UsageError("init applies only to --stage asr and mtl: "
+                         "--stage vad trains a fresh model")
     if o["lm_order"] < 1:
         raise UsageError(f"lm_order must be >= 1, got {o['lm_order']}")
     try:

@@ -8,11 +8,13 @@ both conv layers), so each conv is a per-frame matrix product, and the VAD
 conv is causal: VAD scores are computable online, a block of frames at a
 time, bit-identical to whole-sequence ones.
 
-The forward functions are written once over ``autodiff`` primitives: on a
-tape they build taped Tensors for training, and with no tape active they
-compute on plain arrays with the same arithmetic, so inference gives the
-same bits without the tape's cost. ``forward`` and ``vad_score_frames``
-return Tensors either way.
+The forward functions are written once: on a tape they build taped
+Tensors for training, and with no tape active they compute on plain arrays
+with the same arithmetic, so inference gives the same bits without the
+tape's cost. The encoder is one fused tape node and the VAD head two (its
+hidden features; its speech probability), each running its numpy
+arithmetic in one function for both; the rest is ``autodiff`` primitives.
+``forward`` and ``vad_score_frames`` return Tensors either way.
 """
 
 from __future__ import annotations
@@ -232,14 +234,15 @@ class ModelParams:
 
 
 def encoder_weights(model: ModelParams) -> tuple:
-    """The encoder's weights in the layout its ops use: conv1's kernel as a
-    (c1, CONV1_WIDTH) matrix, conv2's as a contiguous (c1 * CONV2_WIDTH, d)
-    matrix, then the biases and layer-norm terms. Conv2's bias and the
-    layer-norm terms have one frame's shape where they apply, so numpy adds
-    and multiplies a single frame's arrays without broadcasting."""
+    """The encoder's weights in its node's layout: conv1's kernel as a
+    (c1, CONV1_WIDTH) matrix, its bias as a (c1, CONV2_WIDTH) block (+ -0.0
+    changes no value), conv2's kernel as a contiguous (c1 * CONV2_WIDTH, d)
+    matrix, the rest in one frame's shape: numpy adds each to one frame's
+    values on its fast, same-shape path."""
     p = model.params
     d, c1 = model.dims.d_model, model.dims.conv1_channels
-    return (ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), p["enc1_b"],
+    return (ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)),
+            ad.add(p["enc1_b"], np.full((c1, CONV2_WIDTH), -0.0)),
             ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH))),
             ad.reshape(p["enc2_b"], (1, 1, d)),
             *(ad.reshape(p[k], (1, d)) for k in ("enc_ln_g", "enc_ln_b")))
@@ -247,10 +250,10 @@ def encoder_weights(model: ModelParams) -> tuple:
 
 def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
                     weights: tuple | None = None):
-    """Convolutional encoder: one latent vector per 320-sample frame.
-    ``frames`` is a FrameSequence or a (T, 320) array; ``weights``, if given,
-    are ``encoder_weights(model)``, prepared once by a caller that encodes
-    one frame at a time."""
+    """Convolutional encoder: one latent vector per 320-sample frame, as one
+    tape node. ``frames`` is a FrameSequence or a (T, 320) array;
+    ``weights``, if given, are ``encoder_weights(model)`` as plain arrays,
+    prepared once by a caller that encodes one frame at a time."""
     x = frames.frames if isinstance(frames, FrameSequence) else frames
     T = len(x)
     if T == 0:
@@ -258,17 +261,32 @@ def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
     if x.ndim != 2 or x.shape[1] != FRAME_SAMPLES:
         raise DimensionError("expected 320-sample frames (16 kHz, 20 ms)",
                              x.shape)
-    k1, b1, k2, b2, ln_g, ln_b = weights or encoder_weights(model)
-    d, c1 = model.dims.d_model, model.dims.conv1_channels
-    # (T, CONV1_WIDTH, CONV2_WIDTH): column j holds conv1 position j's samples
-    x = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
-    h1 = ad.matmul(k1, x, b1, "relu")  # (T, c1, CONV2_WIDTH)
-    h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2, b2, "relu")
-    return ad.layer_norm(ad.reshape(h2, (T, d)), ln_g, ln_b)
+    params = weights or encoder_weights(model)
+    k1, b1, k2, b2, ln_g, ln_b = weights or map(ad.value, params)
+    # matmul + bias + relu for each conv (column j: position j's samples)
+    xs = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
+    h1 = np.maximum(k1 @ xs + b1, 0.0)  # (T, c1, CONV2_WIDTH)
+    h1s = h1.reshape(T, 1, -1)
+    h2 = np.maximum(h1s @ k2 + b2, 0.0)
+    out, ln_vjp = ad.layer_norm_arrays(h2.reshape(T, -1), ln_g, ln_b)
+    if not ad.taping():
+        return out
+
+    def vjp(g):
+        # the arrays the chain's vjps return; relu's mask is out > 0
+        g, dg, db = ln_vjp(g)
+        g2 = g.reshape(h2.shape) * (h2 > 0)
+        g1, dk2 = ad.matmul_grads(g2, h1s, k2)
+        g1 = g1.reshape(h1.shape) * (h1 > 0)
+        dk1 = ad.matmul_grads(g1, k1, xs, need_b=False)[0]
+        return (dk1, ad.unbroadcast(g1, b1.shape), dk2,
+                ad.unbroadcast(g2, b2.shape), dg, db)
+
+    return ad.custom(out, params, vjp)
 
 
 def vad_weights(model: ModelParams) -> tuple:
-    """The VAD head's weights in the layout its ops use, the biases shaped
+    """The VAD head's weights in the layout its nodes use, the biases shaped
     as in ``encoder_weights``."""
     p = model.params
     return (p["vad_k"], ad.reshape(p["vad_b"], (1, model.dims.d_model)),
@@ -277,15 +295,52 @@ def vad_weights(model: ModelParams) -> tuple:
 
 def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
                 left: np.ndarray | None = None):
-    """Cheap VAD branch: causal depthwise temporal conv + per-frame sigmoid.
-    ``weights``, if given, are ``vad_weights(model)``; ``left``, if given,
-    is the (vad_kernel_width - 1, d) encoder rows before ``Z``'s first."""
-    k, b, fc_w, fc_b = weights or vad_weights(model)
-    T, d = Z.shape
-    h_vad = ad.relu(ad.add(ad.depthwise_conv1d(Z, k, left), b))
-    probs = ad.reshape(ad.matmul(ad.reshape(h_vad, (T, 1, d)), fc_w, fc_b,
-                                 "sigmoid"), (T,))
-    return h_vad, probs
+    """Cheap VAD branch as two tape nodes: hidden features (causal depthwise
+    temporal conv, bias, relu) and speech probability (FC, bias, sigmoid).
+    ``weights``, if given, are ``vad_weights(model)`` as plain arrays;
+    ``left`` is the (vad_kernel_width - 1, d) array of encoder rows before
+    ``Z``'s first (a constant, given no gradient), or zeros."""
+    k, b, fc_w, fc_b = params = weights or vad_weights(model)
+    kv, bv, wv, cv = weights or map(ad.value, params)
+    zv = ad.value(Z)
+    T, d = zv.shape
+    W = kv.shape[2]
+    left = np.zeros((W - 1, d)) if left is None else left
+    if left.shape != (W - 1, d):
+        raise DimensionError("the VAD conv's left context must be (W-1, d)",
+                             left.shape, (W - 1, d))
+    # conv[t] = sum_w xp[t + w] * kernels[:, 0, w], xp = [left; Z]: one
+    # reduction adds the products in w order, from -0.0 so that a sum of
+    # -0.0 products stays -0.0, and a row does not depend on T
+    taps = kv.transpose(2, 1, 0)  # (W, 1, d)
+    xp = np.concatenate([left, zv])
+    s0, s1 = xp.strides
+    win = np.ndarray((W, T, d), np.float64, xp, 0, (s0, s0, s1))  # xp[w:w+T]
+    h = np.maximum(np.add.reduce(win * taps, axis=0, initial=-0.0) + bv, 0.0)
+    hs = h.reshape(T, 1, d)
+    prob = 1.0 / (1.0 + np.exp(-(hs @ wv + cv)))
+    if not ad.taping():
+        return h, prob.reshape(T)
+
+    def hidden_vjp(g):
+        g = g * (h > 0)
+        # dx[t] = sum of g[t + W-1 - w] * taps[w] in w order from +0.0; the
+        # zero rows padded after g add zero products, which change no such sum
+        gp = np.concatenate([g, np.zeros((W - 1, d))])
+        r0, r1 = gp.strides
+        gwin = np.ndarray((W, T, d), buffer=gp, offset=(W - 1) * r0,
+                          strides=(-r0, r0, r1))
+        return (np.add.reduce(gwin * taps, axis=0, initial=0.0),
+                np.add.reduce(win * g, axis=1).T.reshape(kv.shape),
+                ad.unbroadcast(g, bv.shape))
+
+    def probs_vjp(g):
+        g = g.reshape(prob.shape) * prob * (1.0 - prob)
+        gh, gw = ad.matmul_grads(g, hs, wv)
+        return gh.reshape(T, d), gw, ad.unbroadcast(g, cv.shape)
+
+    H = ad.custom(h, (Z, k, b), hidden_vjp)
+    return H, ad.custom(prob.reshape(T), (H, fc_w, fc_b), probs_vjp)
 
 
 def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:

@@ -63,6 +63,8 @@ class TrainConfig:
             raise DataError(f"need 0 < chunk_min_s <= chunk_max_s, both "
                             f"finite, got {self.chunk_min_s!r} and "
                             f"{self.chunk_max_s!r}")
+        to_frames(self.chunk_max_s)  # as frames too: 1.7e308 s overflows
+        to_frames(self.splice_s)
 
 
 @dataclass
@@ -145,10 +147,13 @@ def _utterance_loss(model: ModelParams, utt: Utterance, frames: FrameSequence,
         return bce, 0.0, float(bce.data)
     art = forward(frames, model, layout)
     ctc = ctc_loss(art.log_posteriors, utt.transcript)
+    if config.stage == "asr_only":  # BCE for its curve, on a tape of its own
+        with ad.Tape():
+            bce = bce_loss(art.speech_probs, utt.speech_mask)
+        return ctc, float(ctc.data), float(bce.data)
     bce = bce_loss(art.speech_probs, utt.speech_mask)
-    node = (ctc if config.stage == "asr_only"
-            else mtl_loss(ctc, bce, config.vad_weight))
-    return node, float(ctc.data), float(bce.data)
+    return (mtl_loss(ctc, bce, config.vad_weight), float(ctc.data),
+            float(bce.data))
 
 
 def _run_training(model: ModelParams, corpus: Sequence[Utterance],

@@ -1,9 +1,9 @@
 """Test-only oracles and helpers: finite-difference gradients, elementwise
 product and reductions for building test losses on the tape, the unfused
-ops that a fused ``ad.matmul``, ``ad.depthwise_conv1d`` and
-``ad.attention`` must match bit for bit, brute-force CTC, a scorer that
-replays precomputed VAD scores, and a writer of the posterior files that
-``decode-posteriors`` reads."""
+ops that a fused ``ad.matmul`` and ``ad.attention``, and the model's fused
+encoder and VAD nodes, must match bit for bit, brute-force CTC, a scorer
+that replays precomputed VAD scores, and a writer of the posterior files
+that ``decode-posteriors`` reads."""
 
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 import vadasr.autodiff as ad
-from vadasr.errors import DataError, NumericError, UsageError
+from vadasr.errors import DataError, DimensionError, NumericError, UsageError
 from vadasr.losses import _target_indices
+from vadasr.model import CONV1_WIDTH, CONV2_WIDTH
 
 BRUTEFORCE_LIMIT = 10 ** 6
 
@@ -32,8 +33,8 @@ def mul(a, b) -> ad.Tensor:
     ta, tb = ad.tensor(a), ad.tensor(b)
     x, y = ta.data, tb.data
     return ad.custom(x * y, (ta, tb),
-                     lambda g: (ad._unbroadcast(g * y, x.shape),
-                                ad._unbroadcast(g * x, y.shape)))
+                     lambda g: (ad.unbroadcast(g * y, x.shape),
+                                ad.unbroadcast(g * x, y.shape)))
 
 
 def sum_all(a) -> ad.Tensor:
@@ -51,8 +52,8 @@ def mean_all(a) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the unfused ops behind a fused ``ad.matmul``, ``ad.depthwise_conv1d`` and
-# ``ad.attention``
+# the unfused ops behind a fused ``ad.matmul``, ``ad.attention`` and the
+# model's encoder and VAD nodes
 
 
 def sigmoid(a) -> ad.Tensor:
@@ -86,18 +87,93 @@ def attention_unfused(q, k, v, n_heads: int):
     return ad.concat(heads, axis=1)
 
 
+def relu(a) -> ad.Tensor:
+    ta = ad.tensor(a)
+    x = ta.data
+    mask = x > 0
+    return ad.custom(np.maximum(x, 0.0), (ta,), lambda g: (g * mask,))
+
+
 def matmul_unfused(a, b, bias, act=None):
     """``ad.matmul(a, b, bias, act)`` as the chain of ops it fuses: matmul,
     add, activation."""
     z = ad.add(ad.matmul(a, b), bias)
     if act == "relu":
-        return ad.relu(z)
+        return relu(z)
     return sigmoid(z) if act == "sigmoid" else z
 
 
+def depthwise_conv1d(x, kernels, left=None):
+    """Causal depthwise convolution over time, the VAD head's conv as one
+    op. x: (T, C), kernels: (C, 1, W) -> (T, C), with out[t] = sum_w
+    x[t + w - W + 1] * kernels[:, 0, w]. Before t = 0, x is ``left``, the
+    (W - 1, C) rows that precede it (a constant: no gradient flows to it),
+    or zeros. One reduction of a strided (W, T, C) window adds each row's
+    products in w order, from -0.0."""
+    tx, tk = ad.tensor(x), ad.tensor(kernels)
+    xv, kv = tx.data, tk.data
+    if xv.ndim != 2 or kv.ndim != 3 or kv.shape[:2] != (xv.shape[1], 1):
+        raise DimensionError("depthwise_conv1d expects (T,C) input and "
+                             "(C,1,W) kernels", xv.shape, kv.shape)
+    T, C = xv.shape
+    W = kv.shape[2]
+    left = np.zeros((W - 1, C)) if left is None else ad.value(left)
+    if left.shape != (W - 1, C):
+        raise DimensionError("depthwise_conv1d's left context must be "
+                             "(W-1, C)", left.shape, (W - 1, C))
+    taps = kv.transpose(2, 1, 0)  # (W, 1, C)
+    xp = np.concatenate([left, xv])
+    s0, s1 = xp.strides
+    win = np.ndarray((W, T, C), buffer=xp, strides=(s0, s0, s1))  # xp[w:w+T]
+    out = np.add.reduce(win * taps, axis=0, initial=-0.0)
+    if not ad.taping():  # a plain array, as a primitive gives
+        return out
+
+    def vjp(g):
+        gp = np.concatenate([g, np.zeros((W - 1, C))])
+        r0, r1 = gp.strides
+        gwin = np.ndarray((W, T, C), buffer=gp, offset=(W - 1) * r0,
+                          strides=(-r0, r0, r1))
+        return (np.add.reduce(gwin * taps, axis=0, initial=0.0),
+                np.add.reduce(win * g, axis=1).T.reshape(kv.shape))
+
+    return ad.custom(out, (tx, tk), vjp)
+
+
+def encode_unfused(x: np.ndarray, model) -> ad.Tensor:
+    """``model.encode_features(x, model)`` as the chain of ops it fuses, on
+    conv1's (c1, 1) bias: matmul (+ bias, relu), reshape, matmul (+ bias,
+    relu), reshape, layer_norm."""
+    p = model.params
+    d, c1 = model.dims.d_model, model.dims.conv1_channels
+    T = len(x)
+    x = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
+    h1 = ad.matmul(ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), x,
+                   p["enc1_b"], "relu")
+    k2 = ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH)))
+    h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2,
+                   ad.reshape(p["enc2_b"], (1, 1, d)), "relu")
+    return ad.layer_norm(ad.reshape(h2, (T, d)),
+                         *(ad.reshape(p[k], (1, d))
+                           for k in ("enc_ln_g", "enc_ln_b")))
+
+
+def vad_forward_unfused(Z, model, left=None):
+    """``model.vad_forward(Z, model, left=left)`` as the chain of ops its
+    two nodes fuse: conv, add, relu; then reshape, matmul (+ bias,
+    sigmoid), reshape."""
+    p = model.params
+    T, d = ad.value(Z).shape
+    h = relu(ad.add(depthwise_conv1d(Z, p["vad_k"], left),
+                    ad.reshape(p["vad_b"], (1, d))))
+    z = ad.matmul(ad.reshape(h, (T, 1, d)), p["vad_fc_w"],
+                  ad.reshape(p["vad_fc_b"], (1, 1, 1)), "sigmoid")
+    return h, ad.reshape(z, (T,))
+
+
 def depthwise_conv1d_taps(x, kernels, left=None) -> ad.Tensor:
-    """``ad.depthwise_conv1d`` as a loop over its W taps: the forward adds
-    one (T, C) product per tap, the vjp scatters one per tap."""
+    """``depthwise_conv1d`` as a loop over its W taps: the forward adds one
+    (T, C) product per tap, the vjp scatters one per tap."""
     tx, tk = ad.tensor(x), ad.tensor(kernels)
     xv, kv = tx.data, tk.data
     T, C = xv.shape
@@ -122,13 +198,18 @@ def depthwise_conv1d_taps(x, kernels, left=None) -> ad.Tensor:
 
 def with_upstream(fn, arrays, g):
     """``fn`` on Tensors of ``arrays``, and the gradient of each when the
-    output's upstream gradient is exactly ``g``."""
+    output's upstream gradient is exactly ``g``. For a tuple of outputs,
+    ``g`` is a tuple of their upstream gradients, and so are the outputs
+    returned."""
     ts = [ad.Tensor(a) for a in arrays]
     with ad.Tape() as tape:
-        out = ad.tensor(fn(*ts))
-        seed = ad.custom(np.zeros(()), (out,), lambda _: (g,))
+        out = fn(*ts)
+        many = isinstance(out, tuple)
+        outs = tuple(map(ad.tensor, out if many else (out,)))
+        seed = ad.custom(np.zeros(()), outs, lambda _: g if many else (g,))
     grads = ad.backward(tape, seed)
-    return out.data, [grads.get(t) for t in ts]
+    data = tuple(o.data for o in outs)
+    return data if many else data[0], [grads.get(t) for t in ts]
 
 
 def signed_zeros(rng, shape, zero_frac: float = 0.5) -> np.ndarray:

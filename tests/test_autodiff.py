@@ -5,9 +5,16 @@ import pytest
 
 import vadasr.autodiff as ad
 from vadasr.errors import DimensionError, FormatError, NumericError, UsageError
-from oracles import (attention_unfused, depthwise_conv1d_taps, exp,
-                     finite_diff_check, matmul_unfused, mean_all, mul,
-                     sigmoid, signed_zeros, softmax, sum_all, with_upstream)
+from vadasr.model import (ModelDims, ModelParams, encode_features,
+                          encoder_weights, param_layout, vad_forward)
+from oracles import (attention_unfused, depthwise_conv1d,
+                     depthwise_conv1d_taps, encode_unfused, exp,
+                     finite_diff_check, matmul_unfused, mean_all, mul, relu,
+                     sigmoid, signed_zeros, softmax, sum_all,
+                     vad_forward_unfused, with_upstream)
+
+ENCODER = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g", "enc_ln_b")
+VAD_HEAD = ("vad_k", "vad_b", "vad_fc_w", "vad_fc_b")
 
 
 def fd(f, params, tol=1e-6):
@@ -80,7 +87,7 @@ class TestOpGradients:
     def test_sigmoid_relu_exp(self, rng):
         a = ad.Tensor(rng.normal(size=(5,)) + 0.3)
         fd(lambda p: sum_all(sigmoid(p[0])), [a])
-        fd(lambda p: sum_all(ad.relu(p[0])), [a])
+        fd(lambda p: sum_all(relu(p[0])), [a])
         fd(lambda p: sum_all(exp(ad.scale(p[0], 0.3))), [a])
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
@@ -198,7 +205,7 @@ class TestOpGradients:
         # np.convolve oracle must agree bit for bit
         x = rng.integers(-9, 10, size=(9, 4)).astype(float)
         k = rng.integers(-9, 10, size=(4, 1, 3)).astype(float)
-        out = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(k))
+        out = depthwise_conv1d(ad.Tensor(x), ad.Tensor(k))
         # causal: output at t sees inputs t-2..t
         ref = np.stack([np.convolve(x[:, c], k[c, 0][::-1])[:9]
                         for c in range(4)], axis=1)
@@ -207,39 +214,77 @@ class TestOpGradients:
     def test_depthwise_conv1d_rows_independent_of_length(self, rng):
         x = rng.normal(size=(12, 5))
         k = rng.normal(size=(5, 1, 4))
-        whole = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(k))
+        whole = depthwise_conv1d(ad.Tensor(x), ad.Tensor(k))
         for t in range(1, 12):
-            part = ad.depthwise_conv1d(ad.Tensor(x[:t]), ad.Tensor(k))
+            part = depthwise_conv1d(ad.Tensor(x[:t]), ad.Tensor(k))
             assert np.array_equal(part, whole[:t])
 
     def test_depthwise_conv1d_gradient(self, rng):
         x = ad.Tensor(rng.normal(size=(7, 3)))
         k = ad.Tensor(rng.normal(size=(3, 1, 4)))
         w = rng.normal(size=(7, 3))
-        fd(lambda p: sum_all(mul(ad.depthwise_conv1d(p[0], p[1]), w)),
+        fd(lambda p: sum_all(mul(depthwise_conv1d(p[0], p[1]), w)),
            [x, k])
 
     def test_depthwise_conv1d_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
-                                ad.Tensor(np.ones((2, 1, 2))))
+            depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
+                             ad.Tensor(np.ones((2, 1, 2))))
         with pytest.raises(DimensionError):
-            ad.depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
-                                ad.Tensor(np.ones((3, 2, 2))))
+            depthwise_conv1d(ad.Tensor(np.ones((5, 3))),
+                             ad.Tensor(np.ones((3, 2, 2))))
 
     def test_depthwise_conv1d_left_context(self, rng):
         x = ad.Tensor(rng.normal(size=(6, 3)))
         k = ad.Tensor(rng.normal(size=(3, 1, 4)))
         left = rng.normal(size=(3, 3))
         w = rng.normal(size=(6, 3))
-        fd(lambda p: sum_all(mul(ad.depthwise_conv1d(p[0], p[1], left), w)),
+        fd(lambda p: sum_all(mul(depthwise_conv1d(p[0], p[1], left), w)),
            [x, k])
+
+    def test_encoder_node(self, rng):
+        dims = ModelDims(vocab_size=2, d_model=4, n_heads=1,
+                         conv1_channels=2, ffn_dim=4)
+        x = rng.normal(size=(3, 320))
+        params = [ad.Tensor(rng.normal(size=shape))
+                  for shape in shapes(dims, ENCODER)]
+        w = rng.normal(size=(3, 4))
+        fd(lambda p: sum_all(mul(
+            encode_features(x, with_params(dims, ENCODER, p)), w)),
+           params, tol=1e-5)
+
+    @pytest.mark.parametrize("with_left", [False, True])
+    def test_vad_nodes(self, rng, with_left):
+        dims = ModelDims(vocab_size=2, d_model=4, n_heads=1,
+                         vad_kernel_width=3)
+        left = rng.normal(size=(2, 4)) if with_left else None
+        params = [ad.Tensor(rng.normal(size=shape))
+                  for shape in [(5, 4), *shapes(dims, VAD_HEAD)]]
+        wh, wp = rng.normal(size=(5, 4)), rng.normal(size=(5,))
+
+        def f(p):
+            h, probs = vad_forward(p[0], with_params(dims, VAD_HEAD, p[1:]),
+                                   left=left)
+            return ad.add(sum_all(mul(h, wh)), sum_all(mul(probs, wp)))
+
+        fd(f, params)
 
     def test_transpose_reshape_mean(self, rng):
         a = ad.Tensor(rng.normal(size=(3, 4)))
         w = rng.normal(size=(4, 3))
         fd(lambda p: sum_all(mul(ad.transpose(p[0]), w)), [a])
         fd(lambda p: mean_all(ad.reshape(p[0], (2, 6))), [a])
+
+
+def shapes(dims, names):
+    layout = param_layout(dims)
+    return [layout[name][0] for name in names]
+
+
+def with_params(dims, names, tensors) -> ModelParams:
+    """A model of ``dims`` whose parameters ``names`` are ``tensors``."""
+    return ModelParams([str(i) for i in range(dims.vocab_size)], dims,
+                       dict(zip(names, tensors)))
 
 
 def bits(a) -> np.ndarray:
@@ -268,20 +313,20 @@ class TestSameBitsAsUnfused:
                     else None)
             g = signed_zeros(rng, (T, C), zero_frac)
             ours = with_upstream(
-                lambda a, b: ad.depthwise_conv1d(a, b, left), (x, k), g)
+                lambda a, b: depthwise_conv1d(a, b, left), (x, k), g)
             oracle = with_upstream(
                 lambda a, b: depthwise_conv1d_taps(a, b, left), (x, k), g)
             assert_same_bits(ours[0], oracle[0])
             for mine, theirs in zip(ours[1], oracle[1]):
                 assert_same_bits(mine, theirs)
             # off the tape too
-            assert_same_bits(ad.depthwise_conv1d(x, k, left), oracle[0])
+            assert_same_bits(depthwise_conv1d(x, k, left), oracle[0])
 
     def test_depthwise_conv1d_all_negative_zero_sum(self):
         # every product is -0.0, so the sum is -0.0, not +0.0
         x = np.full((3, 2), -0.0)
         k = np.ones((2, 1, 4))
-        out = ad.depthwise_conv1d(x, k, np.full((3, 2), -0.0))
+        out = depthwise_conv1d(x, k, np.full((3, 2), -0.0))
         assert np.signbit(out).all()
         assert_same_bits(out, depthwise_conv1d_taps(
             x, k, np.full((3, 2), -0.0)).data)
@@ -325,6 +370,54 @@ class TestSameBitsAsUnfused:
                 assert_same_bits(gy, np.tensordot(x, g, axes=([0, 1], [0, 1])))
             else:
                 assert_same_bits(gx, np.tensordot(g, y, axes=([0, 2], [0, 2])))
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 118])
+    def test_encoder(self, rng, T):
+        dims = ModelDims(vocab_size=2)
+        for zero_frac in (0.0, 0.5, 0.9, 1.0):
+            x = signed_zeros(rng, (T, 320), zero_frac)
+            arrays = [signed_zeros(rng, shape, zero_frac)
+                      for shape in shapes(dims, ENCODER)]
+            g = signed_zeros(rng, (T, dims.d_model), zero_frac)
+            ours, oracle = (with_upstream(
+                lambda *ts: fn(x, with_params(dims, ENCODER, ts)), arrays, g)
+                for fn in (encode_features, encode_unfused))
+            assert_same_bits(ours[0], oracle[0])
+            assert len(ours[1]) == 6
+            for mine, theirs in zip(ours[1], oracle[1]):
+                assert_same_bits(mine, theirs)
+            # off the tape, and on weights prepared once, as a scorer has them
+            model = with_params(dims, ENCODER, arrays)
+            assert_same_bits(encode_features(x, model), oracle[0])
+            prepared = tuple(np.array(ad.value(w))
+                             for w in encoder_weights(model))
+            assert_same_bits(encode_features(x, model, prepared), oracle[0])
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 118])
+    @pytest.mark.parametrize("with_left", [False, True])
+    def test_vad_head(self, rng, T, with_left):
+        dims = ModelDims(vocab_size=2)
+        d, W = dims.d_model, dims.vad_kernel_width
+        for zero_frac in (0.0, 0.5, 0.9, 1.0):
+            arrays = [signed_zeros(rng, shape, zero_frac)
+                      for shape in [(T, d), *shapes(dims, VAD_HEAD)]]
+            left = (signed_zeros(rng, (W - 1, d), zero_frac) if with_left
+                    else None)
+            gs = (signed_zeros(rng, (T, d), zero_frac),
+                  signed_zeros(rng, (T,), zero_frac))
+            ours, oracle = (with_upstream(
+                lambda z, *ts: fn(z, with_params(dims, VAD_HEAD, ts),
+                                  left=left), arrays, gs)
+                for fn in (vad_forward, vad_forward_unfused))
+            for mine, theirs in zip(ours[0], oracle[0]):
+                assert_same_bits(mine, theirs)
+            assert len(ours[1]) == 5
+            for mine, theirs in zip(ours[1], oracle[1]):
+                assert_same_bits(mine, theirs)
+            off = vad_forward(arrays[0], with_params(dims, VAD_HEAD,
+                                                     arrays[1:]), left=left)
+            for mine, theirs in zip(off, oracle[0]):
+                assert_same_bits(mine, theirs)
 
     @pytest.mark.parametrize("T", [1, 2, 5, 118])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])

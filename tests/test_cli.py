@@ -301,6 +301,11 @@ class TestExitCodes:
         ["train", "--stage", "asr", "--vad-weight", "3"],
         ["train", "--chunk-min-s", "-1"],
         ["train", "--chunk-min-s", "2", "--chunk-max-s", "1"],
+        # finite, but inf frames
+        ["train", "--stage", "mtl", "--chunk-max-s", "1.7e308"],
+        ["train", "--splice-s", "1.7e308"],
+        # the VAD-only stage trains a fresh model
+        ["train", "--stage", "vad", "--init", "/nonexistent/x.ckpt"],
         ["segment", "--max-chunk-s", "nan"],
         ["segment", "--max-chunk-s", "0.02"],
         ["segment", "--min-silence-s", "-5"],

@@ -100,6 +100,7 @@ class TestConfig:
         {"chunk_min_s": 0.0}, {"chunk_min_s": -1.0},
         {"chunk_min_s": 2.0, "chunk_max_s": 1.0},
         {"chunk_max_s": float("inf")}, {"chunk_max_s": float("nan")},
+        {"chunk_max_s": 1.7e308}, {"splice_s": 1.7e308},  # inf frames
     ], ids=str)
     def test_bad_durations_rejected(self, kwargs):
         with pytest.raises(DataError):
@@ -298,7 +299,8 @@ class TestSameBits:
 
     def test_mtl_tape_size(self):
         # each _mha call is five nodes (three projections, attention, output
-        # projection); a refactor that expands the tape again fails here
+        # projection), the encoder one and the VAD head two; a refactor that
+        # expands the tape again fails here
         utt = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=3))[0]
         frames = frame_stream(utt.audio)
         layout = plan_chunks(len(frames), 50, 25, 25)
@@ -307,7 +309,27 @@ class TestSameBits:
             trainer._utterance_loss(ModelParams.init(default_vocab(5), seed=0),
                                     utt, frames, TrainConfig(stage="mtl"),
                                     layout)
-        assert len(tape) == 59
+        assert len(tape) == 52
+
+    def test_asr_only_tape_reaches_all_but_the_vad_probability(self):
+        # stage 1 differentiates CTC alone: it records no BCE node, and
+        # backward skips only the speech-probability node and the reshape
+        # of the bias that feeds it alone
+        utt = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=3))[0]
+        with ad.Tape() as tape:
+            node, _, ce = trainer._utterance_loss(
+                ModelParams.init(default_vocab(5), seed=0), utt,
+                frame_stream(utt.audio), TrainConfig(), None)
+        reached = []
+
+        def counted(i, vjp):
+            return lambda g: (reached.append(i), vjp(g))[1]
+
+        tape._nodes = [(out, parents, counted(i, vjp))
+                       for i, (out, parents, vjp) in enumerate(tape._nodes)]
+        ad.backward(tape, node)
+        assert ce > 0
+        assert (len(tape), len(tape) - len(reached)) == (35, 2)
 
 
 class TestDevStream:

@@ -139,18 +139,16 @@ def scale(a, c: float):
 
 
 def matmul(a, b, bias=None, act: str | None = None):
-    """Matrix product; one operand may be a (T, m, n) stack of matrices, each
-    multiplied on its own, so an item's arithmetic does not depend on T.
-    Then, fused into the same tape node, ``+ bias`` if given and ``act``
-    ("relu", "sigmoid" or None): the arithmetic of ``matmul``, ``add`` and
-    the activation, in that order, and a vjp that returns the arrays those
-    three nodes' vjps would."""
-    if act not in (None, "relu", "sigmoid"):
+    """Product of two matrices. Then, fused into the same tape node,
+    ``+ bias`` if given and ``act`` ("relu" or None): the arithmetic of
+    ``matmul``, ``add`` and the activation, in that order, and a vjp that
+    returns the arrays those three nodes' vjps would."""
+    if act not in (None, "relu"):
         raise UsageError(f"unknown activation {act!r}")
     x, y = value(a), value(b)
     c = None if bias is None else value(bias)
-    if (x.ndim, y.ndim) not in ((2, 2), (2, 3), (3, 2)):
-        raise DimensionError("matmul shapes incompatible", x.shape, y.shape)
+    if x.ndim != 2 or y.ndim != 2:
+        raise DimensionError("matmul needs two matrices", x.shape, y.shape)
     try:
         z = x @ y
         zshape = z.shape
@@ -159,19 +157,16 @@ def matmul(a, b, bias=None, act: str | None = None):
     except ValueError:
         raise DimensionError("matmul shapes incompatible", x.shape, y.shape,
                              *(() if c is None else (c.shape,)))
-    out = (z if act is None else np.maximum(z, 0.0) if act == "relu"
-           else 1.0 / (1.0 + np.exp(-z)))
+    out = z if act is None else np.maximum(z, 0.0)
     if not _ACTIVE_TAPES:
         return out
     mask = z > 0 if act == "relu" else None
-    # a plain-array operand (such as the encoder's input frames) gets none
+    # a plain-array operand gets no gradient
     need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         if act == "relu":
             g = g * mask
-        elif act == "sigmoid":
-            g = g * out * (1.0 - out)
         ga, gb = matmul_grads(g if c is None else unbroadcast(g, zshape),
                               x, y, need_a, need_b)
         return (ga, gb) if c is None else (ga, gb, unbroadcast(g, c.shape))
@@ -181,8 +176,9 @@ def matmul(a, b, bias=None, act: str | None = None):
 
 def matmul_grads(gz, x, y, need_a: bool = True, need_b: bool = True):
     """The gradients of ``x @ y`` for ``x`` and ``y`` (None where not
-    needed) from the product's gradient ``gz``, as ``matmul``'s vjp takes
-    them: a stack's sum is np.tensordot's one 2-D np.dot, on its arrays."""
+    needed) from the product's gradient ``gz``. One operand may be a
+    (T, m, n) stack of matrices, as in the model's fused encoder and VAD
+    nodes: a stack's sum is np.tensordot's one 2-D np.dot, on its arrays."""
     ga = gb = None
     if need_a:
         ga = gz @ y.T if y.ndim == 2 else np.dot(

@@ -77,7 +77,9 @@ def load_external_posteriors(path) -> PosteriorGrid:
     try:
         sidecar = json.loads(sidecar_path.read_text())
         vocab = parse_vocab(sidecar["vocab"], sidecar_path)
-        blank = int(sidecar["blank_index"])
+        blank = sidecar["blank_index"]
+        if type(blank) is not int:
+            raise TypeError(f"blank_index must be a JSON int, got {blank!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar_path}: bad posterior sidecar: "
                           f"{type(exc).__name__}: {exc}") from exc

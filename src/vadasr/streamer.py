@@ -7,9 +7,11 @@ with one call of the scorer, ``scorer(frames, start) -> scores``, where
 holds one score per frame. ``ModelScorer`` carries only the VAD conv's
 ``vad_kernel_width - 1`` left-context encoder rows from block to block, so
 any split of a stream into blocks gives the same scores, and with them the
-same events. In a live stream a block of k frames waits up to k - 1 frames
-for its last frame before it is scored: that algorithmic latency, in
-frames, is separate from the compute latency of scoring and decoding.
+same events. A ``ModelDecoder`` decodes from the encoder rows that the
+``ModelScorer`` of its model made, so no frame is encoded twice. In a live
+stream a block of k frames waits up to k - 1 frames for its last frame
+before it is scored: that algorithmic latency, in frames, is separate from
+the compute latency of scoring and decoding.
 
 Per frame of a block: update the frames-to-process counter ``c`` and
 the trailing-silence counter ``b``, raise the speaking flag once
@@ -35,7 +37,7 @@ import numpy as np
 
 from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence
 from .decode import BeamConfig, beam_search, greedy_decode
-from .errors import DataError, InvalidSpecError
+from .errors import DataError, InvalidSpecError, UsageError
 from .model import (ModelParams, PosteriorGrid, encoder_weights, forward,
                     vad_weights)
 from . import autodiff as ad, model as net
@@ -43,7 +45,6 @@ from . import autodiff as ad, model as net
 FORCED = "forced-length"
 END_OF_UTT = "end-of-utterance"
 FINALIZE = "finalize"
-_SCORER_ROWS = 256  # rows a ModelScorer's buffer holds past the context
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,12 @@ class ModelScorer:
     """Cheap VAD path of the model, evaluated a block of frames at a time.
 
     Encodes each new frame once, off the tape. The encoder is frame-local
-    and the VAD conv causal, so with the encoder rows of the
-    ``vad_kernel_width - 1`` frames before it (the conv's left context) a
-    block scores exactly as in the whole sequence. Its rows are copied once,
-    after those, into a row buffer that restarts from them when full. The
-    weights are prepared once, as plain arrays in the layout the forward
-    uses, so a scorer scores with the weights its model held when it was
-    built. ``rows`` is the last scored block's (k, d) encoder rows; a
-    ``Streamer`` keeps these for its ``ModelDecoder``, so the decoded rows
-    carry those same copied encoder weights.
+    and the VAD conv causal, so a block scores exactly as in the whole
+    sequence given the conv's left context: the encoder rows of the
+    ``vad_kernel_width - 1`` frames before it (zeros before the first), all
+    the scorer carries. The weights are prepared once, as plain arrays in
+    the layout the forward uses. ``rows`` is the last block's (k, d) encoder
+    rows, the ``ModelDecoder``'s input.
     """
 
     def __init__(self, model: ModelParams):
@@ -108,43 +106,34 @@ class ModelScorer:
         self._weights = tuple(tuple(np.array(ad.value(w)) for w in ws)
                               for ws in (encoder_weights(model),
                                          vad_weights(model)))
-        self._n = model.dims.vad_kernel_width - 1  # zeros: the causal pad
-        self._buf = np.zeros((self._n + _SCORER_ROWS, model.dims.d_model))
-        self._end = self._n
-        self.rows = self._buf[:0]
+        self._left = np.zeros((model.dims.vad_kernel_width - 1,
+                               model.dims.d_model))
+        self.rows = self._left[:0]
 
     def __call__(self, frames: np.ndarray, start: int) -> np.ndarray:
-        n, end = self._n, self._end
         enc_w, vad_w = self._weights
-        self.rows = ad.value(net.encode_features(frames, self.model, enc_w))
-        scores = ad.value(net.vad_forward(self.rows, self.model, vad_w,
-                                          self._buf[end - n:end])[1])
-        k = len(scores)
-        if end + k > len(self._buf):
-            self._buf = np.concatenate((self._buf[end - n:end], np.empty(
-                (max(k, _SCORER_ROWS), self._buf.shape[1]))))
-            end = n
-        self._buf[end:end + k] = self.rows
-        self._end = end + k
+        rows = self.rows = ad.value(net.encode_features(frames, self.model,
+                                                        enc_w))
+        scores = ad.value(net.vad_forward(rows, self.model, vad_w,
+                                          self._left)[1])
+        n, k = len(self._left), len(rows)  # (a view of rows is never written)
+        self._left = (rows[k - n:] if k >= n
+                      else np.concatenate((self._left[k:], rows)))
         return scores
 
 
 class ModelDecoder:
-    """Decode a flushed window: full forward over span + splice context,
-    then beam search (or greedy) over the span's posterior rows only.
-
-    The window is its frames' (T, 320) samples or, with ``encoded``, the
-    (T, d) encoder rows a ``ModelScorer`` of the same model made, with the
-    encoder weights that scorer copied when it was built."""
+    """Decode a flushed window, the (T, d) encoder rows a ``ModelScorer`` of
+    the same model made: the rest of the forward over span + splice context,
+    then beam search (or greedy) over the span's posterior rows only."""
 
     def __init__(self, model: ModelParams, beam: Optional[BeamConfig] = None):
         self.model = model
         self.beam = beam
 
-    def __call__(self, window: np.ndarray, span_start: int, span_len: int,
-                 encoded: bool = False) -> tuple[str, ...]:
-        art = (forward(None, self.model, Z=window) if encoded
-               else forward(FrameSequence(window), self.model))
+    def __call__(self, window: np.ndarray, span_start: int,
+                 span_len: int) -> tuple[str, ...]:
+        art = forward(None, self.model, Z=window)
         rows = art.log_posteriors.array[span_start:span_start + span_len]
         sub = PosteriorGrid(log_probs=rows, vocab=self.model.vocab,
                             blank_index=len(self.model.vocab))
@@ -157,11 +146,17 @@ class ModelDecoder:
 
 
 class Streamer:
-    """Single-writer online VAD&ASR pipeline over pushed frames."""
+    """Single-writer online VAD&ASR pipeline over pushed frames. Without a
+    decoder, any scorer will do and events carry no text."""
 
     def __init__(self, config: StreamerConfig,
                  scorer: Callable[[np.ndarray, int], np.ndarray],
-                 decoder: Optional[Callable] = None):
+                 decoder: Optional[ModelDecoder] = None):
+        if decoder is not None and not (
+                isinstance(decoder, ModelDecoder)
+                and isinstance(scorer, ModelScorer)
+                and scorer.model is decoder.model):
+            raise UsageError("a ModelDecoder needs a ModelScorer of its model")
         self.config = config
         self.scorer = scorer
         self.decoder = decoder
@@ -170,38 +165,22 @@ class Streamer:
         self._b = 0                 # trailing sub-threshold run
         self._speaking = False
         self._window_start = 0      # absolute index of the window's frame 0
-        # a decoder's input, one entry per kept frame: its samples or, from a
-        # ModelScorer of the decoder's model, the encoder row it has made
-        self._frames: list[np.ndarray] = []
-        self._frame_base = 0        # absolute index of _frames[0]
-        # (getattr: a stand-in patched over the name ModelScorer, as a test
-        # may do, need not carry a model)
-        self._encoded = (isinstance(decoder, ModelDecoder)
-                         and isinstance(scorer, ModelScorer)
-                         and getattr(scorer, "model", None) is decoder.model)
+        self._rows: list[np.ndarray] = []  # the decoder's, one per frame
+        self._row_base = 0          # absolute index of _rows[0]
         self.events: list[SegmentEvent] = []
         self.boundaries: list[BoundarySpan] = []
 
     # -- frame bookkeeping
 
-    def _prune(self) -> None:
-        keep_from = max(0, self._window_start - self.config.splice_frames)
-        drop = keep_from - self._frame_base
-        if drop > 0:
-            del self._frames[:drop]
-            self._frame_base = keep_from
-
     def _emit(self, start: int, end: int, cause: str) -> SegmentEvent:
         cfg = self.config
         text: tuple[str, ...] = ()
         if self.decoder is not None:
-            ws = max(self._frame_base, start - cfg.splice_frames)
+            ws = max(self._row_base, start - cfg.splice_frames)
             we = min(self._t, end + cfg.splice_frames)
-            window = np.stack(self._frames[ws - self._frame_base:
-                                           we - self._frame_base])
-            args = (window, start - ws, end - start)
-            text = (self.decoder(*args, encoded=True) if self._encoded
-                    else self.decoder(*args))
+            window = np.stack(self._rows[ws - self._row_base:
+                                         we - self._row_base])
+            text = self.decoder(window, start - ws, end - start)
         ev = SegmentEvent(start_s=start * FRAME_DURATION_S,
                           end_s=end * FRAME_DURATION_S,
                           text=text, cause=cause)
@@ -233,16 +212,12 @@ class Streamer:
         except Exception as exc:
             raise DataError(
                 f"VAD scorer failed at frame {start}: {exc}") from exc
-        # the decoder's input per frame, kept as the frame is reached, so
-        # pruning sees no more frames than one frame at a time would
-        store = None
-        if self.decoder is not None:
-            store = self.scorer.rows if self._encoded else block
+        rows = None if self.decoder is None else self.scorer.rows
 
         events = []
         for i, theta in enumerate(scores.tolist()):
-            if store is not None:
-                self._frames.append(store[i])
+            if rows is not None:
+                self._rows.append(rows[i])
             self._t += 1
             self._c += 1
             if theta >= cfg.vad_threshold:
@@ -276,7 +251,10 @@ class Streamer:
         self._c = 0
         self._b = 0
         self._window_start = self._t
-        self._prune()
+        keep_from = max(0, self._t - self.config.splice_frames)
+        if keep_from > self._row_base:
+            del self._rows[:keep_from - self._row_base]
+            self._row_base = keep_from
 
     def finalize(self) -> Optional[SegmentEvent]:
         """Flush a trailing utterance once the stream has ended."""
@@ -375,11 +353,15 @@ def read_events(path) -> list[SegmentEvent]:
                 continue
             try:
                 rec = json.loads(line)
+                times = rec["start_s"], rec["end_s"]
+                if not all(type(t) in (int, float) for t in times):
+                    raise TypeError(f"event times must be JSON numbers, got "
+                                    f"{times}")
                 ev = SegmentEvent(
-                    start_s=float(rec["start_s"]), end_s=float(rec["end_s"]),
+                    start_s=float(times[0]), end_s=float(times[1]),
                     text=tuple(rec["text"].split()), cause=rec["cause"])
             except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-                    AttributeError) as exc:
+                    AttributeError, OverflowError) as exc:
                 raise DataError(f"{path}: bad event line: "
                                 f"{type(exc).__name__}: {exc}") from exc
             if not (0 <= ev.start_s <= ev.end_s <= MAX_STREAM_S):

@@ -94,10 +94,26 @@ def relu(a) -> ad.Tensor:
     return ad.custom(np.maximum(x, 0.0), (ta,), lambda g: (g * mask,))
 
 
+def stacked_matmul(a, b) -> ad.Tensor:
+    """``a @ b`` where one operand is a (T, m, n) stack of matrices, each
+    multiplied on its own, so an item's arithmetic does not depend on T: the
+    product inside the model's fused encoder and VAD nodes, with their
+    ``ad.matmul_grads`` vjp. A plain-array operand gets no gradient."""
+    x, y = ad.value(a), ad.value(b)
+    if sorted((x.ndim, y.ndim)) != [2, 3]:
+        raise DimensionError("stacked_matmul needs one stack and one matrix",
+                             x.shape, y.shape)
+    need = (isinstance(a, ad.Tensor), isinstance(b, ad.Tensor))
+    return ad.custom(x @ y, (a, b),
+                     lambda g: ad.matmul_grads(g, x, y, *need))
+
+
 def matmul_unfused(a, b, bias, act=None):
-    """``ad.matmul(a, b, bias, act)`` as the chain of ops it fuses: matmul,
-    add, activation."""
-    z = ad.add(ad.matmul(a, b), bias)
+    """``ad.matmul(a, b, bias, act)`` as the chain of ops it fuses: matmul
+    (``stacked_matmul`` when an operand is a stack), add, activation
+    ("relu", "sigmoid" or None)."""
+    stacked = max(ad.value(a).ndim, ad.value(b).ndim) == 3
+    z = ad.add((stacked_matmul if stacked else ad.matmul)(a, b), bias)
     if act == "relu":
         return relu(z)
     return sigmoid(z) if act == "sigmoid" else z
@@ -142,17 +158,17 @@ def depthwise_conv1d(x, kernels, left=None):
 
 def encode_unfused(x: np.ndarray, model) -> ad.Tensor:
     """``model.encode_features(x, model)`` as the chain of ops it fuses, on
-    conv1's (c1, 1) bias: matmul (+ bias, relu), reshape, matmul (+ bias,
-    relu), reshape, layer_norm."""
+    conv1's (c1, 1) bias: stacked matmul, add, relu, reshape, stacked
+    matmul, add, relu, reshape, layer_norm."""
     p = model.params
     d, c1 = model.dims.d_model, model.dims.conv1_channels
     T = len(x)
     x = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
-    h1 = ad.matmul(ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), x,
-                   p["enc1_b"], "relu")
+    h1 = matmul_unfused(ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), x,
+                        p["enc1_b"], "relu")
     k2 = ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH)))
-    h2 = ad.matmul(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2,
-                   ad.reshape(p["enc2_b"], (1, 1, d)), "relu")
+    h2 = matmul_unfused(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2,
+                        ad.reshape(p["enc2_b"], (1, 1, d)), "relu")
     return ad.layer_norm(ad.reshape(h2, (T, d)),
                          *(ad.reshape(p[k], (1, d))
                            for k in ("enc_ln_g", "enc_ln_b")))
@@ -160,14 +176,14 @@ def encode_unfused(x: np.ndarray, model) -> ad.Tensor:
 
 def vad_forward_unfused(Z, model, left=None):
     """``model.vad_forward(Z, model, left=left)`` as the chain of ops its
-    two nodes fuse: conv, add, relu; then reshape, matmul (+ bias,
-    sigmoid), reshape."""
+    two nodes fuse: conv, add, relu; then reshape, stacked matmul, add,
+    sigmoid, reshape."""
     p = model.params
     T, d = ad.value(Z).shape
     h = relu(ad.add(depthwise_conv1d(Z, p["vad_k"], left),
                     ad.reshape(p["vad_b"], (1, d))))
-    z = ad.matmul(ad.reshape(h, (T, 1, d)), p["vad_fc_w"],
-                  ad.reshape(p["vad_fc_b"], (1, 1, 1)), "sigmoid")
+    z = matmul_unfused(ad.reshape(h, (T, 1, d)), p["vad_fc_w"],
+                       ad.reshape(p["vad_fc_b"], (1, 1, 1)), "sigmoid")
     return h, ad.reshape(z, (T,))
 
 

@@ -10,7 +10,7 @@ from vadasr.model import (ModelDims, ModelParams, encode_features,
 from oracles import (attention_unfused, depthwise_conv1d,
                      depthwise_conv1d_taps, encode_unfused, exp,
                      finite_diff_check, matmul_unfused, mean_all, mul, relu,
-                     sigmoid, signed_zeros, softmax, sum_all,
+                     sigmoid, signed_zeros, softmax, stacked_matmul, sum_all,
                      vad_forward_unfused, with_upstream)
 
 ENCODER = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g", "enc_ln_b")
@@ -92,16 +92,28 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     def test_matmul_bias_activation(self, rng, act):
+        # the unfused chain that the fused encoder and VAD nodes are pinned
+        # to: a stack of matrices times a matrix, a bias, an activation
         x = ad.Tensor(rng.normal(size=(4, 3, 5)))
         w = ad.Tensor(rng.normal(size=(5, 2)))
         b = ad.Tensor(rng.normal(size=(3, 1)))
         u = rng.normal(size=(4, 3, 2))
+        fd(lambda p: sum_all(mul(matmul_unfused(p[0], p[1], p[2], act), u)),
+           [x, w, b])
+
+    @pytest.mark.parametrize("act", [None, "relu"])
+    def test_fused_matmul_bias_activation(self, rng, act):
+        x = ad.Tensor(rng.normal(size=(4, 5)))
+        w = ad.Tensor(rng.normal(size=(5, 2)))
+        b = ad.Tensor(rng.normal(size=(4, 1)))
+        u = rng.normal(size=(4, 2))
         fd(lambda p: sum_all(mul(ad.matmul(p[0], p[1], p[2], act), u)),
            [x, w, b])
 
     def test_matmul_rejects_unknown_activation(self):
-        with pytest.raises(UsageError, match="activation"):
-            ad.matmul(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), "tanh")
+        for act in ("tanh", "sigmoid"):
+            with pytest.raises(UsageError, match="activation"):
+                ad.matmul(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), act)
 
     def test_log_softmax_rows_normalize(self, rng):
         a = ad.Tensor(rng.normal(size=(4, 6)))
@@ -133,17 +145,17 @@ class TestOpGradients:
         with pytest.raises(DimensionError):
             ad.attention(*(np.ones(s) for s in shapes), n_heads)
 
-    @pytest.mark.parametrize("stack_first", [True, False])
-    def test_plain_array_operand_gets_no_gradient(self, rng, stack_first):
-        # like the encoder's input frames: a constant, so no vjp work
-        stack = rng.normal(size=(4, 3, 5))
-        w = ad.Tensor(rng.normal(size=(5, 2) if stack_first else (2, 3)))
+    @pytest.mark.parametrize("plain_first", [True, False])
+    def test_plain_array_operand_gets_no_gradient(self, rng, plain_first):
+        # a constant, so no vjp work
+        plain = rng.normal(size=(4, 3))
+        w = ad.Tensor(rng.normal(size=(3, 2) if plain_first else (2, 4)))
         with ad.Tape() as tape:
-            out = ad.matmul(stack, w) if stack_first else ad.matmul(w, stack)
+            out = ad.matmul(plain, w) if plain_first else ad.matmul(w, plain)
             loss = sum_all(out)
         grads = ad.backward(tape, loss)
         assert w in grads
-        assert not [t for t in grads if t.shape == stack.shape]
+        assert not [t for t in grads if t.shape == plain.shape]
 
     def test_layer_norm(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 6)))
@@ -175,30 +187,38 @@ class TestOpGradients:
             ad.slice_axis(a, -1, 2, axis=1)
 
     def test_matmul_stacked(self, rng):
-        # one operand may be a stack of matrices, for both argument orders
+        # the fused encoder and VAD nodes' stacked product and its
+        # matmul_grads vjp, for both argument orders
         stack = ad.Tensor(rng.normal(size=(4, 2, 3)))
         mat = ad.Tensor(rng.normal(size=(3, 5)))
         w = rng.normal(size=(4, 2, 5))
-        fd(lambda p: sum_all(mul(ad.matmul(p[0], p[1]), w)), [stack, mat])
+        fd(lambda p: sum_all(mul(stacked_matmul(p[0], p[1]), w)),
+           [stack, mat])
         left = ad.Tensor(rng.normal(size=(2, 4)))
         rstack = ad.Tensor(rng.normal(size=(3, 4, 5)))
         w = rng.normal(size=(3, 2, 5))
-        fd(lambda p: sum_all(mul(ad.matmul(p[0], p[1]), w)), [left, rstack])
+        fd(lambda p: sum_all(mul(stacked_matmul(p[0], p[1]), w)),
+           [left, rstack])
 
     def test_matmul_stacked_items_independent(self, rng):
         # each item is multiplied on its own: a prefix of the stack gives
         # bit-identical items, whatever the stack length
         stack = rng.normal(size=(9, 1, 6))
         mat = rng.normal(size=(6, 4))
-        whole = ad.matmul(ad.Tensor(stack), ad.Tensor(mat))
+        whole = ad.value(stacked_matmul(stack, mat))
         for t in range(9):
-            one = ad.matmul(ad.Tensor(stack[t:t + 1]), ad.Tensor(mat))
+            one = ad.value(stacked_matmul(stack[t:t + 1], mat))
             assert np.array_equal(one[0], whole[t])
 
     def test_matmul_two_stacks_rejected(self):
+        # ad.matmul takes matrices only; the stacked product one stack
+        two = (np.ones((2, 2, 3)), np.ones((2, 3, 2)))
+        for x, y in (two, (two[0], np.ones((3, 2))),
+                     (np.ones((2, 3)), two[1])):
+            with pytest.raises(DimensionError):
+                ad.matmul(ad.Tensor(x), ad.Tensor(y))
         with pytest.raises(DimensionError):
-            ad.matmul(ad.Tensor(np.ones((2, 2, 3))),
-                      ad.Tensor(np.ones((2, 3, 2))))
+            stacked_matmul(*two)
 
     def test_depthwise_conv1d_causal(self, rng):
         # integer values make every product and sum exact, so the causal
@@ -331,12 +351,12 @@ class TestSameBitsAsUnfused:
         assert_same_bits(out, depthwise_conv1d_taps(
             x, k, np.full((3, 2), -0.0)).data)
 
-    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    @pytest.mark.parametrize("act", [None, "relu"])
     @pytest.mark.parametrize("shapes", [
         ((7, 5), (5, 3), (3,)),          # rows times a matrix
-        ((7, 1, 5), (5, 3), (3,)),       # a (T, 1, n) stack
-        ((7, 1, 5), (5, 1), (1,)),       # the VAD FC: one logit per frame
-        ((4, 6), (7, 6, 5), (4, 1)),     # matrix times a stack, (c, 1) bias
+        ((1, 5), (5, 3), (3,)),          # one row, as for one frame
+        ((7, 5), (5, 1), (1,)),          # one output column
+        ((4, 6), (6, 5), (4, 1)),        # a (rows, 1) bias
     ])
     def test_fused_matmul(self, rng, act, shapes):
         for zero_frac in (0.0, 0.5):
@@ -365,7 +385,7 @@ class TestSameBitsAsUnfused:
         for zero_frac in (0.0, 0.5):
             x, y = (signed_zeros(rng, s, zero_frac) for s in shapes)
             g = signed_zeros(rng, (x @ y).shape, zero_frac)
-            _, (gx, gy) = with_upstream(ad.matmul, (x, y), g)
+            _, (gx, gy) = with_upstream(stacked_matmul, (x, y), g)
             if stack_first:
                 assert_same_bits(gy, np.tensordot(x, g, axes=([0, 1], [0, 1])))
             else:

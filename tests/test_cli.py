@@ -168,6 +168,12 @@ def _posteriors(tmp, blob=None, sidecar=None, lm=None):
     return argv
 
 
+def _blank_index(value):
+    return lambda tmp, *_: [*_posteriors(
+        tmp, sidecar='{"vocab": ["a", "b"], "blank_index": %s}' % value),
+        "--greedy"]
+
+
 def _lm_for_transcribe(lm):
     def build(tmp, corpus_dir, model_ckpt):
         (tmp / "lm.json").write_text(json.dumps(lm))
@@ -236,6 +242,14 @@ MALFORMED_INPUTS = [
      _event_line(json.dumps({**_EVENT, "text": "a", "start_s": -0.5})), 2),
     ("event-end-before-start",
      _event_line(json.dumps({**_EVENT, "text": "a", "start_s": 2.0})), 2),
+    # event times are JSON numbers: not bools, not strings
+    ("event-start-bool",
+     _event_line(json.dumps({**_EVENT, "text": "a", "start_s": True})), 2),
+    ("event-end-string",
+     _event_line(json.dumps({**_EVENT, "text": "a", "end_s": "0.5"})), 2),
+    ("event-end-int-past-float",
+     _event_line(json.dumps({**_EVENT, "text": "a"}).replace(
+         '"end_s": 1.0', '"end_s": 1' + "0" * 400)), 2),
     ("lm-counts-not-object",
      lambda tmp, *_: _posteriors(tmp, lm=b'{"order":2,"counts":[1]}'), 2),
     ("lm-not-utf8", lambda tmp, *_: _posteriors(tmp, lm=b'{"\xff'), 2),
@@ -248,6 +262,10 @@ MALFORMED_INPUTS = [
         tmp, sidecar='{"vocab": [1, 2], "blank_index": 2}'), 2),
     ("posterior-sidecar-string-vocab", lambda tmp, *_: _posteriors(
         tmp, sidecar='{"vocab": "ab", "blank_index": 2}'), 2),
+    # blank_index is a JSON int
+    ("posterior-sidecar-fractional-blank-index", _blank_index("2.9"), 2),
+    ("posterior-sidecar-float-blank-index", _blank_index("2.0"), 2),
+    ("posterior-sidecar-string-blank-index", _blank_index('"2"'), 2),
     ("vocab-file-string", _vocab_file("abcde"), 2),
     ("vocab-file-repeated-token", _vocab_file([*default_vocab(5), "a"]), 2),
     ("vocab-file-empty-token", _vocab_file([*default_vocab(5), ""]), 2),

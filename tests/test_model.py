@@ -173,7 +173,7 @@ class TestStructuralIdentities:
         assert model.attention_evals == before
         decoder = ModelDecoder(model)
         for n in (3, 8, 1):
-            decoder(random_frames(rng, n).frames, 0, n)
+            decoder(encode_features(random_frames(rng, n), model), 0, n)
             before += 2
             assert model.attention_evals == before
 

@@ -7,9 +7,11 @@ import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from vadasr import autodiff, model, streamer, trainer
+from vadasr.audio import FrameSequence
 
 from conftest import BLAS_THREAD_VARS, PERFBENCH
 
@@ -20,7 +22,8 @@ def test_layer_hooks_install_and_uninstall(perfbench):
     _, layers, spans, _ = perfbench
     watched = [(trainer, "mtl_loss"), (trainer, "sample_chunk_len"),
                (trainer, "forward"), (model, "encode_features"),
-               (streamer.ModelScorer, "__call__"), (autodiff, "backward")]
+               (streamer.ModelScorer, "__call__"),
+               (streamer.ModelDecoder, "__call__"), (autodiff, "backward")]
     originals = [getattr(owner, attr) for owner, attr in watched]
     rec = spans.Recorder()
     try:
@@ -32,6 +35,45 @@ def test_layer_hooks_install_and_uninstall(perfbench):
         rec.uninstall()
     for (owner, attr), orig in zip(watched, originals):
         assert getattr(owner, attr) is orig, attr
+
+
+def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
+    # the ModelDecoder hook reads the window at positional argument 1 and
+    # span_len at 3: on a traced model-scored stream its counts equal the
+    # rows each decoded window ran the network on and the spans' frames
+    _, layers, spans, _ = perfbench
+    rng = np.random.default_rng(0)
+    net = model.ModelParams.init(["a", "b", "c"],
+                                 model.ModelDims(vocab_size=3), seed=0)
+    amp = np.repeat(rng.choice([0.01, 0.3], size=12), 8)
+    frames = rng.normal(size=(len(amp), 320)) * amp[:, None]
+    scores = model.vad_score_frames(FrameSequence(frames), net).data
+    cfg = streamer.StreamerConfig(
+        vad_threshold=float(np.median(scores)), min_speech_frames=2,
+        min_silence_frames=3, max_chunk_frames=6, splice_frames=2)
+    windows = []
+    forward = streamer.forward
+
+    def spy(frames, m, layout=None, Z=None):
+        windows.append(len(Z))
+        return forward(frames, m, layout, Z)
+
+    monkeypatch.setattr(streamer, "forward", spy)
+    rec = spans.Recorder()
+    try:
+        layers.install(rec)
+        s = streamer.Streamer(cfg, streamer.ModelScorer(net),
+                              streamer.ModelDecoder(net))
+        for fr in frames:
+            s.push_frame(fr)
+        s.finalize()
+    finally:
+        rec.uninstall()
+    assert len(windows) == len(s.events) > 1
+    assert rec.by_name()["streamer.ModelDecoder"][0] == len(s.events)
+    assert rec.counts["window_frames"] == sum(windows)
+    assert rec.counts["span_frames"] == sum(
+        b.end_frame - b.start_frame for b in s.boundaries)
 
 
 @pytest.fixture

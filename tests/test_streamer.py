@@ -10,9 +10,10 @@ import vadasr.autodiff as ad
 import vadasr.model
 from vadasr.audio import FRAME_DURATION_S, FrameSequence
 from vadasr.chunking import plan_chunks
-from vadasr.decode import BeamConfig
-from vadasr.errors import DataError, InvalidSpecError
-from vadasr.model import (ForwardArtifacts, ModelDims, ModelParams, forward,
+from vadasr.decode import BeamConfig, beam_search, greedy_decode
+from vadasr.errors import DataError, InvalidSpecError, UsageError
+from vadasr.model import (ForwardArtifacts, ModelDims, ModelParams,
+                          PosteriorGrid, encode_features, forward,
                           vad_score_frames)
 from vadasr.streamer import (
     END_OF_UTT,
@@ -98,13 +99,13 @@ class TestHandTraces:
         assert s.boundaries == []
 
     def test_no_decoder_keeps_no_frames(self):
-        # only a decoder reads the kept frames
+        # only a decoder reads the kept encoder rows
         s = Streamer(SMALL, ExternalScores([0.9] * 25 + [0.1] * 5), None)
         for _ in range(30):
             s.push_frame(DUMMY)
-            assert s._frames == []
+            assert s._rows == []
         s.finalize()
-        assert s._frames == [] and len(s.boundaries) == 3
+        assert s._rows == [] and len(s.boundaries) == 3
 
     def test_leading_silence_not_included(self):
         # long leading silence must not inflate the first segment: pure
@@ -198,30 +199,40 @@ class TestModelScorer:
         assert np.array_equal(bits(online), bits(whole))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("width", [4, 5])
+    @pytest.mark.parametrize("width", [1, 2, 4, 5])
     def test_blocks_have_whole_sequence_bits(self, rng, width, size):
-        # bits, not values: -0.0 == +0.0 would hide a sign flip
+        # bits, not values: -0.0 == +0.0 would hide a sign flip; a block of
+        # one is frame by frame
         model, frames, whole = scorer_case(rng, width, 230)
         scorer = ModelScorer(model)
         online = np.concatenate([scorer(frames[a:b], a)
                                  for a, b in blocks(len(frames), size)])
         assert np.array_equal(bits(online), bits(whole))
-        # the scorer's row buffer stays bounded, however long the stream
-        assert len(scorer._buf) <= width - 1 + max(size or 230, 256)
+        # all the scorer carries is the conv's left context
+        assert_carries_left_rows(scorer, model, frames)
 
     @pytest.mark.parametrize("sizes", [(1,), (7, 1, 100), (300, 2)])
-    def test_restarted_row_buffer_keeps_bits(self, rng, sizes):
-        # 700 frames fill the scorer's row buffer more than once; each
-        # restart carries the left context over, whatever the block sizes
-        model, frames, whole = scorer_case(rng, 5, 700)
+    @pytest.mark.parametrize("width", [1, 2, 4, 5])
+    def test_mixed_block_sizes_keep_bits(self, rng, width, sizes):
+        # blocks shorter and longer than the left context, in turn
+        model, frames, whole = scorer_case(rng, width, 700)
         scorer = ModelScorer(model)
         online, a, i = [], 0, 0
         while a < len(frames):
             b = min(a + sizes[i % len(sizes)], len(frames))
             online.append(scorer(frames[a:b], a))
+            assert_carries_left_rows(scorer, model, frames[:b])
             a, i = b, i + 1
         assert np.array_equal(bits(np.concatenate(online)), bits(whole))
-        assert len(scorer._buf) <= 4 + 300
+
+
+def assert_carries_left_rows(scorer, model, frames):
+    """The scorer's carried state is exactly the last W - 1 encoder rows of
+    ``frames``, zeros before the first frame (none at W = 1)."""
+    W, d = model.dims.vad_kernel_width, model.dims.d_model
+    Z = np.concatenate([np.zeros((W - 1, d)), encode_features(frames, model)])
+    assert scorer._left.shape == (W - 1, d)
+    assert np.array_equal(bits(scorer._left), bits(Z[len(Z) - (W - 1):]))
 
 
 def perturbed_stream(seed, width, n_runs=12):
@@ -237,10 +248,22 @@ def perturbed_stream(seed, width, n_runs=12):
     return model, FrameSequence(frames)
 
 
+class RecordingDecoder(ModelDecoder):
+    """A ModelDecoder that records each call's arguments and text."""
+
+    def __init__(self, model, beam=None):
+        super().__init__(model, beam)
+        self.calls = []
+
+    def __call__(self, window, span_start, span_len):
+        text = super().__call__(window, span_start, span_len)
+        self.calls.append((window, span_start, span_len, text))
+        return text
+
+
 class TestSharedEncoderRows:
-    """A streamer whose scorer is a ModelScorer of its decoder's model keeps
-    the scorer's encoder rows, and decoding from them gives the bits that
-    decoding from the frames gives."""
+    """A decoding streamer keeps its ModelScorer's encoder rows, and decoding
+    from them gives the bits that decoding from the frames gives."""
 
     @pytest.mark.parametrize("width", [4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -264,25 +287,41 @@ class TestSharedEncoderRows:
                     a, b = a.log_probs, b.log_probs
                 assert np.array_equal(a.data, b.data), field.name
 
-        # a model-scored stream with forced and end-of-utterance flushes
-        # decodes as the same stream whose decoder encodes the frames
+        # each window that a model-scored stream, pushed frame by frame with
+        # forced and end-of-utterance flushes, decodes from its scorer's rows
+        # has the artifacts and the text of the forward from its frames
         cfg = StreamerConfig(vad_threshold=float(np.median(scores)),
                              min_speech_frames=2, min_silence_frames=3,
                              max_chunk_frames=6, splice_frames=2)
         for beam in (None, BeamConfig(beam_size=3)):
-            shared = run_stream(model, frames, cfg, beam)
-            assert shared._encoded
-            plain = Streamer(cfg, ExternalScores(scores),
-                             ModelDecoder(model, beam))
-            assert not plain._encoded
+            decoder = RecordingDecoder(model, beam)
+            s = Streamer(cfg, ModelScorer(model), decoder)
             for fr in frames.frames:
-                plain.push_frame(fr)
-            plain.finalize()
-            causes = {b.cause for b in shared.boundaries}
-            assert {FORCED, END_OF_UTT} <= causes
-            assert any(ev.text for ev in shared.events)
-            assert shared.boundaries == plain.boundaries
-            assert shared.events == plain.events
+                s.push_frame(fr)
+            s.finalize()
+            assert {FORCED, END_OF_UTT} <= {b.cause for b in s.boundaries}
+            assert any(ev.text for ev in s.events)
+            assert len(decoder.calls) == len(s.boundaries)
+            for (window, span_start, span_len, text), b, ev in zip(
+                    decoder.calls, s.boundaries, s.events):
+                assert span_len == b.end_frame - b.start_frame
+                ws = b.start_frame - span_start
+                x = FrameSequence(frames.frames[ws:ws + len(window)])
+                from_frames = forward(x, model)
+                from_rows = forward(None, model, Z=window)
+                for field in dataclasses.fields(ForwardArtifacts):
+                    a = getattr(from_frames, field.name)
+                    c = getattr(from_rows, field.name)
+                    if field.name == "log_posteriors":
+                        a, c = a.log_probs, c.log_probs
+                    assert np.array_equal(bits(a.data), bits(c.data))
+                grid = PosteriorGrid(
+                    log_probs=from_frames.log_posteriors.array[
+                        span_start:span_start + span_len],
+                    vocab=model.vocab, blank_index=len(model.vocab))
+                assert text == ev.text == (
+                    greedy_decode(grid) if beam is None
+                    else beam_search(grid, beam)[0].tokens)
 
     def test_each_streamed_frame_encoded_once(self, monkeypatch):
         model, frames = perturbed_stream(0, 5)
@@ -323,15 +362,18 @@ class TestBlockEquivalence:
                              max_chunk_frames=6, splice_frames=2)
 
         def streamer():
-            scorer = ExternalScores(scores) if external else ModelScorer(model)
-            return Streamer(cfg, scorer, ModelDecoder(model, beam))
+            # external scores stream boundaries only: a decoder reads a
+            # ModelScorer's encoder rows, so ``beam`` does not apply
+            if external:
+                return Streamer(cfg, ExternalScores(scores), None)
+            return Streamer(cfg, ModelScorer(model), ModelDecoder(model, beam))
 
         ref = streamer()
         for fr in x:
             ref.push_frame(fr)
         ref.finalize()
         assert {FORCED, END_OF_UTT} <= {b.cause for b in ref.boundaries}
-        assert any(ev.text for ev in ref.events)
+        assert any(ev.text for ev in ref.events) != external
         for size in BLOCK_SIZES:
             s = streamer()
             returned = []
@@ -361,8 +403,9 @@ class TestBlockEquivalence:
 
     def test_empty_block(self):
         model, _ = perturbed_stream(0, 5)
-        for scorer in (ExternalScores([]), ModelScorer(model)):
-            s = Streamer(SMALL, scorer, ModelDecoder(model))
+        for scorer, decoder in ((ExternalScores([]), None),
+                                (ModelScorer(model), ModelDecoder(model))):
+            s = Streamer(SMALL, scorer, decoder)
             assert s.push_frames(np.zeros((0, 320))) == []
             assert s.finalize() is None
         # a stream shorter than one frame has no frames to push
@@ -412,8 +455,23 @@ class TestDecoderInputs:
     def test_nan_posteriors_rejected(self, beam):
         model, frames = perturbed_stream(0, 5)
         model.params["asr_b"].data[1] = np.nan
+        rows = encode_features(frames.frames[:6], model)
         with pytest.raises(DataError, match="NaN or \\+inf"):
-            ModelDecoder(model, beam)(frames.frames[:6], 1, 4)
+            ModelDecoder(model, beam)(rows, 1, 4)
+
+    def test_decoder_needs_a_scorer_of_its_model(self):
+        # the decoder reads the scorer's encoder rows, so only a ModelScorer
+        # of the decoder's own model may feed it
+        model, _ = perturbed_stream(0, 5)
+        twin, _ = perturbed_stream(0, 5)  # equal weights, another model
+        decoder = ModelDecoder(model)
+        for scorer in (ExternalScores([0.9] * 5), ModelScorer(twin),
+                       lambda frames, start: np.zeros(len(frames))):
+            with pytest.raises(UsageError, match="ModelScorer of its model"):
+                Streamer(SMALL, scorer, decoder)
+        with pytest.raises(UsageError, match="ModelScorer of its model"):
+            Streamer(SMALL, ModelScorer(model), lambda *args: ())
+        Streamer(SMALL, ModelScorer(model), decoder)
 
 
 class TestValidateEvents:

@@ -85,12 +85,15 @@ def tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _taped(out: np.ndarray, parents, vjp: Callable) -> Tensor:
-    """Record ``out``, computed from ``parents`` (Tensors or arrays), on the
-    innermost tape."""
-    t = Tensor(out)
-    _ACTIVE_TAPES[-1]._record(t, tuple(map(tensor, parents)), vjp)
-    return t
+def custom(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
+    """Record ``data``, computed from ``parents`` (Tensors or arrays), on
+    the innermost tape, with ``vjp`` mapping its gradient to theirs: the
+    one way a node is recorded. It returns a Tensor with or without a tape,
+    recorded only on one."""
+    out = Tensor(data)
+    if _ACTIVE_TAPES:
+        _ACTIVE_TAPES[-1]._record(out, tuple(map(tensor, parents)), vjp)
+    return out
 
 
 def taping() -> bool:
@@ -114,8 +117,8 @@ def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 #
 # Each primitive computes its forward arithmetic once, on the arrays behind
 # its inputs. With no tape active it returns that plain array: no Tensor, no
-# record. On a tape it records the same array, so both paths give the same
-# bits.
+# record. On a tape it records the same array with ``custom``, so both paths
+# give the same bits.
 
 
 def add(a, b):
@@ -126,8 +129,8 @@ def add(a, b):
         raise DimensionError("add shapes incompatible", x.shape, y.shape)
     if not _ACTIVE_TAPES:
         return out
-    return _taped(out, (a, b), lambda g: (unbroadcast(g, x.shape),
-                                         unbroadcast(g, y.shape)))
+    return custom(out, (a, b), lambda g: (unbroadcast(g, x.shape),
+                                          unbroadcast(g, y.shape)))
 
 
 def scale(a, c: float):
@@ -135,7 +138,7 @@ def scale(a, c: float):
     out = value(a) * c
     if not _ACTIVE_TAPES:
         return out
-    return _taped(out, (a,), lambda g: (g * c,))
+    return custom(out, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b, bias=None, act: str | None = None):
@@ -171,7 +174,7 @@ def matmul(a, b, bias=None, act: str | None = None):
                               x, y, need_a, need_b)
         return (ga, gb) if c is None else (ga, gb, unbroadcast(g, c.shape))
 
-    return _taped(out, (a, b) if c is None else (a, b, bias), vjp)
+    return custom(out, (a, b) if c is None else (a, b, bias), vjp)
 
 
 def matmul_grads(gz, x, y, need_a: bool = True, need_b: bool = True):
@@ -191,31 +194,13 @@ def matmul_grads(gz, x, y, need_a: bool = True, need_b: bool = True):
     return ga, gb
 
 
-def transpose(a):
-    x = value(a)
-    if x.ndim != 2:
-        raise DimensionError("transpose expects a matrix", x.shape)
-    out = x.T.copy()
-    if not _ACTIVE_TAPES:
-        return out
-    return _taped(out, (a,), lambda g: (g.T,))
-
-
-def reshape(a, shape):
-    x = value(a)
-    out = x.reshape(shape)
-    if not _ACTIVE_TAPES:
-        return out
-    return _taped(out, (a,), lambda g: (g.reshape(x.shape),))
-
-
 def log_softmax(a, axis: int = -1):
     x = value(a)
     shifted = x - x.max(axis=axis, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     if not _ACTIVE_TAPES:
         return out
-    return _taped(out, (a,), lambda g: (
+    return custom(out, (a,), lambda g: (
         g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
 
 
@@ -259,13 +244,13 @@ def attention(q, k, v, n_heads: int):
         # the chain summed the heads' zero-padded gradients: each entry + 0.0
         return (dq, dk, dv) if n_heads == 1 else (dq + 0.0, dk + 0.0, dv + 0.0)
 
-    return _taped(out, (q, k, v), vjp)
+    return custom(out, (q, k, v), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
     """Normalize over the last axis, then scale and shift."""
     out, vjp = layer_norm_arrays(value(x), value(gain), value(bias), eps)
-    return _taped(out, (x, gain, bias), vjp) if _ACTIVE_TAPES else out
+    return custom(out, (x, gain, bias), vjp) if _ACTIVE_TAPES else out
 
 
 def layer_norm_arrays(xv, gv, bv, eps: float = 1e-5):
@@ -303,7 +288,7 @@ def slice_axis(a, start: int, stop: int, axis: int = 0):
         full[index] = g
         return (full,)
 
-    return _taped(out, (a,), vjp)
+    return custom(out, (a,), vjp)
 
 
 def concat(parts: Sequence, axis: int = 0):
@@ -319,17 +304,7 @@ def concat(parts: Sequence, axis: int = 0):
             for i in range(len(arrays))
         )
 
-    return _taped(out, parts, vjp)
-
-
-def custom(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
-    """Register an externally computed primitive (e.g. CTC) on the tape, its
-    ``parents`` Tensors or arrays. It returns a Tensor with or without a
-    tape, recorded only on one."""
-    out = Tensor(np.asarray(data, dtype=np.float64))
-    if _ACTIVE_TAPES:
-        _ACTIVE_TAPES[-1]._record(out, tuple(map(tensor, parents)), vjp)
-    return out
+    return custom(out, parts, vjp)
 
 
 # ---------------------------------------------------------------------------

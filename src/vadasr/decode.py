@@ -90,6 +90,11 @@ class NgramLM:
         if type(order) is not int or order < 1:
             raise DataError(f"malformed LM file: order must be an int >= 1, "
                             f"got {order!r}")
+        # scoring pads each history to order - 1 tokens
+        longest = max(map(len, counts), default=0)
+        if order > longest:
+            raise DataError(f"malformed LM file: order {order} is above its "
+                            f"longest gram's length, {longest}")
         for gram, c in counts.items():
             if type(c) is not int or c < 1:
                 raise DataError(f"malformed LM file: the count of "

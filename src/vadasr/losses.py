@@ -133,8 +133,8 @@ def bce_loss(speech_probs, speech_mask) -> ad.Tensor:
     p = np.clip(p_raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
     T = len(y)
     loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-    grad = (-(y / p - (1.0 - y) / (1.0 - p)) / T) * inside
-    grad = grad.reshape(tensor_in.shape)
+    grad = ((-(y / p - (1.0 - y) / (1.0 - p)) / T) * inside).reshape(
+        tensor_in.shape)
     return ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
 
 

@@ -14,7 +14,10 @@ with the same arithmetic, so inference gives the same bits without the
 tape's cost. The encoder is one fused tape node and the VAD head two (its
 hidden features; its speech probability), each running its numpy
 arithmetic in one function for both; the rest is ``autodiff`` primitives.
-``forward`` and ``vad_score_frames`` return Tensors either way.
+The fused nodes read their weights as the arrays ``encoder_weights`` and
+``vad_weights`` lay out, record the stored parameters as their parents and
+return gradients in the stored shapes. ``forward`` and
+``vad_score_frames`` return Tensors either way.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from .errors import (
 
 CONV1_WIDTH = 16   # stride 16: 320 -> 20 positions per frame
 CONV2_WIDTH = 20   # stride 20: 20 positions -> 1 latent per frame
+
+# the parameters of the encoder's node and of the VAD head's two nodes
+ENCODER = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g", "enc_ln_b")
+VAD_HEAD = ("vad_k", "vad_b", "vad_fc_w", "vad_fc_b")
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,7 @@ class ModelParams:
              for name, (shape, fill) in param_layout(dims).items()}
         return cls(vocab, dims, p)
 
-    VAD_BRANCH = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g",
-                  "enc_ln_b", "vad_k", "vad_b", "vad_fc_w", "vad_fc_b")
+    VAD_BRANCH = ENCODER + VAD_HEAD
 
     def copy(self) -> "ModelParams":
         cloned = {k: ad.Tensor(v.data.copy(), name=k)
@@ -234,26 +240,25 @@ class ModelParams:
 
 
 def encoder_weights(model: ModelParams) -> tuple:
-    """The encoder's weights in its node's layout: conv1's kernel as a
-    (c1, CONV1_WIDTH) matrix, its bias as a (c1, CONV2_WIDTH) block (+ -0.0
-    changes no value), conv2's kernel as a contiguous (c1 * CONV2_WIDTH, d)
-    matrix, the rest in one frame's shape: numpy adds each to one frame's
-    values on its fast, same-shape path."""
-    p = model.params
+    """The encoder's weights as arrays in its node's layout: conv1's kernel
+    as a (c1, CONV1_WIDTH) matrix, its bias as a (c1, CONV2_WIDTH) block
+    (+ -0.0 changes no value), conv2's kernel as a contiguous
+    (c1 * CONV2_WIDTH, d) matrix, the rest in one frame's shape: numpy adds
+    each to one frame's values on its fast, same-shape path."""
+    k1, b1, k2, b2, ln_g, ln_b = (ad.value(model.params[n]) for n in ENCODER)
     d, c1 = model.dims.d_model, model.dims.conv1_channels
-    return (ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)),
-            ad.add(p["enc1_b"], np.full((c1, CONV2_WIDTH), -0.0)),
-            ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH))),
-            ad.reshape(p["enc2_b"], (1, 1, d)),
-            *(ad.reshape(p[k], (1, d)) for k in ("enc_ln_g", "enc_ln_b")))
+    return (k1.reshape(c1, CONV1_WIDTH), b1 + np.full((c1, CONV2_WIDTH), -0.0),
+            k2.reshape(d, c1 * CONV2_WIDTH).T.copy(), b2.reshape(1, 1, d),
+            ln_g.reshape(1, d), ln_b.reshape(1, d))
 
 
 def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
                     weights: tuple | None = None):
     """Convolutional encoder: one latent vector per 320-sample frame, as one
-    tape node. ``frames`` is a FrameSequence or a (T, 320) array;
-    ``weights``, if given, are ``encoder_weights(model)`` as plain arrays,
-    prepared once by a caller that encodes one frame at a time."""
+    tape node whose parents are the six stored ``ENCODER`` parameters.
+    ``frames`` is a FrameSequence or a (T, 320) array; ``weights``, if
+    given, are ``encoder_weights(model)``, prepared once by a caller that
+    encodes one frame at a time."""
     x = frames.frames if isinstance(frames, FrameSequence) else frames
     T = len(x)
     if T == 0:
@@ -261,8 +266,7 @@ def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
     if x.ndim != 2 or x.shape[1] != FRAME_SAMPLES:
         raise DimensionError("expected 320-sample frames (16 kHz, 20 ms)",
                              x.shape)
-    params = weights or encoder_weights(model)
-    k1, b1, k2, b2, ln_g, ln_b = weights or map(ad.value, params)
+    k1, b1, k2, b2, ln_g, ln_b = weights or encoder_weights(model)
     # matmul + bias + relu for each conv (column j: position j's samples)
     xs = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
     h1 = np.maximum(k1 @ xs + b1, 0.0)  # (T, c1, CONV2_WIDTH)
@@ -271,37 +275,41 @@ def encode_features(frames: FrameSequence | np.ndarray, model: ModelParams,
     out, ln_vjp = ad.layer_norm_arrays(h2.reshape(T, -1), ln_g, ln_b)
     if not ad.taping():
         return out
+    params = tuple(model.params[n] for n in ENCODER)
 
     def vjp(g):
-        # the arrays the chain's vjps return; relu's mask is out > 0
+        # the arrays the chain's vjps return, in the stored shapes; relu's
+        # mask is out > 0
         g, dg, db = ln_vjp(g)
         g2 = g.reshape(h2.shape) * (h2 > 0)
         g1, dk2 = ad.matmul_grads(g2, h1s, k2)
         g1 = g1.reshape(h1.shape) * (h1 > 0)
         dk1 = ad.matmul_grads(g1, k1, xs, need_b=False)[0]
-        return (dk1, ad.unbroadcast(g1, b1.shape), dk2,
-                ad.unbroadcast(g2, b2.shape), dg, db)
+        return (dk1.reshape(params[0].shape),
+                ad.unbroadcast(g1, params[1].shape),  # then the -0.0 add's sum
+                dk2.T.reshape(params[2].shape),
+                ad.unbroadcast(g2, b2.shape).reshape(params[3].shape),
+                dg.reshape(params[4].shape), db.reshape(params[5].shape))
 
     return ad.custom(out, params, vjp)
 
 
 def vad_weights(model: ModelParams) -> tuple:
-    """The VAD head's weights in the layout its nodes use, the biases shaped
-    as in ``encoder_weights``."""
-    p = model.params
-    return (p["vad_k"], ad.reshape(p["vad_b"], (1, model.dims.d_model)),
-            p["vad_fc_w"], ad.reshape(p["vad_fc_b"], (1, 1, 1)))
+    """The VAD head's weights as arrays in the layout its nodes use, the
+    biases shaped as in ``encoder_weights``."""
+    k, b, fc_w, fc_b = (ad.value(model.params[n]) for n in VAD_HEAD)
+    return k, b.reshape(1, model.dims.d_model), fc_w, fc_b.reshape(1, 1, 1)
 
 
 def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
                 left: np.ndarray | None = None):
     """Cheap VAD branch as two tape nodes: hidden features (causal depthwise
-    temporal conv, bias, relu) and speech probability (FC, bias, sigmoid).
-    ``weights``, if given, are ``vad_weights(model)`` as plain arrays;
-    ``left`` is the (vad_kernel_width - 1, d) array of encoder rows before
-    ``Z``'s first (a constant, given no gradient), or zeros."""
-    k, b, fc_w, fc_b = params = weights or vad_weights(model)
-    kv, bv, wv, cv = weights or map(ad.value, params)
+    temporal conv, bias, relu) and speech probability (FC, bias, sigmoid),
+    whose parameter parents are the stored ``VAD_HEAD`` parameters.
+    ``weights``, if given, are ``vad_weights(model)``; ``left`` is the
+    (vad_kernel_width - 1, d) array of encoder rows before ``Z``'s first (a
+    constant, given no gradient), or zeros."""
+    kv, bv, wv, cv = weights or vad_weights(model)
     zv = ad.value(Z)
     T, d = zv.shape
     W = kv.shape[2]
@@ -321,6 +329,7 @@ def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
     prob = 1.0 / (1.0 + np.exp(-(hs @ wv + cv)))
     if not ad.taping():
         return h, prob.reshape(T)
+    k, b, fc_w, fc_b = (model.params[n] for n in VAD_HEAD)
 
     def hidden_vjp(g):
         g = g * (h > 0)
@@ -332,12 +341,13 @@ def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
                           strides=(-r0, r0, r1))
         return (np.add.reduce(gwin * taps, axis=0, initial=0.0),
                 np.add.reduce(win * g, axis=1).T.reshape(kv.shape),
-                ad.unbroadcast(g, bv.shape))
+                ad.unbroadcast(g, bv.shape).reshape(b.shape))
 
     def probs_vjp(g):
         g = g.reshape(prob.shape) * prob * (1.0 - prob)
         gh, gw = ad.matmul_grads(g, hs, wv)
-        return gh.reshape(T, d), gw, ad.unbroadcast(g, cv.shape)
+        return (gh.reshape(T, d), gw,
+                ad.unbroadcast(g, cv.shape).reshape(fc_b.shape))
 
     H = ad.custom(h, (Z, k, b), hidden_vjp)
     return H, ad.custom(prob.reshape(T), (H, fc_w, fc_b), probs_vjp)

@@ -45,6 +45,7 @@ from . import autodiff as ad, model as net
 FORCED = "forced-length"
 END_OF_UTT = "end-of-utterance"
 FINALIZE = "finalize"
+CAUSES = (FORCED, END_OF_UTT, FINALIZE)
 
 
 @dataclass(frozen=True)
@@ -96,14 +97,15 @@ class ModelScorer:
     and the VAD conv causal, so a block scores exactly as in the whole
     sequence given the conv's left context: the encoder rows of the
     ``vad_kernel_width - 1`` frames before it (zeros before the first), all
-    the scorer carries. The weights are prepared once, as plain arrays in
-    the layout the forward uses. ``rows`` is the last block's (k, d) encoder
-    rows, the ``ModelDecoder``'s input.
+    the scorer carries. The weights are copied once, in the layout the
+    forward uses. ``rows`` is the last block's (k, d) encoder rows, the
+    ``ModelDecoder``'s input.
     """
 
     def __init__(self, model: ModelParams):
         self.model = model
-        self._weights = tuple(tuple(np.array(ad.value(w)) for w in ws)
+        # copies: a training step updates the parameters in place
+        self._weights = tuple(tuple(map(np.array, ws))
                               for ws in (encoder_weights(model),
                                          vad_weights(model)))
         self._left = np.zeros((model.dims.vad_kernel_width - 1,
@@ -329,7 +331,7 @@ def validate_events(events: Sequence[SegmentEvent],
             raise DataError(f"event {i}: span below minimum speech length")
         if span > max_span + 1e-9:
             raise DataError(f"event {i}: span exceeds capacity bound")
-        if ev.cause not in (FORCED, END_OF_UTT, FINALIZE):
+        if ev.cause not in CAUSES:
             raise DataError(f"event {i}: unknown cause {ev.cause!r}")
         prev_end = ev.end_s
 
@@ -369,5 +371,8 @@ def read_events(path) -> list[SegmentEvent]:
                     f"{path}: event times must be >= 0, in order and at most "
                     f"{MAX_STREAM_S:.0f} s (the longest 16 kHz WAV), got "
                     f"[{ev.start_s}, {ev.end_s})")
+            if ev.cause not in CAUSES:
+                raise DataError(f"{path}: event cause must be one of "
+                                f"{', '.join(CAUSES)}, got {ev.cause!r}")
             events.append(ev)
     return events

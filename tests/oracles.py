@@ -1,9 +1,9 @@
 """Test-only oracles and helpers: finite-difference gradients, elementwise
 product and reductions for building test losses on the tape, the unfused
-ops that a fused ``ad.matmul`` and ``ad.attention``, and the model's fused
-encoder and VAD nodes, must match bit for bit, brute-force CTC, a scorer
-that replays precomputed VAD scores, and a writer of the posterior files
-that ``decode-posteriors`` reads."""
+ops (reshape, transpose, relu, ...) that a fused ``ad.matmul`` and
+``ad.attention``, and the model's fused encoder and VAD nodes, must match
+bit for bit, brute-force CTC, a scorer that replays precomputed VAD scores,
+and a writer of the posterior files that ``decode-posteriors`` reads."""
 
 from __future__ import annotations
 
@@ -81,10 +81,22 @@ def attention_unfused(q, k, v, n_heads: int):
     for h in range(n_heads):
         qs, ks, vs = (ad.slice_axis(t, h * dh, (h + 1) * dh, axis=1)
                       for t in (q, k, v))
-        scores = ad.scale(ad.matmul(qs, ad.transpose(ks)),
+        scores = ad.scale(ad.matmul(qs, transpose(ks)),
                           1.0 / math.sqrt(dh))
         heads.append(ad.matmul(softmax(scores, axis=-1), vs))
     return ad.concat(heads, axis=1)
+
+
+def transpose(a) -> ad.Tensor:
+    x = ad.value(a)
+    if x.ndim != 2:
+        raise DimensionError("transpose expects a matrix", x.shape)
+    return ad.custom(x.T.copy(), (a,), lambda g: (g.T,))
+
+
+def reshape(a, shape) -> ad.Tensor:
+    x = ad.value(a)
+    return ad.custom(x.reshape(shape), (a,), lambda g: (g.reshape(x.shape),))
 
 
 def relu(a) -> ad.Tensor:
@@ -164,13 +176,13 @@ def encode_unfused(x: np.ndarray, model) -> ad.Tensor:
     d, c1 = model.dims.d_model, model.dims.conv1_channels
     T = len(x)
     x = x.reshape(T, CONV2_WIDTH, CONV1_WIDTH).transpose(0, 2, 1)
-    h1 = matmul_unfused(ad.reshape(p["enc1_k"], (c1, CONV1_WIDTH)), x,
+    h1 = matmul_unfused(reshape(p["enc1_k"], (c1, CONV1_WIDTH)), x,
                         p["enc1_b"], "relu")
-    k2 = ad.transpose(ad.reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH)))
-    h2 = matmul_unfused(ad.reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2,
-                        ad.reshape(p["enc2_b"], (1, 1, d)), "relu")
-    return ad.layer_norm(ad.reshape(h2, (T, d)),
-                         *(ad.reshape(p[k], (1, d))
+    k2 = transpose(reshape(p["enc2_k"], (d, c1 * CONV2_WIDTH)))
+    h2 = matmul_unfused(reshape(h1, (T, 1, c1 * CONV2_WIDTH)), k2,
+                        reshape(p["enc2_b"], (1, 1, d)), "relu")
+    return ad.layer_norm(reshape(h2, (T, d)),
+                         *(reshape(p[k], (1, d))
                            for k in ("enc_ln_g", "enc_ln_b")))
 
 
@@ -181,10 +193,10 @@ def vad_forward_unfused(Z, model, left=None):
     p = model.params
     T, d = ad.value(Z).shape
     h = relu(ad.add(depthwise_conv1d(Z, p["vad_k"], left),
-                    ad.reshape(p["vad_b"], (1, d))))
-    z = matmul_unfused(ad.reshape(h, (T, 1, d)), p["vad_fc_w"],
-                       ad.reshape(p["vad_fc_b"], (1, 1, 1)), "sigmoid")
-    return h, ad.reshape(z, (T,))
+                    reshape(p["vad_b"], (1, d))))
+    z = matmul_unfused(reshape(h, (T, 1, d)), p["vad_fc_w"],
+                       reshape(p["vad_fc_b"], (1, 1, 1)), "sigmoid")
+    return h, reshape(z, (T,))
 
 
 def depthwise_conv1d_taps(x, kernels, left=None) -> ad.Tensor:

@@ -10,8 +10,8 @@ from vadasr.model import (ModelDims, ModelParams, encode_features,
 from oracles import (attention_unfused, depthwise_conv1d,
                      depthwise_conv1d_taps, encode_unfused, exp,
                      finite_diff_check, matmul_unfused, mean_all, mul, relu,
-                     sigmoid, signed_zeros, softmax, stacked_matmul, sum_all,
-                     vad_forward_unfused, with_upstream)
+                     reshape, sigmoid, signed_zeros, softmax, stacked_matmul,
+                     sum_all, transpose, vad_forward_unfused, with_upstream)
 
 ENCODER = ("enc1_k", "enc1_b", "enc2_k", "enc2_b", "enc_ln_g", "enc_ln_b")
 VAD_HEAD = ("vad_k", "vad_b", "vad_fc_w", "vad_fc_b")
@@ -292,8 +292,8 @@ class TestOpGradients:
     def test_transpose_reshape_mean(self, rng):
         a = ad.Tensor(rng.normal(size=(3, 4)))
         w = rng.normal(size=(4, 3))
-        fd(lambda p: sum_all(mul(ad.transpose(p[0]), w)), [a])
-        fd(lambda p: mean_all(ad.reshape(p[0], (2, 6))), [a])
+        fd(lambda p: sum_all(mul(transpose(p[0]), w)), [a])
+        fd(lambda p: mean_all(reshape(p[0], (2, 6))), [a])
 
 
 def shapes(dims, names):

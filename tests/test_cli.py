@@ -203,7 +203,7 @@ def _event_line(line):
     return build
 
 
-_EVENT = {"start_s": 0.0, "end_s": 1.0, "cause": "end_of_utterance"}
+_EVENT = {"start_s": 0.0, "end_s": 1.0, "cause": "end-of-utterance"}
 
 MALFORMED_INPUTS = [
     ("manifest-no-mask-path", _no_mask_path, 2),
@@ -250,6 +250,11 @@ MALFORMED_INPUTS = [
     ("event-end-int-past-float",
      _event_line(json.dumps({**_EVENT, "text": "a"}).replace(
          '"end_s": 1.0', '"end_s": 1' + "0" * 400)), 2),
+    # a cause is one of the three the streamer emits
+    ("event-cause-number",
+     _event_line(json.dumps({**_EVENT, "text": "a", "cause": 5})), 2),
+    ("event-cause-unknown",
+     _event_line(json.dumps({**_EVENT, "text": "a", "cause": "timeout"})), 2),
     ("lm-counts-not-object",
      lambda tmp, *_: _posteriors(tmp, lm=b'{"order":2,"counts":[1]}'), 2),
     ("lm-not-utf8", lambda tmp, *_: _posteriors(tmp, lm=b'{"\xff'), 2),
@@ -278,6 +283,9 @@ MALFORMED_INPUTS = [
         {"order": 2, "counts": {**_LM_COUNTS, "a b": -3}}), 2),
     ("lm-fractional-count", _lm_for_transcribe(
         {"order": 1, "counts": {**_LM_COUNTS, "a": 1.5}}), 2),
+    # scoring would pad each history to order - 1 tokens
+    ("lm-order-past-longest-gram",
+     _lm_for_transcribe({"order": 10 ** 15, "counts": _LM_COUNTS}), 2),
 ]
 
 

@@ -188,6 +188,37 @@ class TestStructuralIdentities:
                      if isinstance(node, ast.Assert)]
             assert not found, f"{path.name}: assert at lines {found}"
 
+    def test_autodiff_names_are_all_used(self):
+        # src carries only what the product runs: every public top-level
+        # name of autodiff is referenced from another module of the package
+        src = Path(__file__).resolve().parents[1] / "src" / "vadasr"
+        public = set()
+        for node in ast.parse((src / "autodiff.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public.add(node.name)
+            elif isinstance(node, ast.Assign):
+                public.update(t.id for t in node.targets
+                              if isinstance(t, ast.Name))
+        public = {name for name in public if not name.startswith("_")}
+        assert {"custom", "backward", "Tensor"} <= public
+        used = set()
+        for path in sorted(src.glob("*.py")):
+            if path.name == "autodiff.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            aliases = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    if (node.module or "").endswith("autodiff"):
+                        used.update(a.name for a in node.names)
+                    aliases.update(a.asname or a.name for a in node.names
+                                   if a.name == "autodiff")
+            used.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in aliases)
+        assert not public - used, f"unused in src: {sorted(public - used)}"
+
     def test_vad_scores_match_full_forward(self, rng):
         model = small_model()
         frames = random_frames(rng, 7)

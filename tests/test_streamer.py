@@ -30,6 +30,7 @@ from vadasr.streamer import (
     validate_events,
     write_events,
 )
+from vadasr.trainer import Adam
 
 from oracles import ExternalScores
 
@@ -224,6 +225,18 @@ class TestModelScorer:
             assert_carries_left_rows(scorer, model, frames[:b])
             a, i = b, i + 1
         assert np.array_equal(bits(np.concatenate(online)), bits(whole))
+
+    def test_weights_are_a_snapshot(self, rng):
+        # a training step updates the parameters in place; a scorer built
+        # before it scores as one built on a copy of the old model
+        model, frames, _ = scorer_case(rng, 5, 40)
+        old = model.copy()
+        scorer = ModelScorer(model)
+        Adam().step(model.params, {n: rng.normal(size=model.params[n].shape)
+                                   for n in ModelParams.VAD_BRANCH}, lr=0.1)
+        expected = ModelScorer(old)(frames, 0)
+        assert np.array_equal(bits(scorer(frames, 0)), bits(expected))
+        assert not np.array_equal(ModelScorer(model)(frames, 0), expected)
 
 
 def assert_carries_left_rows(scorer, model, frames):

@@ -309,12 +309,11 @@ class TestSameBits:
             trainer._utterance_loss(ModelParams.init(default_vocab(5), seed=0),
                                     utt, frames, TrainConfig(stage="mtl"),
                                     layout)
-        assert len(tape) == 52
+        assert len(tape) == 43
 
     def test_asr_only_tape_reaches_all_but_the_vad_probability(self):
         # stage 1 differentiates CTC alone: it records no BCE node, and
-        # backward skips only the speech-probability node and the reshape
-        # of the bias that feeds it alone
+        # backward skips only the speech-probability node
         utt = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=3))[0]
         with ad.Tape() as tape:
             node, _, ce = trainer._utterance_loss(
@@ -329,7 +328,7 @@ class TestSameBits:
                        for i, (out, parents, vjp) in enumerate(tape._nodes)]
         ad.backward(tape, node)
         assert ce > 0
-        assert (len(tape), len(tape) - len(reached)) == (35, 2)
+        assert (len(tape), len(tape) - len(reached)) == (26, 1)
 
 
 class TestDevStream:

@@ -2,7 +2,7 @@
 
 A ``Tape`` records every primitive executed while it is active (context
 manager). ``backward`` replays the tape once in reverse and returns the
-gradient of a scalar loss with respect to every tensor that received one.
+gradient of a scalar loss with respect to every leaf that received one.
 Tensors are immutable value holders; parameters are just long-lived tensors.
 With no tape active, primitives take Tensors or arrays and return plain
 arrays, computed by the same arithmetic as on a tape.
@@ -35,16 +35,13 @@ class Tape:
         _ACTIVE_TAPES.pop()
         return False
 
-    def _record(self, out, parents, vjp):
-        self._nodes.append((out, parents, vjp))
-
     def __len__(self):
         return len(self._nodes)
 
 
 class Tensor:
     """Immutable dense array. Hash/eq are identity on purpose: the same
-    parameter object is the key into gradient maps and optimizer state."""
+    parameter object is the key into ``backward``'s gradient map."""
 
     __slots__ = ("data", "name")
 
@@ -92,7 +89,8 @@ def custom(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
     recorded only on one."""
     out = Tensor(data)
     if _ACTIVE_TAPES:
-        _ACTIVE_TAPES[-1]._record(out, tuple(map(tensor, parents)), vjp)
+        _ACTIVE_TAPES[-1]._nodes.append((out, tuple(map(tensor, parents)),
+                                         vjp))
     return out
 
 
@@ -312,30 +310,22 @@ def concat(parts: Sequence, axis: int = 0):
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Gradients of a scalar ``loss`` w.r.t. every tensor on the tape."""
+    """Gradients of a scalar ``loss`` w.r.t. every tensor on the tape that
+    no node on it produced (its leaves, such as the parameters)."""
     if loss.size != 1:
         raise UsageError(f"loss must be scalar, got shape {loss.shape}")
-    if not any(out is loss for out, _, _ in tape._nodes):
-        raise UsageError("loss was not produced on this tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    by_id: dict[int, Tensor] = {id(loss): loss}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for out, parents, vjp in reversed(tape._nodes):
-        g = grads.pop(id(out), None)
+        g = grads.pop(out, None)
         if g is None:
             continue
-        if out is not loss:
-            by_id.pop(id(out), None)
-        pgrads = vjp(g)
-        for p, pg in zip(parents, pgrads):
-            if pg is None:
-                continue
-            key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-                by_id[key] = p
-    return {by_id[k]: v for k, v in grads.items() if k in by_id}
+        for p, pg in zip(parents, vjp(g)):
+            if pg is not None:
+                prev = grads.get(p)
+                grads[p] = pg if prev is None else prev + pg
+    if loss in grads:  # no node on the tape produced it
+        raise UsageError("loss was not produced on this tape")
+    return grads
 
 
 # ---------------------------------------------------------------------------

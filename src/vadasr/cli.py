@@ -242,6 +242,11 @@ def _cmd_train(o):
     except DataError as exc:  # every value here came from a flag or config
         raise UsageError(str(exc)) from exc
     corpus, vocab = read_corpus(o["corpus"])
+    # a gram longer than [BOS] + transcript + [EOS] only adds [BOS] padding
+    bound = max((len(u.transcript) for u in corpus), default=0) + 2
+    if o["lm_out"] and corpus and o["lm_order"] > bound:
+        raise UsageError(f"lm_order {o['lm_order']} is above the corpus's "
+                         f"longest transcript + 2, {bound}")
     dev = read_corpus(o["dev_manifest"])[0] if o["dev_manifest"] else None
     if stage == "vad_only":
         model, report = train_vad_stl_baseline(corpus, config, vocab,

@@ -98,39 +98,34 @@ def tri_stage_lr(step: int, total_steps: int, peak_lr: float) -> float:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adam with bias correction, in place over one parameter vector."""
 
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params: dict[str, ad.Tensor],
-             grads: dict[str, np.ndarray], lr: float) -> None:
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericError(
-                    f"non-finite gradient for {name!r}: "
-                    f"|g|max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'}")
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for name, g in grads.items():
-            p = params[name]
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        self.m += (1 - b1) * (grad - self.m)
+        self.v += (1 - b2) * (grad * grad - self.v)
+        # lr * mhat / (sqrt(vhat) + eps), in place where it keeps the bits:
+        # each temporary is as long as the whole parameter vector
+        denom = np.sqrt(self.v / (1 - b2 ** self.t)) + ADAM_EPS
+        update = self.m / (1 - b1 ** self.t)
+        update *= lr
+        update /= denom
+        params -= update
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(grad: np.ndarray, parts: Sequence[np.ndarray],
+                   max_norm: float) -> None:
+    """Scale ``grad`` to a global norm of at most ``max_norm``; the norm sums
+    each of ``parts``, the per-parameter views of ``grad``, in turn."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in parts))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +153,22 @@ def _utterance_loss(model: ModelParams, utt: Utterance, frames: FrameSequence,
 
 def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                   config: TrainConfig) -> TrainReport:
-    trainable = (ModelParams.VAD_BRANCH if config.stage == "vad_only"
-                 else list(model.params))
-    report = TrainReport()
-    report.param_count = sum(model.params[n].size for n in trainable)
+    """Train ``model``, the stage's own copy, in place: its trained
+    parameters become views of one vector, which Adam updates."""
+    trained = (model.params if config.stage != "vad_only"
+               else {n: model.params[n] for n in ModelParams.VAD_BRANCH})
+    flat = np.concatenate([t.data.ravel() for t in trained.values()])
+    grad = np.empty_like(flat)
+    parts, end = [], 0  # each parameter's gradient, a view of ``grad``
+    for t in trained.values():
+        end += t.size
+        t.data = flat[end - t.size:end].reshape(t.shape)
+        parts.append(grad[end - t.size:end].reshape(t.shape))
+    report = TrainReport(param_count=flat.size)
     rng = np.random.default_rng(config.seed)
-    opt = Adam()
+    opt = Adam(flat.size)
     n = len(corpus)
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
+    total_steps = config.epochs * math.ceil(n / config.batch_size)
     splice_frames = to_frames(config.splice_s)
     step = 0
     t0 = time.perf_counter()
@@ -178,7 +180,8 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
             body_frames = (sample_chunk_len(rng, config.chunk_min_s,
                                             config.chunk_max_s)
                            if config.stage == "mtl" else None)
-            grads: dict[str, np.ndarray] = {}
+            grad.fill(0.0)
+            counted_before = ep_count
             for ui in batch:
                 utt = corpus[int(ui)]
                 frames = frame_stream(utt.audio)
@@ -193,24 +196,25 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                         report.skipped_infeasible += 1
                         continue
                     gmap = ad.backward(tape, node)
-                for name in trainable:
-                    g = gmap.get(model.params[name])
-                    if g is None:
-                        continue
-                    if name in grads:
-                        grads[name] += g
-                    else:
-                        grads[name] = g.copy()
+                for t, part in zip(trained.values(), parts):
+                    g = gmap.get(t)
+                    if g is not None:
+                        part += g
                 ep_ctc += ctc_val
                 ep_ce += ce_val
                 ep_total += float(node.data)
                 ep_count += 1
-            if grads:
-                for g in grads.values():
-                    g /= max(1, len(batch))
-                clip_gradients(grads, GRAD_CLIP)
+            if ep_count > counted_before:  # an utterance gave a gradient
+                grad /= len(batch)
+                if not np.isfinite(grad).all():
+                    name = next(name for name, part in zip(trained, parts)
+                                if not np.isfinite(part).all())
+                    raise NumericError(
+                        f"non-finite gradient for {name!r} at step "
+                        f"{step + 1} of {total_steps}")
+                clip_gradients(grad, parts, GRAD_CLIP)
                 lr = tri_stage_lr(step, total_steps, config.learning_rate)
-                opt.step(model.params, grads, lr)
+                opt.step(flat, grad, lr)
             step += 1
         denom = max(1, ep_count)
         report.ctc_curve.append(ep_ctc / denom)

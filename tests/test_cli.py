@@ -340,6 +340,9 @@ class TestExitCodes:
         ["segment", "--splice-s", "1.7e308"],  # finite, but inf frames
         ["segment", "--vad-threshold", "2"],
         ["train", "--epochs", "1", "--lm-out", "lm.json", "--lm-order", "0"],
+        # past the longest transcript + 2: a MemoryError after training
+        ["train", "--epochs", "1", "--lm-out", "lm.json",
+         "--lm-order", "1000000000000000"],
         ["gen-corpus", "--count", "0"],
         ["gen-corpus", "--vocab-size", "1"],
         ["gen-corpus", "--noise", "-1"],

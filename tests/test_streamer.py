@@ -30,7 +30,6 @@ from vadasr.streamer import (
     validate_events,
     write_events,
 )
-from vadasr.trainer import Adam
 
 from oracles import ExternalScores
 
@@ -232,8 +231,8 @@ class TestModelScorer:
         model, frames, _ = scorer_case(rng, 5, 40)
         old = model.copy()
         scorer = ModelScorer(model)
-        Adam().step(model.params, {n: rng.normal(size=model.params[n].shape)
-                                   for n in ModelParams.VAD_BRANCH}, lr=0.1)
+        for n in ModelParams.VAD_BRANCH:
+            model.params[n].data += rng.normal(0, 0.1, model.params[n].shape)
         expected = ModelScorer(old)(frames, 0)
         assert np.array_equal(bits(scorer(frames, 0)), bits(expected))
         assert not np.array_equal(ModelScorer(model)(frames, 0), expected)

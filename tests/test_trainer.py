@@ -54,39 +54,32 @@ class TestSchedule:
 
 class TestAdam:
     def test_zero_gradient_is_noop(self):
-        p = {"w": ad.Tensor(np.ones(3), name="w")}
-        opt = Adam()
-        opt.step(p, {"w": np.zeros(3)}, lr=0.1)
-        assert np.array_equal(p["w"].data, np.ones(3))
+        p = np.ones(3)
+        Adam(3).step(p, np.zeros(3), lr=0.1)
+        assert np.array_equal(p, np.ones(3))
 
     def test_quadratic_bowl_converges(self):
         # minimize 0.5 * ||x - 3||^2
-        p = {"x": ad.Tensor(np.zeros(4), name="x")}
-        opt = Adam()
+        x = np.zeros(4)
+        opt = Adam(4)
         for _ in range(5000):
-            g = p["x"].data - 3.0
-            opt.step(p, {"x": g}, lr=0.01)
+            g = x - 3.0
+            opt.step(x, g, lr=0.01)
             if np.max(np.abs(g)) < 1e-6:
                 break
-        assert np.allclose(p["x"].data, 3.0, atol=1e-5)
-
-    def test_rejects_non_finite_gradient(self):
-        p = {"w": ad.Tensor(np.ones(2), name="w")}
-        with pytest.raises(NumericError, match="w"):
-            Adam().step(p, {"w": np.array([1.0, np.nan])}, lr=0.1)
+        assert np.allclose(x, 3.0, atol=1e-5)
 
     def test_clip_gradients_scales_global_norm(self):
-        grads = {"a": np.full(4, 3.0), "b": np.full(4, 4.0)}
-        clip_gradients(grads, max_norm=5.0)
-        total = np.sqrt(sum((g ** 2).sum() for g in grads.values()))
-        assert total == pytest.approx(5.0)
+        grad = np.concatenate([np.full(4, 3.0), np.full(4, 4.0)])
+        clip_gradients(grad, (grad[:4], grad[4:]), max_norm=5.0)
+        assert np.sqrt((grad ** 2).sum()) == pytest.approx(5.0)
         # direction preserved
-        assert grads["a"][0] / grads["b"][0] == pytest.approx(0.75)
+        assert grad[0] / grad[4] == pytest.approx(0.75)
 
     def test_clip_noop_below_threshold(self):
-        grads = {"a": np.ones(2)}
-        clip_gradients(grads, max_norm=100.0)
-        assert np.array_equal(grads["a"], np.ones(2))
+        grad = np.ones(2)
+        clip_gradients(grad, (grad,), max_norm=100.0)
+        assert np.array_equal(grad, np.ones(2))
 
 
 class TestConfig:
@@ -145,6 +138,52 @@ class TestTraining:
                          TrainConfig(stage="asr_only", epochs=1, seed=0))
         for k, v in before.items():
             assert np.array_equal(model.params[k].data, v)
+
+    @pytest.mark.parametrize("stage", ["asr_only", "vad_only"])
+    def test_trained_parameters_are_views_of_one_vector(self, tiny_corpus,
+                                                        monkeypatch, stage):
+        # at every step, each trained tensor's data lies in the vector Adam
+        # updates, and the views tile it; the frozen tensors do not
+        model = ModelParams.init(default_vocab(5), seed=1)
+        trained = (ModelParams.VAD_BRANCH if stage == "vad_only"
+                   else list(model.params))
+        steps = []
+
+        def checked_step(opt, flat, grad, lr):
+            for name, t in model.params.items():
+                assert np.shares_memory(t.data, flat) == (name in trained)
+            assert np.array_equal(flat, np.concatenate(
+                [model.params[n].data.ravel() for n in trained]))
+            steps.append(flat.size)
+            return adam_step(opt, flat, grad, lr)
+
+        adam_step = Adam.step
+        monkeypatch.setattr(Adam, "step", checked_step)
+        trainer._run_training(model, tiny_corpus,
+                              TrainConfig(stage=stage, epochs=1, seed=0))
+        assert steps == [sum(model.params[n].size for n in trained)] * 2
+
+    def test_non_finite_gradient_names_parameter_and_step(self, tiny_corpus,
+                                                          monkeypatch):
+        # a NaN in one parameter's gradient at the fifth backward call, which
+        # falls in the second batch of four
+        calls = []
+
+        def nan_backward(tape, loss):
+            grads = backward(tape, loss)
+            calls.append(loss)
+            if len(calls) == 5:
+                t = next(t for t in grads if t.name == "vad_fc_w")
+                grads[t] = grads[t] + np.nan
+            return grads
+
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", nan_backward)
+        with pytest.raises(NumericError,
+                           match=r"'vad_fc_w' at step 2 of 4$"):
+            train_stage2_mtl(ModelParams.init(default_vocab(5), seed=1),
+                             tiny_corpus, TrainConfig(stage="mtl", epochs=2,
+                                                      seed=0, batch_size=4))
 
     def test_input_config_untouched(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)
@@ -270,6 +309,24 @@ class TestTraining:
 STAGE2_EPOCH_PARAMS_SHA256 = ("2d679024caa736fe5b5103bcb57d4ea0"
                               "1fe2e500e0b76c37029b93efdd2d1c9a")
 STAGE2_EPOCH_TOTAL_LOSS = 0.5592670779094429
+# Two epochs of stage 1 and of the VAD-only stage on the 12 utterances of
+# the seed-21 corpus, recorded before training ran on one parameter vector.
+ASR_ONLY_PARAMS_SHA256 = ("bade8d93b6d8380b6fe461de77d83a4f"
+                          "77c07cec8756da597ee7cf8ad5022de6")
+ASR_ONLY_TOTAL_CURVE = [79.6816301047846, 8.305772398076863]
+VAD_ONLY_PARAMS_SHA256 = ("c6646e89787ff0ca87e72ff1c08af48b"
+                          "94f9c48dbf5379a7abb0e889a425e9bc")
+VAD_ONLY_TOTAL_CURVE = [0.7859392678917362, 0.42920520936150974]
+
+
+def params_sha256(model):
+    """The sha256 of the parameters' bytes, sorted by name."""
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(model.params[name].data,
+                                           dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 class TestSameBits:
@@ -289,13 +346,24 @@ class TestSameBits:
             fixture.load_fixture(), corpus,
             TrainConfig(stage="mtl", epochs=1, learning_rate=2e-3,
                         batch_size=4, seed=1, vad_weight=2.0))
-        digest = hashlib.sha256()
-        for name in sorted(model.params):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(model.params[name].data,
-                                               dtype="<f8").tobytes())
         assert rep.total_curve[0] == STAGE2_EPOCH_TOTAL_LOSS
-        assert digest.hexdigest() == STAGE2_EPOCH_PARAMS_SHA256
+        assert params_sha256(model) == STAGE2_EPOCH_PARAMS_SHA256
+
+    def test_asr_only_epochs(self):
+        corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=12, seed=21))
+        model, rep = train_stage1_asr(
+            ModelParams.init(default_vocab(5), seed=1), corpus,
+            TrainConfig(stage="asr_only", epochs=2, seed=0))
+        assert rep.total_curve == ASR_ONLY_TOTAL_CURVE
+        assert params_sha256(model) == ASR_ONLY_PARAMS_SHA256
+
+    def test_vad_only_epochs(self):
+        corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=12, seed=21))
+        model, rep = train_vad_stl_baseline(
+            corpus, TrainConfig(stage="vad_only", epochs=2, seed=4),
+            default_vocab(5))
+        assert rep.total_curve == VAD_ONLY_TOTAL_CURVE
+        assert params_sha256(model) == VAD_ONLY_PARAMS_SHA256
 
     def test_mtl_tape_size(self):
         # each _mha call is five nodes (three projections, attention, output

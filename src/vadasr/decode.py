@@ -174,7 +174,7 @@ def _grid_array(grid) -> np.ndarray:
 
 def greedy_decode(grid) -> tuple[str, ...]:
     """Per-frame argmax, collapse adjacent repeats, strip blanks."""
-    path = _grid_array(grid).argmax(axis=-1)
+    path = _grid_array(grid).argmax(axis=-1).tolist()
     out = []
     prev = -1
     for k in path:

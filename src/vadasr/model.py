@@ -96,10 +96,10 @@ class PosteriorGrid:
 class ForwardArtifacts:
     Z: ad.Tensor                 # (T, d) encoder latents
     H_vad: ad.Tensor             # (T, d) VAD hidden features
-    speech_probs: ad.Tensor      # (T,)
-    C: ad.Tensor                 # (T, d) context vectors
-    G: ad.Tensor                 # (T, d) fused vectors
-    log_posteriors: PosteriorGrid
+    speech_probs: ad.Tensor | None  # (T,); None from a span's forward
+    C: ad.Tensor                 # (T, d) context vectors, or the span's rows
+    G: ad.Tensor                 # (T, d) fused vectors, or the span's rows
+    log_posteriors: PosteriorGrid  # the span's rows from a span's forward
 
 
 _POSENC_CACHE: dict[int, np.ndarray] = {}
@@ -302,13 +302,14 @@ def vad_weights(model: ModelParams) -> tuple:
 
 
 def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
-                left: np.ndarray | None = None):
+                left: np.ndarray | None = None, probs: bool = True):
     """Cheap VAD branch as two tape nodes: hidden features (causal depthwise
     temporal conv, bias, relu) and speech probability (FC, bias, sigmoid),
     whose parameter parents are the stored ``VAD_HEAD`` parameters.
     ``weights``, if given, are ``vad_weights(model)``; ``left`` is the
     (vad_kernel_width - 1, d) array of encoder rows before ``Z``'s first (a
-    constant, given no gradient), or zeros."""
+    constant, given no gradient), or zeros. Without ``probs`` the second
+    result is None, and the FC is not run."""
     kv, bv, wv, cv = weights or vad_weights(model)
     zv = ad.value(Z)
     T, d = zv.shape
@@ -326,9 +327,10 @@ def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
     win = np.ndarray((W, T, d), np.float64, xp, 0, (s0, s0, s1))  # xp[w:w+T]
     h = np.maximum(np.add.reduce(win * taps, axis=0, initial=-0.0) + bv, 0.0)
     hs = h.reshape(T, 1, d)
-    prob = 1.0 / (1.0 + np.exp(-(hs @ wv + cv)))
+    prob = ((1.0 / (1.0 + np.exp(-(hs @ wv + cv)))).reshape(T) if probs
+            else None)
     if not ad.taping():
-        return h, prob.reshape(T)
+        return h, prob
     k, b, fc_w, fc_b = (model.params[n] for n in VAD_HEAD)
 
     def hidden_vjp(g):
@@ -344,13 +346,13 @@ def vad_forward(Z, model: ModelParams, weights: tuple | None = None,
                 ad.unbroadcast(g, bv.shape).reshape(b.shape))
 
     def probs_vjp(g):
-        g = g.reshape(prob.shape) * prob * (1.0 - prob)
+        g = (g.reshape(T) * prob * (1.0 - prob)).reshape(T, 1, 1)
         gh, gw = ad.matmul_grads(g, hs, wv)
         return (gh.reshape(T, d), gw,
                 ad.unbroadcast(g, cv.shape).reshape(fc_b.shape))
 
     H = ad.custom(h, (Z, k, b), hidden_vjp)
-    return H, ad.custom(prob.reshape(T), (H, fc_w, fc_b), probs_vjp)
+    return H, ad.custom(prob, (H, fc_w, fc_b), probs_vjp) if probs else None
 
 
 def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
@@ -366,36 +368,51 @@ def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):
     return ad.matmul(heads, wo)
 
 
-def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None):
+def _context_layer(x_q, x_kv, model: ModelParams):
+    p = model.params
+    a = _mha(x_q, x_kv, p["ctx_wq"], p["ctx_wk"], p["ctx_wv"], p["ctx_wo"],
+             model.dims.n_heads, model)
+    x1 = ad.layer_norm(ad.add(x_q, a), p["ctx_ln1_g"], p["ctx_ln1_b"])
+    ff = ad.matmul(ad.matmul(x1, p["ffn_w1"], p["ffn_b1"], "relu"),
+                   p["ffn_w2"], p["ffn_b2"])
+    return ad.layer_norm(ad.add(x1, ff), p["ctx_ln2_g"], p["ctx_ln2_b"])
+
+
+def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None,
+                    span: tuple[int, int] | None = None):
     """Transformer block over encoder latents; with a layout, attention for
     each chunk sees only left ctx + body + right ctx and only body positions
-    produce output."""
-    p = model.params
+    produce output. With ``span``, a (start, stop) pair in place of a
+    layout, only the span's rows are computed, with keys and values over
+    every row: the block's one layer joins rows only through attention."""
     T, d = Z.shape
+    zp = ad.add(Z, positional_encoding(T, d))
+    if span is not None:
+        if layout is not None or not 0 <= span[0] < span[1] <= T:
+            raise DimensionError(f"span {span} must be non-empty, within "
+                                 f"the {T} rows and given without a layout")
+        return _context_layer(ad.slice_axis(zp, *span), zp, model)
     if layout is None:
         layout = whole_utterance_layout(T)
     if layout.total_T != T:
         raise LayoutError(f"layout covers {layout.total_T} frames, Z has {T}")
-    zp = ad.add(Z, positional_encoding(T, d))
     bodies = []
     for ch in layout.chunks:
         ws, we = ch.window
         xw = ad.slice_axis(zp, ws, we)
-        a = _mha(xw, xw, p["ctx_wq"], p["ctx_wk"], p["ctx_wv"], p["ctx_wo"],
-                 model.dims.n_heads, model)
-        x1 = ad.layer_norm(ad.add(xw, a), p["ctx_ln1_g"], p["ctx_ln1_b"])
-        ff = ad.matmul(ad.matmul(x1, p["ffn_w1"], p["ffn_b1"], "relu"),
-                       p["ffn_w2"], p["ffn_b2"])
-        x2 = ad.layer_norm(ad.add(x1, ff), p["ctx_ln2_g"], p["ctx_ln2_b"])
+        x2 = _context_layer(xw, xw, model)
         b0, b1 = ch.body
         bodies.append(ad.slice_axis(x2, b0 - ws, b1 - ws))
     return stitch_outputs(bodies, layout)
 
 
-def cross_task_attend(C, H_vad, model: ModelParams):
+def cross_task_attend(C, H_vad, model: ModelParams,
+                      span: tuple[int, int] | None = None):
     """Residual cross-task attention: queries from the ASR context vectors,
-    keys/values from the VAD hidden features."""
-    if C.shape[0] != H_vad.shape[0]:
+    keys/values from the VAD hidden features; with ``span``, ``C`` holds
+    only the span's rows, and keys and values still cover every row."""
+    rows = H_vad.shape[0] if span is None else span[1] - span[0]
+    if C.shape[0] != rows:
         raise DimensionError("C and H_vad disagree on frame count",
                              C.shape, H_vad.shape)
     p = model.params
@@ -413,17 +430,21 @@ def asr_head(G, model: ModelParams) -> PosteriorGrid:
 
 
 def forward(frames: FrameSequence | None, model: ModelParams,
-            layout: ChunkLayout | None = None, Z=None) -> ForwardArtifacts:
+            layout: ChunkLayout | None = None, Z=None,
+            span: tuple[int, int] | None = None) -> ForwardArtifacts:
     """The whole network. On a tape every artifact is a taped Tensor;
     without one it runs on plain arrays, wrapped as Tensors only here.
     ``Z``, if given, is the frames' (T, d) encoder rows, already made (the
-    encoder is frame-local, so row by row); ``frames`` is then not read."""
+    encoder is frame-local, so row by row); ``frames`` is then not read.
+    ``span`` (see ``context_forward``) gives ``C``, ``G`` and the
+    posteriors of the span's rows only, and no speech probabilities."""
     if Z is None:
         Z = encode_features(frames, model)
-    h_vad, probs = vad_forward(Z, model)
-    C = context_forward(Z, model, layout)
-    G = cross_task_attend(C, h_vad, model)
+    h_vad, probs = vad_forward(Z, model, probs=span is None)
+    C = context_forward(Z, model, layout, span)
+    G = cross_task_attend(C, h_vad, model, span)
     grid = asr_head(G, model)
     t = ad.tensor
-    return ForwardArtifacts(Z=t(Z), H_vad=t(h_vad), speech_probs=t(probs),
+    return ForwardArtifacts(Z=t(Z), H_vad=t(h_vad),
+                            speech_probs=probs if probs is None else t(probs),
                             C=t(C), G=t(G), log_posteriors=grid)

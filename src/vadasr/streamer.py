@@ -38,8 +38,7 @@ import numpy as np
 from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InvalidSpecError, UsageError
-from .model import (ModelParams, PosteriorGrid, encoder_weights, forward,
-                    vad_weights)
+from .model import ModelParams, encoder_weights, forward, vad_weights
 from . import autodiff as ad, model as net
 
 FORCED = "forced-length"
@@ -126,8 +125,9 @@ class ModelScorer:
 
 class ModelDecoder:
     """Decode a flushed window, the (T, d) encoder rows a ``ModelScorer`` of
-    the same model made: the rest of the forward over span + splice context,
-    then beam search (or greedy) over the span's posterior rows only."""
+    the same model made: the rest of the forward for the span's rows only,
+    with keys and values over span + splice context, then beam search (or
+    greedy) over those rows. A span must be non-empty and in the window."""
 
     def __init__(self, model: ModelParams, beam: Optional[BeamConfig] = None):
         self.model = model
@@ -135,12 +135,10 @@ class ModelDecoder:
 
     def __call__(self, window: np.ndarray, span_start: int,
                  span_len: int) -> tuple[str, ...]:
-        art = forward(None, self.model, Z=window)
-        rows = art.log_posteriors.array[span_start:span_start + span_len]
-        sub = PosteriorGrid(log_probs=rows, vocab=self.model.vocab,
-                            blank_index=len(self.model.vocab))
-        return (greedy_decode(sub) if self.beam is None
-                else beam_search(sub, self.beam)[0].tokens)
+        span = (span_start, span_start + span_len)
+        grid = forward(None, self.model, Z=window, span=span).log_posteriors
+        return (greedy_decode(grid) if self.beam is None
+                else beam_search(grid, self.beam)[0].tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ def small_model(seed=0, **dim_kwargs):
     return ModelParams.init(VOCAB, dims, seed=seed)
 
 
-def perturbed_model(seed=0):
+def perturbed_model(seed=0, **dim_kwargs):
     """Small model with every parameter, biases too, randomly nonzero."""
-    model = small_model(seed=seed)
+    model = small_model(seed=seed, **dim_kwargs)
     rng = np.random.default_rng(seed)
     for t in model.params.values():
         t.data += rng.normal(0.0, 0.1, t.shape)
@@ -315,6 +315,57 @@ class TestChunkedAttention:
         frames = random_frames(rng, 8)
         with pytest.raises(LayoutError):
             forward(frames, model, whole_utterance_layout(9))
+
+
+class TestSpanQueries:
+    """A span's forward computes C, G and the posteriors for the span's rows
+    only, attending over every row's keys and values: its rows are the full
+    forward's rows of the span."""
+
+    T = 23
+    SPANS = {"from-row-0": (0, 7), "to-last-row": (15, 23),
+             "one-row": (11, 12), "first-row": (0, 1), "last-row": (22, 23),
+             "inside": (4, 19), "whole-window": (0, 23)}
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_span_rows_match_full_forward(self, seed, n_heads):
+        rng = np.random.default_rng(seed)
+        model = perturbed_model(seed=seed, n_heads=n_heads)
+        full = forward(random_frames(rng, self.T), model)
+        Z = full.Z.data
+        for name, (a, b) in self.SPANS.items():
+            part = forward(None, model, Z=Z, span=(a, b))
+            with ad.Tape() as tape:
+                taped = forward(None, model, Z=Z, span=(a, b))
+            assert len(tape) > 0
+            assert part.speech_probs is None and taped.speech_probs is None
+            assert np.array_equal(part.H_vad.data, full.H_vad.data)
+            for field in ("C", "G", "log_posteriors"):
+                got, on_tape, ref = (getattr(x, field)
+                                     for x in (part, taped, full))
+                if field == "log_posteriors":
+                    got, on_tape, ref = (x.log_probs
+                                         for x in (got, on_tape, ref))
+                assert got.shape[0] == b - a, (name, field)
+                assert np.array_equal(got.data, on_tape.data), (name, field)
+                if name == "whole-window":
+                    assert np.array_equal(got.data, ref.data), field
+                else:
+                    assert np.abs(got.data - ref.data[a:b]).max() <= 1e-12, (
+                        name, field)
+
+    @pytest.mark.parametrize("span", [(-1, 3), (3, 3), (5, 2), (4, 9)])
+    def test_span_outside_rows_rejected(self, rng, span):
+        model = small_model()
+        with pytest.raises(DimensionError, match="span"):
+            forward(random_frames(rng, 8), model, span=span)
+
+    def test_span_with_layout_rejected(self, rng):
+        model = small_model()
+        with pytest.raises(DimensionError, match="without a layout"):
+            forward(random_frames(rng, 8), model, whole_utterance_layout(8),
+                    span=(0, 4))
 
 
 class TestOffTheTape:

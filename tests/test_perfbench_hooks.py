@@ -54,9 +54,9 @@ def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
     windows = []
     forward = streamer.forward
 
-    def spy(frames, m, layout=None, Z=None):
+    def spy(frames, m, layout=None, Z=None, span=None):
         windows.append(len(Z))
-        return forward(frames, m, layout, Z)
+        return forward(frames, m, layout, Z, span)
 
     monkeypatch.setattr(streamer, "forward", spy)
     rec = spans.Recorder()

@@ -11,7 +11,8 @@ import vadasr.model
 from vadasr.audio import FRAME_DURATION_S, FrameSequence
 from vadasr.chunking import plan_chunks
 from vadasr.decode import BeamConfig, beam_search, greedy_decode
-from vadasr.errors import DataError, InvalidSpecError, UsageError
+from vadasr.errors import (DataError, DimensionError, InvalidSpecError,
+                           UsageError)
 from vadasr.model import (ForwardArtifacts, ModelDims, ModelParams,
                           PosteriorGrid, encode_features, forward,
                           vad_score_frames)
@@ -356,6 +357,35 @@ class TestSharedEncoderRows:
         # every decoded window still runs context and cross-task attention
         assert model.attention_evals == before + 2 * len(streamer.events)
 
+    def test_decoder_queries_cover_the_span_only(self, monkeypatch):
+        # each decoded window's two attentions (context, cross-task) get the
+        # span's rows as queries and every window row as keys and values
+        model, frames = perturbed_stream(0, 5)
+        shapes = []
+        attention = ad.attention
+
+        def spy(q, k, v, n_heads):
+            shapes.append((len(ad.value(q)), len(ad.value(k))))
+            return attention(q, k, v, n_heads)
+
+        monkeypatch.setattr(ad, "attention", spy)
+        scores = vad_score_frames(frames, model).data
+        cfg = StreamerConfig(vad_threshold=float(np.median(scores)),
+                             min_speech_frames=2, min_silence_frames=3,
+                             max_chunk_frames=6, splice_frames=2)
+        decoder = RecordingDecoder(model)
+        s = Streamer(cfg, ModelScorer(model), decoder)
+        before = model.attention_evals
+        for fr in frames.frames:
+            s.push_frame(fr)
+        s.finalize()
+        assert {FORCED, END_OF_UTT} <= {b.cause for b in s.boundaries}
+        assert model.attention_evals == before + 2 * len(s.events)
+        expected = [(span_len, len(window))
+                    for window, _, span_len, _ in decoder.calls]
+        assert shapes == [x for pair in zip(expected, expected) for x in pair]
+        assert any(q < k for q, k in shapes)
+
 
 class TestBlockEquivalence:
     """Pushing a stream in blocks gives the events, texts and boundaries of
@@ -470,6 +500,18 @@ class TestDecoderInputs:
         rows = encode_features(frames.frames[:6], model)
         with pytest.raises(DataError, match="NaN or \\+inf"):
             ModelDecoder(model, beam)(rows, 1, 4)
+
+    @pytest.mark.parametrize("span_start, span_len", [
+        (8, 5), (-3, 4), (12, 3), (4, 0), (-1, 0), (0, 11)],
+        ids=["past-the-end", "negative-start", "start-past-the-end",
+             "empty", "empty-negative-start", "longer-than-window"])
+    def test_span_outside_window_rejected(self, span_start, span_len):
+        # a (10, d) window; each span is empty or reaches outside it
+        model, frames = perturbed_stream(0, 5)
+        window = encode_features(frames.frames[:10], model)
+        for beam in (None, BeamConfig(beam_size=3)):
+            with pytest.raises(DimensionError, match="span"):
+                ModelDecoder(model, beam)(window, span_start, span_len)
 
     def test_decoder_needs_a_scorer_of_its_model(self):
         # the decoder reads the scorer's encoder rows, so only a ModelScorer

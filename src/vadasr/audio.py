@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionError,
     FormatError,
     InvalidSpecError,
@@ -322,6 +323,9 @@ def read_corpus(manifest_path) -> tuple[list[Utterance], list[str]]:
                     f"{where}: {wav_path}: {exc}") from exc
             except DimensionError as exc:
                 raise DimensionError(f"{where}: {mask_path}: {exc}") from exc
+            if not len(mask):  # nothing to encode, score or align
+                raise DataError(f"{where}: {wav_path}: no whole 20 ms frame "
+                                f"in {len(audio.samples)} samples")
     vocab_file = base / "vocab.json"
     if vocab_file.exists():
         try:

@@ -294,15 +294,8 @@ def concat(parts: Sequence, axis: int = 0):
     out = np.concatenate(arrays, axis=axis)
     if not _ACTIVE_TAPES:
         return out
-    offsets = np.cumsum([0] + [x.shape[axis] for x in arrays])
-
-    def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(arrays))
-        )
-
-    return custom(out, parts, vjp)
+    cuts = np.cumsum([x.shape[axis] for x in arrays[:-1]])
+    return custom(out, parts, lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Chunk-hopping plans: non-overlapping body chunks with spliced left/right
-context ranges. Contexts only widen what attention may see; they never
-produce output rows."""
+"""Chunk-hopping plans: non-overlapping bodies, each inside the window of
+frames its attention sees. The window's context rows on either side of the
+body only widen what attention may see; they never produce output rows."""
 
 from __future__ import annotations
 
@@ -18,13 +18,8 @@ sample_chunk_len = draw_frames
 
 @dataclass(frozen=True)
 class Chunk:
-    body: tuple[int, int]       # [start, stop)
-    left_ctx: tuple[int, int]   # possibly empty (start == stop)
-    right_ctx: tuple[int, int]
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.left_ctx[0], self.right_ctx[1]
+    body: tuple[int, int]    # [start, stop): the output rows
+    window: tuple[int, int]  # [start, stop): the rows attention sees
 
 
 @dataclass(frozen=True)
@@ -35,43 +30,33 @@ class ChunkLayout:
     def __post_init__(self):
         pos = 0
         for i, ch in enumerate(self.chunks):
-            b0, b1 = ch.body
+            (b0, b1), (w0, w1) = ch.body, ch.window
             if b0 != pos or b1 <= b0:
                 raise LayoutError(f"chunk {i} body {ch.body} breaks coverage at {pos}")
-            if ch.left_ctx[1] != b0 or ch.right_ctx[0] != b1:
-                raise LayoutError(f"chunk {i} contexts must adjoin the body")
-            if ch.left_ctx[0] < 0 or ch.right_ctx[1] > self.total_T:
-                raise LayoutError(f"chunk {i} context out of bounds")
+            if not 0 <= w0 <= b0 < b1 <= w1 <= self.total_T:
+                raise LayoutError(f"chunk {i} window {ch.window} must hold "
+                                  f"its body within [0,{self.total_T})")
             pos = b1
-        if self.chunks and pos != self.total_T:
+        if pos != self.total_T:
             raise LayoutError(f"bodies cover [0,{pos}) but total_T={self.total_T}")
-        if not self.chunks and self.total_T != 0:
-            raise LayoutError("empty layout with nonzero total_T")
 
 
 def plan_chunks(total_T: int, body_len: int, left_len: int = 0,
                 right_len: int = 0) -> ChunkLayout:
-    """Bodies of ``body_len`` frames (last one possibly shorter) with contexts
-    clipped at the stream boundaries."""
+    """Bodies of ``body_len`` frames (last one possibly shorter), each with
+    ``left_len`` and ``right_len`` frames of context in its window, clipped
+    at the stream boundaries."""
     if body_len < 1:
         raise InvalidSpecError("body_len must be >= 1")
     if left_len < 0 or right_len < 0:
         raise InvalidSpecError("context lengths must be >= 0")
-    if total_T == 0:
-        return ChunkLayout(chunks=(), total_T=0)
     chunks = []
     for start in range(0, total_T, body_len):
         stop = min(start + body_len, total_T)
-        chunks.append(Chunk(
-            body=(start, stop),
-            left_ctx=(max(0, start - left_len), start),
-            right_ctx=(stop, min(total_T, stop + right_len)),
-        ))
+        chunks.append(Chunk(body=(start, stop),
+                            window=(max(0, start - left_len),
+                                    min(total_T, stop + right_len))))
     return ChunkLayout(chunks=tuple(chunks), total_T=total_T)
-
-
-def whole_utterance_layout(total_T: int) -> ChunkLayout:
-    return plan_chunks(total_T, max(total_T, 1))
 
 
 def stitch_outputs(per_chunk_outputs, layout: ChunkLayout):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import FRAME_SAMPLES, FrameSequence, parse_vocab
-from .chunking import ChunkLayout, stitch_outputs, whole_utterance_layout
+from .chunking import ChunkLayout, stitch_outputs
 from .errors import (
     DataError,
     DimensionError,
@@ -381,10 +381,10 @@ def _context_layer(x_q, x_kv, model: ModelParams):
 def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None,
                     span: tuple[int, int] | None = None):
     """Transformer block over encoder latents; with a layout, attention for
-    each chunk sees only left ctx + body + right ctx and only body positions
-    produce output. With ``span``, a (start, stop) pair in place of a
-    layout, only the span's rows are computed, with keys and values over
-    every row: the block's one layer joins rows only through attention."""
+    each chunk sees only its window and only body positions produce output.
+    With ``span``, a (start, stop) pair in place of a layout, only the
+    span's rows are computed, with keys and values over every row: the
+    block's one layer joins rows only through attention."""
     T, d = Z.shape
     zp = ad.add(Z, positional_encoding(T, d))
     if span is not None:
@@ -393,7 +393,7 @@ def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None,
                                  f"the {T} rows and given without a layout")
         return _context_layer(ad.slice_axis(zp, *span), zp, model)
     if layout is None:
-        layout = whole_utterance_layout(T)
+        return _context_layer(zp, zp, model)
     if layout.total_T != T:
         raise LayoutError(f"layout covers {layout.total_T} frames, Z has {T}")
     bodies = []

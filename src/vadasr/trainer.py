@@ -273,7 +273,9 @@ def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
     model = ModelParams.init(vocab, dims, seed=config.seed)
     report = _run_training(model, corpus, config)
     if dev_corpus:
-        report.final_dev_vad = _vad_report(model, dev_corpus)
+        report.final_dev_vad = _vad_report(dev_corpus, [
+            vad_score_frames(frame_stream(u.audio), model).data
+            for u in dev_corpus])
     return model, report
 
 
@@ -281,13 +283,11 @@ def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
 # evaluation
 
 
-def _vad_report(model: ModelParams, corpus: Sequence[Utterance]) -> dict:
-    """DetER, FA and miss of each utterance's whole-sequence VAD scores at
-    ``VAD_THRESHOLD``, over the corpus's frames."""
-    hyp = [vad_score_frames(frame_stream(u.audio), model).data >= VAD_THRESHOLD
-           for u in corpus]
+def _vad_report(corpus: Sequence[Utterance], probs: Sequence) -> dict:
+    """DetER, FA and miss of each utterance's whole-sequence speech
+    probabilities ``probs`` at ``VAD_THRESHOLD``, over the corpus's frames."""
     rep = vad_metrics(np.concatenate([u.speech_mask for u in corpus]),
-                      np.concatenate(hyp))
+                      np.concatenate(probs) >= VAD_THRESHOLD)
     return {"deter": rep.deter, "fa": rep.fa, "miss": rep.miss}
 
 
@@ -346,14 +346,15 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     if not corpus:
         raise DataError("cannot evaluate on an empty corpus")
     if mode == "segmented":
-        pairs = []
+        pairs, probs = [], []
         for utt in corpus:
-            grid = forward(frame_stream(utt.audio), model).log_posteriors
-            hyp = (greedy_decode(grid) if beam is None
-                   else beam_search(grid, beam)[0].tokens)
+            art = forward(frame_stream(utt.audio), model)
+            hyp = (greedy_decode(art.log_posteriors) if beam is None
+                   else beam_search(art.log_posteriors, beam)[0].tokens)
             pairs.append((utt.transcript, hyp))
+            probs.append(art.speech_probs.data)
         rep = corpus_error_rate(pairs)
-        return {**rep.as_dict(), **_vad_report(model, corpus),
+        return {**rep.as_dict(), **_vad_report(corpus, probs),
                 "n_utts": len(corpus)}
 
     if mode != "streaming":

@@ -24,7 +24,7 @@ from vadasr.audio import (
     frame_stream,
     gen_synthetic_corpus,
 )
-from vadasr.chunking import plan_chunks, stitch_outputs, whole_utterance_layout
+from vadasr.chunking import plan_chunks, stitch_outputs
 from vadasr.errors import InfeasibleTargetError
 from vadasr.losses import bce_loss, ctc_loss, mtl_loss
 from vadasr.metrics import (corpus_error_rate, error_report_from_counts,
@@ -310,7 +310,7 @@ def test_criterion_5_chunking_identity():
     frames = FrameSequence(rng.normal(0.0, 0.1, size=(12, FRAME_SAMPLES)))
     plain = forward(frames, model).log_posteriors.array
     single = forward(frames, model,
-                     layout=whole_utterance_layout(12)).log_posteriors.array
+                     layout=plan_chunks(12, 12)).log_posteriors.array
     max_diff = float(np.max(np.abs(plain - single)))
 
     coverage_failures = 0

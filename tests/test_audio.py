@@ -24,6 +24,7 @@ from vadasr.audio import (
     write_wav,
 )
 from vadasr.errors import (
+    DataError,
     DimensionError,
     FormatError,
     InvalidSpecError,
@@ -239,6 +240,18 @@ class TestCorpusIO:
             assert ua.transcript == ub.transcript
             assert np.array_equal(ua.speech_mask, ub.speech_mask)
             assert np.max(np.abs(ua.audio.samples - ub.audio.samples)) < 1e-4
+
+    @pytest.mark.parametrize("n_samples", [0, FRAME_SAMPLES - 1])
+    def test_utterance_without_a_whole_frame_rejected(self, tmp_path,
+                                                      n_samples):
+        utts = gen_synthetic_corpus(CorpusSpec(utterance_count=2, seed=2))
+        short = Utterance(audio=SampleBuffer(np.zeros(n_samples)),
+                          transcript=("a",), speech_mask=np.zeros(0), id="s")
+        manifest = write_corpus(tmp_path / "c", [*utts, short],
+                                default_vocab(5))
+        with pytest.raises(DataError, match=f"manifest.jsonl:3: .*s.wav: no "
+                                            f"whole .* in {n_samples} samples"):
+            read_corpus(manifest)
 
     def test_bad_manifest_line(self, tmp_path):
         utts = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=2))

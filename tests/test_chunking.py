@@ -10,7 +10,6 @@ from vadasr.chunking import (
     plan_chunks,
     sample_chunk_len,
     stitch_outputs,
-    whole_utterance_layout,
 )
 from vadasr.errors import InvalidSpecError, LayoutError
 
@@ -20,13 +19,17 @@ from oracles import mul, sum_all
 class TestPlanChunks:
     def test_hand_checked_layout(self):
         layout = plan_chunks(100, body_len=30, left_len=10, right_len=10)
-        bodies = [c.body for c in layout.chunks]
-        assert bodies == [(0, 30), (30, 60), (60, 90), (90, 100)]
-        assert layout.chunks[0].left_ctx == (0, 0)       # clipped at start
-        assert layout.chunks[1].left_ctx == (20, 30)
-        assert layout.chunks[2].right_ctx == (90, 100)
-        assert layout.chunks[3].right_ctx == (100, 100)  # clipped at end
-        assert layout.chunks[1].window == (20, 70)
+        assert [(c.body, c.window) for c in layout.chunks] == [
+            ((0, 30), (0, 40)),      # clipped at the start
+            ((30, 60), (20, 70)),
+            ((60, 90), (50, 100)),
+            ((90, 100), (80, 100)),  # clipped at the end
+        ]
+
+    def test_window_clipped_at_both_ends(self):
+        layout = plan_chunks(12, body_len=4, left_len=6, right_len=6)
+        assert [c.window for c in layout.chunks] == [(0, 10), (0, 12),
+                                                      (2, 12)]
 
     def test_single_chunk_when_body_covers_all(self):
         layout = plan_chunks(50, body_len=80, left_len=5, right_len=5)
@@ -36,7 +39,6 @@ class TestPlanChunks:
 
     def test_zero_length_stream(self):
         assert plan_chunks(0, body_len=10).chunks == ()
-        assert whole_utterance_layout(0).chunks == ()
 
     def test_bad_params(self):
         with pytest.raises(InvalidSpecError):
@@ -59,35 +61,34 @@ class TestPlanChunks:
 class TestLayoutValidation:
     def test_gap_rejected(self):
         with pytest.raises(LayoutError):
-            ChunkLayout(chunks=(
-                Chunk(body=(0, 5), left_ctx=(0, 0), right_ctx=(5, 5)),
-                Chunk(body=(6, 10), left_ctx=(6, 6), right_ctx=(10, 10)),
-            ), total_T=10)
+            ChunkLayout(chunks=(Chunk(body=(0, 5), window=(0, 5)),
+                                Chunk(body=(6, 10), window=(6, 10))),
+                        total_T=10)
 
     def test_overlap_rejected(self):
         with pytest.raises(LayoutError):
-            ChunkLayout(chunks=(
-                Chunk(body=(0, 6), left_ctx=(0, 0), right_ctx=(6, 6)),
-                Chunk(body=(4, 10), left_ctx=(4, 4), right_ctx=(10, 10)),
-            ), total_T=10)
+            ChunkLayout(chunks=(Chunk(body=(0, 6), window=(0, 6)),
+                                Chunk(body=(4, 10), window=(4, 10))),
+                        total_T=10)
 
     def test_incomplete_coverage_rejected(self):
         with pytest.raises(LayoutError):
-            ChunkLayout(chunks=(
-                Chunk(body=(0, 5), left_ctx=(0, 0), right_ctx=(5, 5)),
-            ), total_T=10)
+            ChunkLayout(chunks=(Chunk(body=(0, 5), window=(0, 5)),),
+                        total_T=10)
 
-    def test_context_not_adjacent_rejected(self):
+    def test_empty_layout_of_nonzero_length_rejected(self):
         with pytest.raises(LayoutError):
-            ChunkLayout(chunks=(
-                Chunk(body=(0, 10), left_ctx=(0, 1), right_ctx=(10, 10)),
-            ), total_T=10)
+            ChunkLayout(chunks=(), total_T=3)
 
-    def test_context_out_of_bounds_rejected(self):
-        with pytest.raises(LayoutError):
-            ChunkLayout(chunks=(
-                Chunk(body=(0, 10), left_ctx=(0, 0), right_ctx=(10, 12)),
-            ), total_T=10)
+    # a window must hold its body and lie inside [0, total_T)
+    @pytest.mark.parametrize("window", [(1, 10), (0, 9), (3, 4), (-1, 10),
+                                        (0, 12)],
+                             ids=["starts-inside", "stops-inside", "inside",
+                                  "before-0", "past-total-T"])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(LayoutError, match="window"):
+            ChunkLayout(chunks=(Chunk(body=(0, 10), window=window),),
+                        total_T=10)
 
 
 class TestSampleChunkLen:

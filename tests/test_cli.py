@@ -73,6 +73,25 @@ def _bad_vocab_file(tmp, corpus_dir, model_ckpt):
     return argv
 
 
+def _sub_frame_manifest(tmp, corpus_dir):
+    # 319 samples: no whole 20 ms frame, so a 0-entry mask matches them
+    write_wav(tmp / "short.wav", SampleBuffer(np.zeros(319)))
+    write_mask(tmp / "short.mask", np.zeros(0, dtype=bool))
+    return _manifest_line(tmp, corpus_dir, wav_path=str(tmp / "short.wav"),
+                          mask_path=str(tmp / "short.mask"))
+
+
+def _sub_frame_train_corpus(tmp, corpus_dir, model_ckpt):
+    return _sub_frame_manifest(tmp, corpus_dir) + ["--epochs", "1"]
+
+
+def _sub_frame_dev_manifest(tmp, corpus_dir, model_ckpt):
+    _sub_frame_manifest(tmp, corpus_dir)
+    return ["train", "--corpus", str(corpus_dir[1]), "--epochs", "1",
+            "--dev-manifest", str(tmp / "manifest.jsonl"),
+            "--out", str(tmp / "o.ckpt")]
+
+
 def _string_for_int(tmp, corpus_dir, model_ckpt):
     (tmp / "cfg.json").write_text(json.dumps({"beam_size": "20"}))
     return ["decode-posteriors", "--posteriors", str(tmp / "p.bin"),
@@ -209,6 +228,8 @@ MALFORMED_INPUTS = [
     ("manifest-no-mask-path", _no_mask_path, 2),
     ("mask-5-bytes", _short_mask, 2),
     ("vocab-file-not-json", _bad_vocab_file, 2),
+    ("train-corpus-sub-frame-utterance", _sub_frame_train_corpus, 2),
+    ("dev-manifest-sub-frame-utterance", _sub_frame_dev_manifest, 2),
     ("config-string-for-int", _string_for_int, 1),
     ("config-vad-weight-for-vad-stage", _vad_weight_for_vad_stage, 1),
     ("checkpoint-sidecar-not-json", _checkpoint_sidecar_not_json, 2),
@@ -312,6 +333,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.ckpt").exists()
+
+    @pytest.mark.parametrize("build", [_sub_frame_train_corpus,
+                                       _sub_frame_dev_manifest],
+                             ids=["train-corpus", "dev-manifest"])
+    def test_sub_frame_utterance_named_before_training(
+            self, build, tmp_path, corpus_dir, model_ckpt, capsys):
+        # the corpus reader names the manifest line; training never starts
+        assert run_cli(*build(tmp_path, corpus_dir, model_ckpt)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'manifest.jsonl'}:1: ")
 
     @pytest.mark.parametrize("flags", [
         ["train", "--epochs", "0"], ["train", "--epochs", "-2"],

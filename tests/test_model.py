@@ -10,7 +10,7 @@ import pytest
 
 import vadasr.autodiff as ad
 from vadasr.audio import FrameSequence
-from vadasr.chunking import plan_chunks, whole_utterance_layout
+from vadasr.chunking import plan_chunks
 from vadasr.errors import (
     DataError,
     DimensionError,
@@ -269,7 +269,7 @@ class TestChunkedAttention:
     def test_single_covering_chunk_equals_unchunked(self, rng):
         model = small_model()
         frames = random_frames(rng, 12)
-        whole = forward(frames, model, whole_utterance_layout(12))
+        whole = forward(frames, model, plan_chunks(12, 12))
         default = forward(frames, model, None)
         assert np.allclose(whole.log_posteriors.array,
                            default.log_posteriors.array, atol=1e-12)
@@ -314,7 +314,7 @@ class TestChunkedAttention:
         model = small_model()
         frames = random_frames(rng, 8)
         with pytest.raises(LayoutError):
-            forward(frames, model, whole_utterance_layout(9))
+            forward(frames, model, plan_chunks(9, 9))
 
 
 class TestSpanQueries:
@@ -364,7 +364,7 @@ class TestSpanQueries:
     def test_span_with_layout_rejected(self, rng):
         model = small_model()
         with pytest.raises(DimensionError, match="without a layout"):
-            forward(random_frames(rng, 8), model, whole_utterance_layout(8),
+            forward(random_frames(rng, 8), model, plan_chunks(8, 8),
                     span=(0, 4))
 
 
@@ -409,7 +409,9 @@ class TestOffTheTape:
 
 
 class TestGradients:
-    def test_full_model_finite_difference(self, rng):
+    @pytest.mark.parametrize("layout", [None, plan_chunks(4, 2, 1, 1)],
+                             ids=["unchunked", "chunked"])
+    def test_full_model_finite_difference(self, rng, layout):
         # small dims keep the parameter count tractable
         dims = ModelDims(vocab_size=2, d_model=4, n_heads=2,
                          conv1_channels=2, ffn_dim=4, vad_kernel_width=3)
@@ -424,7 +426,7 @@ class TestGradients:
         wp = rng.normal(size=4)
 
         def f(params):
-            art = forward(frames, model)
+            art = forward(frames, model, layout)
             return ad.add(
                 sum_all(mul(art.log_posteriors.log_probs, w)),
                 sum_all(mul(art.speech_probs, wp)))

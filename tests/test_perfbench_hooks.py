@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from vadasr import autodiff, model, streamer, trainer
-from vadasr.audio import FrameSequence
+from vadasr.audio import (CorpusSpec, FrameSequence, default_vocab,
+                          gen_synthetic_corpus)
 
 from conftest import BLAS_THREAD_VARS, PERFBENCH
 
@@ -74,6 +75,37 @@ def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
     assert rec.counts["window_frames"] == sum(windows)
     assert rec.counts["span_frames"] == sum(
         b.end_frame - b.start_frame for b in s.boundaries)
+
+
+def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):
+    # the plan_chunks hook reads each layout's chunks, their windows and
+    # total_T: on a traced epoch its counts equal those of the layouts the
+    # trainer planned
+    _, layers, spans, _ = perfbench
+    layouts = []
+    plan = trainer.plan_chunks
+
+    def spy(*args):
+        layouts.append(plan(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(trainer, "plan_chunks", spy)
+    corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=4, seed=3))
+    net = model.ModelParams.init(default_vocab(5), seed=0)
+    rec = spans.Recorder()
+    try:
+        layers.install(rec)
+        trainer.train_stage2_mtl(net, corpus, trainer.TrainConfig(
+            stage="mtl", epochs=1, chunk_min_s=0.5, chunk_max_s=0.5))
+    finally:
+        rec.uninstall()
+    chunks = [ch for layout in layouts for ch in layout.chunks]
+    assert len(layouts) == len(corpus) and len(chunks) > len(corpus)
+    assert rec.counts["chunks"] == len(chunks)
+    assert rec.counts["chunk_window_frames"] == sum(
+        w1 - w0 for w0, w1 in (ch.window for ch in chunks))
+    assert rec.counts["chunk_body_frames"] == sum(
+        b1 - b0 for b0, b1 in (ch.body for ch in chunks))
 
 
 @pytest.fixture

@@ -326,6 +326,8 @@ def read_corpus(manifest_path) -> tuple[list[Utterance], list[str]]:
             if not len(mask):  # nothing to encode, score or align
                 raise DataError(f"{where}: {wav_path}: no whole 20 ms frame "
                                 f"in {len(audio.samples)} samples")
+    if not utts:
+        raise DataError(f"{manifest_path}: no utterance in the manifest")
     vocab_file = base / "vocab.json"
     if vocab_file.exists():
         try:

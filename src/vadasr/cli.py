@@ -37,7 +37,7 @@ from .errors import (
     UsageError,
     VadAsrError,
 )
-from .metrics import corpus_error_rate, segments_to_mask, vad_metrics
+from .metrics import corpus_error_rate, score_events, segments_to_mask
 from .model import ModelParams, PosteriorGrid
 from .streamer import (
     StreamerConfig,
@@ -243,8 +243,8 @@ def _cmd_train(o):
         raise UsageError(str(exc)) from exc
     corpus, vocab = read_corpus(o["corpus"])
     # a gram longer than [BOS] + transcript + [EOS] only adds [BOS] padding
-    bound = max((len(u.transcript) for u in corpus), default=0) + 2
-    if o["lm_out"] and corpus and o["lm_order"] > bound:
+    bound = max(len(u.transcript) for u in corpus) + 2
+    if o["lm_out"] and o["lm_order"] > bound:
         raise UsageError(f"lm_order {o['lm_order']} is above the corpus's "
                          f"longest transcript + 2, {bound}")
     dev = read_corpus(o["dev_manifest"])[0] if o["dev_manifest"] else None
@@ -297,25 +297,21 @@ def _read_transcript_lines(path) -> list[tuple[str, ...]]:
 def _cmd_score(o):
     report: dict = {"deter": None, "fa": None, "miss": None}
     if o["events"]:
-        ref_ev = read_events(o["ref"])
-        hyp_ev = read_events(o["hyp"])
-        ref_tokens = [t for ev in ref_ev for t in ev.text]
-        hyp_tokens = [t for ev in hyp_ev for t in ev.text]
-        horizon = max((ev.end_s for ev in ref_ev + hyp_ev), default=0.0)
-        n = max(1, to_frames(horizon))
-        vr = vad_metrics(segments_to_mask(ref_ev, n, FRAME_DURATION_S),
-                         segments_to_mask(hyp_ev, n, FRAME_DURATION_S))
+        ref_ev, hyp_ev = read_events(o["ref"]), read_events(o["hyp"])
+        n = max([1] + [ev.end for ev in ref_ev + hyp_ev])
+        err, vr = score_events([t for ev in ref_ev for t in ev.text],
+                               segments_to_mask(ref_ev, n, FRAME_DURATION_S),
+                               hyp_ev)
         report.update({"deter": vr.deter, "fa": vr.fa, "miss": vr.miss})
-        pairs = [(ref_tokens, hyp_tokens)]
+        n_utts = 1
     else:
-        refs = _read_transcript_lines(o["ref"])
-        hyps = _read_transcript_lines(o["hyp"])
+        refs, hyps = map(_read_transcript_lines, (o["ref"], o["hyp"]))
         if len(refs) != len(hyps):
             raise DataError(f"ref has {len(refs)} lines, hyp has {len(hyps)}")
-        pairs = list(zip(refs, hyps))
-    err = corpus_error_rate(pairs)
+        err = corpus_error_rate(zip(refs, hyps))
+        n_utts = len(refs)
     report.update({"cer": err.rate, "sub": err.sub, "del": err.del_,
-                   "ins": err.ins, "n_utts": len(pairs)})
+                   "ins": err.ins, "n_utts": n_utts})
     print(json.dumps(report))
     return 0
 

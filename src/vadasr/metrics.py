@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .audio import FRAME_DURATION_S
 from .errors import DataError, DimensionError
 
 
@@ -129,3 +130,13 @@ def segments_to_mask(events, T: int, frame_duration_s: float) -> np.ndarray:
                             f"[0, {T * frame_duration_s})")
         mask[int(round(start_s / frame_duration_s)):b] = True
     return mask
+
+
+def score_events(ref_tokens: Sequence, ref_mask, events
+                 ) -> tuple[ErrorRateReport, VadReport]:
+    """Token error rate of the events' joined texts against ``ref_tokens``,
+    and DetER of their spans against the frame mask ``ref_mask``."""
+    hyp = [tok for ev in events for tok in ev.text]
+    return (corpus_error_rate([(ref_tokens, hyp)]),
+            vad_metrics(ref_mask, segments_to_mask(events, len(ref_mask),
+                                                   FRAME_DURATION_S)))

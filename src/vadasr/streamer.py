@@ -21,6 +21,9 @@ consecutive sub-threshold frames arrive while speaking (end-of-utterance).
 The flush decision uses the speaking flag *before* the long-silence
 falsification, otherwise end-of-utterance flushes would be unreachable.
 
+An event's span counts frames. Seconds exist only in event files, written
+as frame index times ``FRAME_DURATION_S`` and read back to the nearest frame.
+
 Additional reset rule: while not speaking, a window that is pure silence
 (``b == c``) or whose silence run reached ``min_silence`` is discarded. This
 makes every kept window start at a supra-threshold frame and bounds any
@@ -35,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence
+from .audio import FRAME_DURATION_S, MAX_STREAM_S, FrameSequence, to_frames
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InvalidSpecError, UsageError
 from .model import ModelParams, encoder_weights, forward, vad_weights
@@ -68,21 +71,23 @@ class StreamerConfig:
 
 @dataclass(frozen=True)
 class SegmentEvent:
-    start_s: float
-    end_s: float
+    """Frames ``[start, end)`` of a stream, their text and their cause."""
+    start: int
+    end: int
     text: tuple[str, ...]
     cause: str
+
+    def __post_init__(self):
+        if self.cause not in CAUSES:
+            raise DataError(f"event cause must be one of {', '.join(CAUSES)}"
+                            f", got {self.cause!r}")
+
+    start_s = property(lambda self: self.start * FRAME_DURATION_S)
+    end_s = property(lambda self: self.end * FRAME_DURATION_S)
 
     def as_dict(self):
         return {"start_s": self.start_s, "end_s": self.end_s,
                 "text": " ".join(self.text), "cause": self.cause}
-
-
-@dataclass(frozen=True)
-class BoundarySpan:
-    start_frame: int
-    end_frame: int
-    cause: str
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,11 @@ class Streamer:
         self._rows: list[np.ndarray] = []  # the decoder's, one per frame
         self._row_base = 0          # absolute index of _rows[0]
         self.events: list[SegmentEvent] = []
-        self.boundaries: list[BoundarySpan] = []
+
+    @property
+    def boundaries(self) -> list[tuple[int, int, str]]:
+        """Each event's ``(start, end, cause)``, as perfbench compares them."""
+        return [(ev.start, ev.end, ev.cause) for ev in self.events]
 
     # -- frame bookkeeping
 
@@ -181,11 +190,8 @@ class Streamer:
             window = np.stack(self._rows[ws - self._row_base:
                                          we - self._row_base])
             text = self.decoder(window, start - ws, end - start)
-        ev = SegmentEvent(start_s=start * FRAME_DURATION_S,
-                          end_s=end * FRAME_DURATION_S,
-                          text=text, cause=cause)
+        ev = SegmentEvent(start, end, text, cause)
         self.events.append(ev)
-        self.boundaries.append(BoundarySpan(start, end, cause))
         return ev
 
     # -- Algorithm-1 transitions
@@ -282,14 +288,14 @@ def run_stream(model: ModelParams, frames: FrameSequence,
     return streamer
 
 
-def run_offline_reference(scores: Sequence[float],
-                          config: StreamerConfig) -> list[BoundarySpan]:
-    """Whole-sequence transliteration of the same transition rules; segment
-    boundaries only, no decoding. Testing oracle for ``push_frames``."""
+def run_offline_reference(scores: Sequence[float], config: StreamerConfig
+                          ) -> list[tuple[int, int, str]]:
+    """Whole-sequence transliteration of the same transition rules: each
+    segment's ``(start, end, cause)``. Testing oracle for ``push_frames``."""
     c = b = 0
     speaking = False
     window_start = 0
-    out: list[BoundarySpan] = []
+    out: list[tuple[int, int, str]] = []
     for t, theta in enumerate(scores):
         c += 1
         b = 0 if theta >= config.vad_threshold else b + 1
@@ -299,8 +305,8 @@ def run_offline_reference(scores: Sequence[float],
         end_of_utt = b >= config.min_silence_frames and speaking
         if forced or end_of_utt:
             if c - b >= config.min_speech_frames:
-                out.append(BoundarySpan(window_start, window_start + (c - b),
-                                        FORCED if forced else END_OF_UTT))
+                out.append((window_start, window_start + (c - b),
+                            FORCED if forced else END_OF_UTT))
             speaking = forced
             c = b = 0
             window_start = t + 1
@@ -309,47 +315,39 @@ def run_offline_reference(scores: Sequence[float],
             c = b = 0
             window_start = t + 1
     if speaking and c - b >= config.min_speech_frames:
-        out.append(BoundarySpan(window_start, window_start + (c - b), FINALIZE))
+        out.append((window_start, window_start + (c - b), FINALIZE))
     return out
 
 
 def validate_events(events: Sequence[SegmentEvent],
                     config: StreamerConfig) -> None:
-    """Raise DataError if the event stream violates the streamer contract."""
-    prev_end = -1.0
-    dur = FRAME_DURATION_S
-    max_span = (config.max_chunk_frames + config.min_silence_frames) * dur
+    """Raise DataError unless the events are in order, apart, and each spans
+    min speech to capacity + min silence frames."""
+    lo = config.min_speech_frames
+    hi = config.max_chunk_frames + config.min_silence_frames
     for i, ev in enumerate(events):
-        if ev.end_s <= ev.start_s:
-            raise DataError(f"event {i}: empty or negative span")
-        if ev.start_s < prev_end - 1e-9:
+        if i and ev.start < events[i - 1].end:
             raise DataError(f"event {i}: overlaps previous event")
-        span = ev.end_s - ev.start_s
-        if span < config.min_speech_frames * dur - 1e-9:
-            raise DataError(f"event {i}: span below minimum speech length")
-        if span > max_span + 1e-9:
-            raise DataError(f"event {i}: span exceeds capacity bound")
-        if ev.cause not in CAUSES:
-            raise DataError(f"event {i}: unknown cause {ev.cause!r}")
-        prev_end = ev.end_s
+        if not lo <= ev.end - ev.start <= hi:
+            raise DataError(f"event {i}: span of {ev.end - ev.start} frames, "
+                            f"not from minimum speech {lo} to capacity {hi}")
 
 
 # ---------------------------------------------------------------------------
-# event file format: JSON-lines
+# event file format: JSON-lines, times in seconds
 
 
 def write_events(path, events: Sequence[SegmentEvent]) -> None:
     with open(path, "w") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev.as_dict()) + "\n")
+        fh.writelines(json.dumps(ev.as_dict()) + "\n" for ev in events)
 
 
 def read_events(path) -> list[SegmentEvent]:
+    """A JSON-lines event file's events, times rounded to the nearest frame."""
     events = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
@@ -357,20 +355,18 @@ def read_events(path) -> list[SegmentEvent]:
                 if not all(type(t) in (int, float) for t in times):
                     raise TypeError(f"event times must be JSON numbers, got "
                                     f"{times}")
-                ev = SegmentEvent(
-                    start_s=float(times[0]), end_s=float(times[1]),
-                    text=tuple(rec["text"].split()), cause=rec["cause"])
+                start_s, end_s = map(float, times)
+                if not (0 <= start_s <= end_s <= MAX_STREAM_S):
+                    raise DataError(f"event times must be >= 0, in order and "
+                                    f"at most {MAX_STREAM_S:.0f} s (the longest"
+                                    f" 16 kHz WAV), got [{start_s}, {end_s})")
+                events.append(SegmentEvent(
+                    to_frames(start_s), to_frames(end_s),
+                    tuple(rec["text"].split()), rec["cause"]))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             except (json.JSONDecodeError, KeyError, ValueError, TypeError,
                     AttributeError, OverflowError) as exc:
-                raise DataError(f"{path}: bad event line: "
+                raise DataError(f"{path}:{lineno}: bad event line: "
                                 f"{type(exc).__name__}: {exc}") from exc
-            if not (0 <= ev.start_s <= ev.end_s <= MAX_STREAM_S):
-                raise DataError(
-                    f"{path}: event times must be >= 0, in order and at most "
-                    f"{MAX_STREAM_S:.0f} s (the longest 16 kHz WAV), got "
-                    f"[{ev.start_s}, {ev.end_s})")
-            if ev.cause not in CAUSES:
-                raise DataError(f"{path}: event cause must be one of "
-                                f"{', '.join(CAUSES)}, got {ev.cause!r}")
-            events.append(ev)
     return events

@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .audio import (FRAME_DURATION_S, FRAME_SAMPLES, FrameSequence,
-                    SampleBuffer, Utterance, draw_frames, frame_stream,
-                    to_frames)
+from .audio import (FRAME_SAMPLES, FrameSequence, SampleBuffer, Utterance,
+                    draw_frames, frame_stream, to_frames)
 from .chunking import plan_chunks, sample_chunk_len
 from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, InfeasibleTargetError, NumericError
 from .losses import bce_loss, ctc_loss, mtl_loss
-from .metrics import corpus_error_rate, segments_to_mask, vad_metrics
+from .metrics import corpus_error_rate, score_events, vad_metrics
 from .model import ModelDims, ModelParams, forward, vad_score_frames
 from .streamer import StreamerConfig, run_stream
 
@@ -363,10 +362,7 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     frames = frame_stream(SampleBuffer(samples))
     cfg = StreamerConfig(max_chunk_frames=max(to_frames(l_asr_s), 5))
     streamer = run_stream(model, frames, cfg, beam)
-    hyp_tokens = [t for ev in streamer.events for t in ev.text]
-    rep = corpus_error_rate([(ref_tokens, hyp_tokens)])
-    ev_mask = segments_to_mask(streamer.events, len(frames), FRAME_DURATION_S)
-    vad = vad_metrics(ref_mask, ev_mask)
+    rep, vad = score_events(ref_tokens, ref_mask, streamer.events)
     return {**rep.as_dict(), "deter": vad.deter, "fa": vad.fa,
             "miss": vad.miss, "n_utts": len(corpus),
             "n_events": len(streamer.events),

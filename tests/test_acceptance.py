@@ -197,10 +197,8 @@ def test_criterion_3_streamer_equivalence():
         for _ in range(n):
             streamer.push_frame(frame)
         streamer.finalize()
-        online = [(s.start_frame, s.end_frame, s.cause)
-                  for s in streamer.boundaries]
-        offline = [(s.start_frame, s.end_frame, s.cause)
-                   for s in run_offline_reference(scores, cfg)]
+        online = [(ev.start, ev.end, ev.cause) for ev in streamer.events]
+        offline = run_offline_reference(scores, cfg)
         if online != offline:
             mismatches += 1
             continue

@@ -253,6 +253,11 @@ class TestCorpusIO:
                                             f"whole .* in {n_samples} samples"):
             read_corpus(manifest)
 
+    def test_empty_manifest_rejected(self, tmp_path):
+        manifest = write_corpus(tmp_path / "c", [], default_vocab(5))
+        with pytest.raises(DataError, match="manifest.jsonl: no utterance"):
+            read_corpus(manifest)
+
     def test_bad_manifest_line(self, tmp_path):
         utts = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=2))
         manifest = write_corpus(tmp_path / "c", utts, default_vocab(5))

@@ -92,6 +92,21 @@ def _sub_frame_dev_manifest(tmp, corpus_dir, model_ckpt):
             "--out", str(tmp / "o.ckpt")]
 
 
+def _empty_train_corpus(tmp, corpus_dir, model_ckpt):
+    # a vocab.json beside the manifest is all a model needs to be built
+    (tmp / "manifest.jsonl").write_text("\n")
+    (tmp / "vocab.json").write_text(json.dumps({"vocab": default_vocab(5)}))
+    return ["train", "--corpus", str(tmp / "manifest.jsonl"), "--epochs", "1",
+            "--out", str(tmp / "o.ckpt")]
+
+
+def _empty_dev_manifest(tmp, corpus_dir, model_ckpt):
+    (tmp / "manifest.jsonl").write_text("")
+    return ["train", "--corpus", str(corpus_dir[1]), "--epochs", "1",
+            "--dev-manifest", str(tmp / "manifest.jsonl"),
+            "--out", str(tmp / "o.ckpt")]
+
+
 def _string_for_int(tmp, corpus_dir, model_ckpt):
     (tmp / "cfg.json").write_text(json.dumps({"beam_size": "20"}))
     return ["decode-posteriors", "--posteriors", str(tmp / "p.bin"),
@@ -230,6 +245,8 @@ MALFORMED_INPUTS = [
     ("vocab-file-not-json", _bad_vocab_file, 2),
     ("train-corpus-sub-frame-utterance", _sub_frame_train_corpus, 2),
     ("dev-manifest-sub-frame-utterance", _sub_frame_dev_manifest, 2),
+    ("train-corpus-empty-manifest", _empty_train_corpus, 2),
+    ("dev-manifest-empty", _empty_dev_manifest, 2),
     ("config-string-for-int", _string_for_int, 1),
     ("config-vad-weight-for-vad-stage", _vad_weight_for_vad_stage, 1),
     ("checkpoint-sidecar-not-json", _checkpoint_sidecar_not_json, 2),
@@ -344,6 +361,16 @@ class TestExitCodes:
         assert run_cli(*build(tmp_path, corpus_dir, model_ckpt)) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {tmp_path / 'manifest.jsonl'}:1: ")
+
+    @pytest.mark.parametrize("build", [_empty_train_corpus,
+                                       _empty_dev_manifest],
+                             ids=["train-corpus", "dev-manifest"])
+    def test_empty_manifest_named_before_training(
+            self, build, tmp_path, corpus_dir, model_ckpt, capsys):
+        assert run_cli(*build(tmp_path, corpus_dir, model_ckpt)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'manifest.jsonl'}: no utterance in the "
+            f"manifest\n")
 
     @pytest.mark.parametrize("flags", [
         ["train", "--epochs", "0"], ["train", "--epochs", "-2"],
@@ -647,8 +674,8 @@ class TestScore:
     def test_events_mode_identity(self, tmp_path, capsys):
         from vadasr.streamer import END_OF_UTT, SegmentEvent, write_events
 
-        events = [SegmentEvent(0.0, 0.5, ("a", "b"), END_OF_UTT),
-                  SegmentEvent(1.0, 1.5, ("c",), END_OF_UTT)]
+        events = [SegmentEvent(0, 25, ("a", "b"), END_OF_UTT),
+                  SegmentEvent(50, 75, ("c",), END_OF_UTT)]
         ref = tmp_path / "ref.jsonl"
         hyp = tmp_path / "hyp.jsonl"
         write_events(ref, events)
@@ -662,20 +689,23 @@ class TestScore:
     @pytest.mark.parametrize("end_s", [1e300, 1e9])
     def test_event_past_longest_stream(self, end_s, tmp_path, capsys,
                                        monkeypatch):
-        # rejected as data before any mask is sized from the time
+        # rejected as data, naming the line, before any mask is sized from
+        # the time
         import vadasr.cli as cli
+        import vadasr.metrics as metrics
 
         def no_mask(*args):
             raise AssertionError("a mask was allocated")
 
-        monkeypatch.setattr(cli, "segments_to_mask", no_mask)
+        for module in (cli, metrics):
+            monkeypatch.setattr(module, "segments_to_mask", no_mask)
         ev = tmp_path / "ev.jsonl"
         ev.write_text(json.dumps({**_EVENT, "text": "a", "end_s": end_s})
                       + "\n")
         assert run_cli("score", "--events", "--ref", str(ev),
                        "--hyp", str(ev)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {ev}:1: ") and err.count("\n") == 1
         assert str(end_s) in err
 
     def test_event_end_between_frames(self, tmp_path, capsys):
@@ -686,6 +716,45 @@ class TestScore:
         assert run_cli("score", "--events", "--ref", str(ev),
                        "--hyp", str(ev)) == 0
         assert json.loads(capsys.readouterr().out)["deter"] == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_times_between_frames_score_as_their_seconds(self, seed,
+                                                         tmp_path, capsys):
+        # the JSON of scoring raw seconds: both masks from the times as
+        # written, over frames up to the last end rounded
+        from vadasr.audio import FRAME_DURATION_S, to_frames
+        from vadasr.metrics import (corpus_error_rate, segments_to_mask,
+                                    vad_metrics)
+        from vadasr.streamer import CAUSES
+
+        rng = np.random.default_rng(seed)
+        recs = {}
+        for side in ("ref", "hyp"):
+            # to the ms, so some times fall on half a frame
+            times = np.round(np.sort(rng.uniform(0, 4, 2 * rng.integers(
+                1, 6))), 3).tolist()
+            recs[side] = [{"start_s": a, "end_s": b,
+                           "text": " ".join(rng.choice(list("abcde"),
+                                                       rng.integers(1, 4))),
+                           "cause": str(rng.choice(CAUSES))}
+                          for a, b in zip(times[::2], times[1::2])]
+            (tmp_path / f"{side}.jsonl").write_text(
+                "".join(json.dumps(r) + "\n" for r in recs[side]))
+        n = max(1, to_frames(max(r["end_s"] for r in recs["ref"]
+                                 + recs["hyp"])))
+        vr = vad_metrics(*(segments_to_mask(
+            [SimpleNamespace(**r) for r in recs[side]], n, FRAME_DURATION_S)
+            for side in ("ref", "hyp")))
+        err = corpus_error_rate([tuple(
+            [t for r in recs[side] for t in r["text"].split()]
+            for side in ("ref", "hyp"))])
+        assert run_cli("score", "--events",
+                       "--ref", str(tmp_path / "ref.jsonl"),
+                       "--hyp", str(tmp_path / "hyp.jsonl")) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"deter": vr.deter, "fa": vr.fa, "miss": vr.miss, "cer": err.rate,
+             "sub": err.sub, "del": err.del_, "ins": err.ins,
+             "n_utts": 1}) + "\n"
 
     def test_event_at_longest_stream(self, tmp_path, capsys):
         ev = tmp_path / "ev.jsonl"

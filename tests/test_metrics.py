@@ -1,18 +1,22 @@
 """VAD detection metrics, edit-distance error rates, and published row sums
 the conventions must reproduce."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from vadasr.audio import FRAME_DURATION_S
 from vadasr.errors import DataError, DimensionError
 from vadasr.metrics import (
     corpus_error_rate,
     edit_counts,
     error_report_from_counts,
+    score_events,
     segments_to_mask,
     vad_metrics,
 )
-from vadasr.streamer import END_OF_UTT, SegmentEvent
+from vadasr.streamer import END_OF_UTT, FORCED, SegmentEvent
 
 
 def dp_distance(ref, hyp):
@@ -127,14 +131,37 @@ class TestPublishedRowSums:
 
 class TestSegmentsToMask:
     def test_rounding_to_frames(self):
-        events = [SegmentEvent(0.02, 0.06, (), END_OF_UTT)]
-        mask = segments_to_mask(events, 5, 0.02)
+        # times between frames round to the nearest frame; an event's own
+        # times are whole frames
+        between = [SimpleNamespace(start_s=0.029, end_s=0.061)]
+        mask = segments_to_mask(between, 5, 0.02)
         assert list(mask) == [False, True, True, False, False]
+        events = [SegmentEvent(1, 3, (), END_OF_UTT)]
+        assert np.array_equal(segments_to_mask(events, 5, FRAME_DURATION_S),
+                              mask)
 
     def test_out_of_range_rejected(self):
-        events = [SegmentEvent(0.0, 10.0, (), END_OF_UTT)]
+        events = [SegmentEvent(0, 500, (), END_OF_UTT)]
         with pytest.raises(DataError):
             segments_to_mask(events, 4, 0.02)
 
     def test_empty_events(self):
         assert not segments_to_mask([], 6, 0.02).any()
+
+
+class TestScoreEvents:
+    EVENTS = [SegmentEvent(1, 4, ("a", "b"), END_OF_UTT),
+              SegmentEvent(6, 8, ("c",), FORCED)]
+
+    def test_joins_the_scoring_steps(self):
+        ref_mask = np.array([0, 1, 1, 1, 1, 0, 0, 1, 1, 0], dtype=bool)
+        err, vad = score_events(list("abd"), ref_mask, self.EVENTS)
+        assert err == corpus_error_rate([(list("abd"), list("abc"))])
+        assert vad == vad_metrics(ref_mask, segments_to_mask(
+            self.EVENTS, len(ref_mask), FRAME_DURATION_S))
+        # frame 6 is a false alarm, frames 4 and 8 are missed
+        assert (err.n_sub, vad.n_fa, vad.n_miss) == (1, 1, 2)
+
+    def test_event_past_the_mask_rejected(self):
+        with pytest.raises(DataError, match="outside stream"):
+            score_events(list("abc"), np.ones(7, dtype=bool), self.EVENTS)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from vadasr import autodiff, model, streamer, trainer
-from vadasr.audio import (CorpusSpec, FrameSequence, default_vocab,
-                          gen_synthetic_corpus)
+from vadasr.audio import (CorpusSpec, FrameSequence, SampleBuffer,
+                          default_vocab, frame_stream, gen_synthetic_corpus)
+from vadasr.metrics import score_events, vad_metrics
 
 from conftest import BLAS_THREAD_VARS, PERFBENCH
 
@@ -74,7 +75,35 @@ def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
     assert rec.by_name()["streamer.ModelDecoder"][0] == len(s.events)
     assert rec.counts["window_frames"] == sum(windows)
     assert rec.counts["span_frames"] == sum(
-        b.end_frame - b.start_frame for b in s.boundaries)
+        ev.end - ev.start for ev in s.events)
+
+
+def test_stream_checks_pass_on_a_model_scored_stream(perfbench):
+    # the benchmark's checks of a stream: a second pass repeats the first
+    # pass's events and boundaries; the first pass's events pass
+    # validate_events, their boundaries equal run_offline_reference's, and
+    # its quality, from segments_to_mask over the events, is score_events'
+    fixture, _, _, workloads = perfbench
+    dev = gen_synthetic_corpus(CorpusSpec(utterance_count=3, seed=8))
+    samples, ref_mask, ref_tokens = trainer.build_dev_stream(dev, seed=1)
+    inp = workloads.StreamInputs(
+        fixture.load_fixture(), frame_stream(SampleBuffer(samples)).frames,
+        ref_mask, ref_tokens, streamer.StreamerConfig(max_chunk_frames=50),
+        None, 0.0)
+    clock = workloads.RefClock()
+    passes = [workloads.stream_pass(inp, i, clock) for i in range(2)]
+    for p in passes:
+        workloads.check_stream_pass(inp, p, passes[0])
+    events = passes[0].streamer.events
+    assert {ev.cause for ev in events} >= {streamer.FORCED,
+                                           streamer.END_OF_UTT}
+    err, vad = score_events(ref_tokens, ref_mask, events)
+    assert workloads.stream_quality(inp, passes[1]) == {"cer": err.rate,
+                                                        "deter": vad.deter}
+    hyp_mask = np.zeros(len(ref_mask), dtype=bool)
+    for ev in events:
+        hyp_mask[ev.start:ev.end] = True
+    assert vad == vad_metrics(ref_mask, hyp_mask)
 
 
 def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):

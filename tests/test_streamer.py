@@ -2,13 +2,15 @@
 event file I/O."""
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
 import vadasr.model
-from vadasr.audio import FRAME_DURATION_S, FrameSequence
+from vadasr.audio import FrameSequence, to_frames
 from vadasr.chunking import plan_chunks
 from vadasr.decode import BeamConfig, beam_search, greedy_decode
 from vadasr.errors import (DataError, DimensionError, InvalidSpecError,
@@ -55,6 +57,12 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
+def spans(streamer):
+    """Each event's ``(start, end, cause)``, as ``run_offline_reference``
+    gives them."""
+    return [(ev.start, ev.end, ev.cause) for ev in streamer.events]
+
+
 def run_online(scores, config):
     s = Streamer(config, ExternalScores(scores), None)
     for _ in scores:
@@ -81,23 +89,17 @@ class TestHandTraces:
         # 5 speech frames then 4 silence: segment [0, 5), flushed when the
         # silence run reaches 3
         scores = [0.9] * 5 + [0.1] * 4
-        s = run_online(scores, SMALL)
-        assert [(b.start_frame, b.end_frame, b.cause)
-                for b in s.boundaries] == [(0, 5, END_OF_UTT)]
+        assert spans(run_online(scores, SMALL)) == [(0, 5, END_OF_UTT)]
 
     def test_forced_flush_at_capacity(self):
         scores = [0.9] * 25
-        s = run_online(scores, SMALL)
-        causes = [b.cause for b in s.boundaries]
-        assert causes == [FORCED, FORCED, FINALIZE]
-        spans = [(b.start_frame, b.end_frame) for b in s.boundaries]
-        assert spans == [(0, 10), (10, 20), (20, 25)]
+        assert spans(run_online(scores, SMALL)) == [
+            (0, 10, FORCED), (10, 20, FORCED), (20, 25, FINALIZE)]
 
     def test_short_blip_discarded(self):
         # one speech frame (< min_speech 2) then long silence: no event
         scores = [0.9] + [0.1] * 10
-        s = run_online(scores, SMALL)
-        assert s.boundaries == []
+        assert run_online(scores, SMALL).events == []
 
     def test_no_decoder_keeps_no_frames(self):
         # only a decoder reads the kept encoder rows
@@ -106,21 +108,17 @@ class TestHandTraces:
             s.push_frame(DUMMY)
             assert s._rows == []
         s.finalize()
-        assert s._rows == [] and len(s.boundaries) == 3
+        assert s._rows == [] and len(s.events) == 3
 
     def test_leading_silence_not_included(self):
         # long leading silence must not inflate the first segment: pure
         # silence windows are discarded, so the span starts at speech onset
         scores = [0.1] * 20 + [0.9] * 5 + [0.1] * 4
-        s = run_online(scores, SMALL)
-        assert [(b.start_frame, b.end_frame, b.cause)
-                for b in s.boundaries] == [(20, 25, END_OF_UTT)]
+        assert spans(run_online(scores, SMALL)) == [(20, 25, END_OF_UTT)]
 
     def test_trailing_speech_finalized(self):
         scores = [0.9] * 4
-        s = run_online(scores, SMALL)
-        assert [(b.start_frame, b.end_frame, b.cause)
-                for b in s.boundaries] == [(0, 4, FINALIZE)]
+        assert spans(run_online(scores, SMALL)) == [(0, 4, FINALIZE)]
 
     def test_finalize_idempotent(self):
         s = Streamer(SMALL, ExternalScores([0.9] * 4), None)
@@ -128,14 +126,13 @@ class TestHandTraces:
             s.push_frame(DUMMY)
         assert s.finalize() is not None
         assert s.finalize() is None
-        assert len(s.boundaries) == 1
+        assert len(s.events) == 1
 
     def test_internal_silence_bridged(self):
         # a 2-frame dip (< min_silence 3) stays inside one utterance
         scores = [0.9] * 3 + [0.1] * 2 + [0.9] * 3 + [0.1] * 3
-        s = run_online(scores, SMALL)
-        assert len(s.boundaries) == 1
-        assert s.boundaries[0].cause == END_OF_UTT
+        assert [ev.cause for ev in run_online(scores, SMALL).events] == [
+            END_OF_UTT]
 
 
 class TestOfflineEquivalence:
@@ -149,9 +146,9 @@ class TestOfflineEquivalence:
                 min_silence_frames=int(rng.integers(1, 10)),
                 max_chunk_frames=int(rng.integers(8, 40)),
                 splice_frames=int(rng.integers(0, 8)))
-            online = run_online(scores, cfg).boundaries
+            s = run_online(scores, cfg)
             offline = run_offline_reference(scores, cfg)
-            assert online == offline
+            assert spans(s) == s.boundaries == offline
 
     def test_invariants_on_random_corpus(self, rng):
         for _ in range(100):
@@ -159,20 +156,19 @@ class TestOfflineEquivalence:
             s = run_online(scores, SMALL)
             validate_events(s.events, SMALL)
             prev_end = None
-            for b in s.boundaries:
-                length = b.end_frame - b.start_frame
+            for ev in s.events:
+                length = ev.end - ev.start
                 assert length >= SMALL.min_speech_frames
                 assert length <= (SMALL.max_chunk_frames
                                   + SMALL.min_silence_frames)
                 if prev_end is not None:
-                    assert b.start_frame >= prev_end  # no double decoding
-                prev_end = b.end_frame
+                    assert ev.start >= prev_end  # no double decoding
+                prev_end = ev.end
             # >= min_silence silence between consecutive end-of-utterance
             # flushes (the silence run that closed the first one)
-            for a, b in zip(s.boundaries, s.boundaries[1:]):
+            for a, b in zip(s.events, s.events[1:]):
                 if a.cause == END_OF_UTT:
-                    assert b.start_frame - a.end_frame >= \
-                        SMALL.min_silence_frames
+                    assert b.start - a.end >= SMALL.min_silence_frames
 
 
 def scorer_case(rng, width, n_frames):
@@ -312,13 +308,13 @@ class TestSharedEncoderRows:
             for fr in frames.frames:
                 s.push_frame(fr)
             s.finalize()
-            assert {FORCED, END_OF_UTT} <= {b.cause for b in s.boundaries}
+            assert {FORCED, END_OF_UTT} <= {ev.cause for ev in s.events}
             assert any(ev.text for ev in s.events)
-            assert len(decoder.calls) == len(s.boundaries)
-            for (window, span_start, span_len, text), b, ev in zip(
-                    decoder.calls, s.boundaries, s.events):
-                assert span_len == b.end_frame - b.start_frame
-                ws = b.start_frame - span_start
+            assert len(decoder.calls) == len(s.events)
+            for (window, span_start, span_len, text), ev in zip(
+                    decoder.calls, s.events):
+                assert span_len == ev.end - ev.start
+                ws = ev.start - span_start
                 x = FrameSequence(frames.frames[ws:ws + len(window)])
                 from_frames = forward(x, model)
                 from_rows = forward(None, model, Z=window)
@@ -379,7 +375,7 @@ class TestSharedEncoderRows:
         for fr in frames.frames:
             s.push_frame(fr)
         s.finalize()
-        assert {FORCED, END_OF_UTT} <= {b.cause for b in s.boundaries}
+        assert {FORCED, END_OF_UTT} <= {ev.cause for ev in s.events}
         assert model.attention_evals == before + 2 * len(s.events)
         expected = [(span_len, len(window))
                     for window, _, span_len, _ in decoder.calls]
@@ -388,8 +384,8 @@ class TestSharedEncoderRows:
 
 
 class TestBlockEquivalence:
-    """Pushing a stream in blocks gives the events, texts and boundaries of
-    pushing it one frame at a time."""
+    """Pushing a stream in blocks gives the events (spans, causes and
+    texts) of pushing it one frame at a time."""
 
     @pytest.mark.parametrize("beam", [None, BeamConfig(beam_size=3)],
                              ids=["greedy", "beam"])
@@ -414,7 +410,7 @@ class TestBlockEquivalence:
         for fr in x:
             ref.push_frame(fr)
         ref.finalize()
-        assert {FORCED, END_OF_UTT} <= {b.cause for b in ref.boundaries}
+        assert {FORCED, END_OF_UTT} <= {ev.cause for ev in ref.events}
         assert any(ev.text for ev in ref.events) != external
         for size in BLOCK_SIZES:
             s = streamer()
@@ -424,11 +420,9 @@ class TestBlockEquivalence:
             last = s.finalize()
             assert returned + [last] * (last is not None) == s.events
             assert s.events == ref.events, size
-            assert s.boundaries == ref.boundaries, size
         if not external:
             whole = run_stream(model, frames, cfg, beam)
             assert whole.events == ref.events
-            assert whole.boundaries == ref.boundaries
 
     def test_push_frame_calls_the_scorer_once(self):
         calls = []
@@ -529,48 +523,83 @@ class TestDecoderInputs:
 
 
 class TestValidateEvents:
+    # SMALL: spans of 2 to 10 + 3 frames
     def _ev(self, start, end, cause=END_OF_UTT, text=()):
-        return SegmentEvent(start_s=start, end_s=end, text=text, cause=cause)
+        return SegmentEvent(start=start, end=end, text=text, cause=cause)
 
     def test_accepts_valid(self):
-        dur = FRAME_DURATION_S
-        validate_events([self._ev(0.0, 5 * dur), self._ev(10 * dur, 14 * dur)],
+        # the bounds are whole frames: a span of exactly 2 or 13, and an
+        # event that starts where the previous one ends
+        validate_events([self._ev(0, 2), self._ev(2, 15), self._ev(20, 24)],
                         SMALL)
 
     def test_rejects_overlap(self):
-        with pytest.raises(DataError, match="overlap"):
-            validate_events([self._ev(0.0, 0.2), self._ev(0.1, 0.3)], SMALL)
+        with pytest.raises(DataError, match="event 1: overlap"):
+            validate_events([self._ev(0, 10), self._ev(9, 15)], SMALL)
 
     def test_rejects_empty_span(self):
-        with pytest.raises(DataError):
-            validate_events([self._ev(0.3, 0.3)], SMALL)
+        for start, end in ((15, 15), (16, 15)):
+            with pytest.raises(DataError,
+                               match=f"event 0: span of {end - start} "):
+                validate_events([self._ev(start, end)], SMALL)
 
     def test_rejects_too_short(self):
-        with pytest.raises(DataError, match="minimum"):
-            validate_events([self._ev(0.0, 0.02)], SMALL)
+        with pytest.raises(DataError, match="span of 1 frames, not from "
+                                            "minimum speech 2 to"):
+            validate_events([self._ev(0, 1)], SMALL)
 
     def test_rejects_too_long(self):
-        with pytest.raises(DataError, match="capacity"):
-            validate_events([self._ev(0.0, 1.0)], SMALL)
+        with pytest.raises(DataError, match="event 1: span of 14 frames, "
+                                            "not from .* capacity 13"):
+            validate_events([self._ev(0, 2), self._ev(2, 16)], SMALL)
 
     def test_rejects_unknown_cause(self):
-        dur = FRAME_DURATION_S
+        # the record checks its cause, so no event list holds a bad one
         with pytest.raises(DataError, match="cause"):
-            validate_events([self._ev(0.0, 5 * dur, cause="mystery")], SMALL)
+            self._ev(0, 5, cause="mystery")
 
 
 class TestEventIO:
+    EVENTS = [SegmentEvent(0, 25, ("a", "b"), END_OF_UTT),
+              SegmentEvent(50, 100, (), FORCED)]
+
     def test_round_trip(self, tmp_path):
-        events = [
-            SegmentEvent(0.0, 0.5, ("a", "b"), END_OF_UTT),
-            SegmentEvent(1.0, 2.0, (), FORCED),
-        ]
         path = tmp_path / "events.jsonl"
-        write_events(path, events)
-        assert read_events(path) == events
+        write_events(path, self.EVENTS)
+        assert path.read_text().splitlines()[0] == (
+            '{"start_s": 0.0, "end_s": 0.5, "text": "a b", '
+            '"cause": "end-of-utterance"}')
+        assert read_events(path) == self.EVENTS
+
+    @pytest.mark.parametrize("seconds, frame", [
+        (0.029, 1), (0.031, 2), (0.01, 0), (0.05, 2), (0.07, 4)])
+    def test_times_round_to_the_nearest_frame(self, seconds, frame,
+                                              tmp_path):
+        # as ``to_frames`` rounds: half a frame goes to the even neighbour
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps({"start_s": seconds, "end_s": 1.0,
+                                    "text": "", "cause": FORCED}) + "\n")
+        assert [(ev.start, ev.end) for ev in read_events(path)] == [
+            (to_frames(seconds), 50)] == [(frame, 50)]
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"start_s": 0.0}\n')
-        with pytest.raises(DataError):
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}:1: bad event line"):
+            read_events(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"end_s": None}, "bad event line: TypeError"),
+        ({"start_s": 0.5, "end_s": 0.2}, "event times must be >= 0, in order"),
+        ({"cause": "timeout"}, "event cause must be one of"),
+    ], ids=["time-null", "times-reversed", "cause-unknown"])
+    def test_error_names_the_line(self, fields, message, tmp_path):
+        # a blank line still counts
+        path = tmp_path / "bad.jsonl"
+        good = self.EVENTS[0].as_dict()
+        path.write_text(f"{json.dumps(good)}\n\n"
+                        f"{json.dumps({**good, **fields})}\n")
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}:3: {message}"):
             read_events(path)

@@ -211,34 +211,34 @@ def attention(q, k, v, n_heads: int):
     if (qv.ndim != 2 or kv.shape != vv.shape or kv.shape[1:] != qv.shape[1:]
             or qv.shape[1] % n_heads):
         raise DimensionError("attention shapes", qv.shape, kv.shape, vv.shape)
-    dh = qv.shape[1] // n_heads
+    T, S, dh = len(qv), len(kv), qv.shape[1] // n_heads
     c = 1.0 / math.sqrt(dh)
-    out = np.empty(qv.shape)
-    saved = []
-    for b in (slice(h * dh, (h + 1) * dh) for h in range(n_heads)):
-        qs, kt, vs = qv[:, b].copy(), kv[:, b].T.copy(), vv[:, b].copy()
-        # in place (same bits): a fresh (T, S) array costs more than its math
-        a = qs @ kt
-        a *= c
-        a -= a.max(axis=-1, keepdims=True)
-        a -= np.log(np.exp(a).sum(-1, keepdims=True))
-        out[:, b] = np.exp(a, out=a) @ vs
-        saved.append((b, qs, kt, vs, a))
+    # heads stacked (h, T, dh), (h, dh, S), (h, S, dh): each head's bits
+    qs = np.ascontiguousarray(qv.reshape(T, n_heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(kv.reshape(S, n_heads, dh).transpose(1, 2, 0))
+    vs = np.ascontiguousarray(vv.reshape(S, n_heads, dh).transpose(1, 0, 2))
+    # in place (same bits): a fresh (h, T, S) array costs more than its math
+    a = qs @ kt
+    a *= c
+    a -= a.max(axis=-1, keepdims=True)
+    a -= np.log(np.exp(a).sum(-1, keepdims=True))
+    out = (np.exp(a, out=a) @ vs).transpose(1, 0, 2).reshape(T, -1)
     if not _ACTIVE_TAPES:
         return out
 
     def vjp(g):
-        # the arrays the chain's vjps return
+        # the arrays the chain's vjps return, per head (stacked rounds apart)
         dq, dk, dv = np.empty(qv.shape), np.empty(kv.shape), np.empty(vv.shape)
-        for b, qs, kt, vs, a in saved:
+        for h in range(n_heads):
+            b = slice(h * dh, (h + 1) * dh)
             gh = g[:, b].copy()
-            dv[:, b] = a.T @ gh
-            ga = gh @ vs.T
-            ga *= a
-            ga -= a * ga.sum(-1, keepdims=True)
+            dv[:, b] = a[h].T @ gh
+            ga = gh @ vs[h].T
+            ga *= a[h]
+            ga -= a[h] * ga.sum(-1, keepdims=True)
             ga *= c
-            dq[:, b] = ga @ kt.T
-            dk[:, b] = (qs.T @ ga).T
+            dq[:, b] = ga @ kt[h].T
+            dk[:, b] = (qs[h].T @ ga).T
         # the chain summed the heads' zero-padded gradients: each entry + 0.0
         return (dq, dk, dv) if n_heads == 1 else (dq + 0.0, dk + 0.0, dv + 0.0)
 

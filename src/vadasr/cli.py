@@ -37,7 +37,8 @@ from .errors import (
     UsageError,
     VadAsrError,
 )
-from .metrics import corpus_error_rate, score_events, segments_to_mask
+from .metrics import (corpus_error_rate, score_events, segments_to_mask,
+                      vad_metrics)
 from .model import ModelParams, PosteriorGrid
 from .streamer import (
     StreamerConfig,
@@ -299,9 +300,13 @@ def _cmd_score(o):
     if o["events"]:
         ref_ev, hyp_ev = read_events(o["ref"]), read_events(o["hyp"])
         n = max([1] + [ev.end for ev in ref_ev + hyp_ev])
-        err, vr = score_events([t for ev in ref_ev for t in ev.text],
-                               segments_to_mask(ref_ev, n, FRAME_DURATION_S),
-                               hyp_ev)
+        ref_tokens = [t for ev in ref_ev for t in ev.text]
+        ref_mask = segments_to_mask(ref_ev, n, FRAME_DURATION_S)
+        if ref_tokens:
+            err, vr = score_events(ref_tokens, ref_mask, hyp_ev)
+        else:  # no text, as `segment` writes: DetER only
+            err, vr = None, vad_metrics(ref_mask, segments_to_mask(
+                hyp_ev, n, FRAME_DURATION_S))
         report.update({"deter": vr.deter, "fa": vr.fa, "miss": vr.miss})
         n_utts = 1
     else:
@@ -310,8 +315,8 @@ def _cmd_score(o):
             raise DataError(f"ref has {len(refs)} lines, hyp has {len(hyps)}")
         err = corpus_error_rate(zip(refs, hyps))
         n_utts = len(refs)
-    report.update({"cer": err.rate, "sub": err.sub, "del": err.del_,
-                   "ins": err.ins, "n_utts": n_utts})
+    rates = (err.rate, err.sub, err.del_, err.ins) if err else (None,) * 4
+    report.update(zip(("cer", "sub", "del", "ins"), rates), n_utts=n_utts)
     print(json.dumps(report))
     return 0
 

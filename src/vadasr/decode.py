@@ -8,7 +8,6 @@ candidates that cannot make the beam.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import defaultdict
@@ -46,8 +45,8 @@ class NgramLM:
             self.context_totals[gram[:-1]] += c
         self.unigram_total = sum(c for g, c in counts.items() if len(g) == 1)
         self.vocab = sorted({g[-1] for g in counts if len(g) == 1})
-        # (vocabulary, lm_weight >= 0) -> beam_search's increments table,
-        # shared by every search with this LM, such as one stream's events
+        # vocabulary -> beam_search's increments table, shared by every
+        # search with this LM, such as one stream's events
         self._increments: dict[tuple, dict] = {}
 
     def score(self, history: Sequence[str], token: str) -> float:
@@ -209,11 +208,13 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     of them, the lowest stay score is a floor: a candidate strictly below it
     cannot make the cut and is dropped, and a beam whose best possible
     extension is below it is not extended at all. The kept candidates stay
-    in the order a full pass would insert them, so ties rank as before.
+    in the order a full pass would insert them, and the cut is a stable sort
+    by score truncated to ``beam_size``, so ties rank as before.
 
     Prefixes are nodes of a trie, so a dropped extension builds nothing. A
-    node's LM increments depend only on its last ``order - 1`` tokens; they
-    are memoized by that context on the LM, per vocabulary, so a later search
+    node's score terms are computed once, when it is made. Its LM
+    increments depend only on its last ``order - 1`` tokens; they are
+    memoized by that context on the LM, per vocabulary, so a later search
     with the same LM and vocabulary reuses them."""
     rows = _grid_array(grid).tolist()
     blank = grid.blank_index
@@ -226,35 +227,37 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
         if missing:
             raise VocabularyError(f"grid tokens absent from LM: {missing}")
         n_ctx = lm.order - 1
-        # (increments, the one that scores highest) per context
-        increments = lm._increments.setdefault((tuple(vocab), lm_weight >= 0),
-                                               {})
-    best_inc = max if lm_weight >= 0 else min
-    no_lm = ([0.0] * blank, 0.0)
+        increments = lm._increments.setdefault(tuple(vocab), {})  # by context
 
     # prefix trie; node 0 is the empty prefix
     parent, last, length, lm_score = [-1], [-1], [0], [0.0]
-    node_incs: list[Optional[tuple[list[float], float]]] = [None]
     children: dict[int, int] = {}  # node * blank + token -> child node
 
-    def incs_of(node):
-        if lm is None:
-            return no_lm
-        ctx = []
-        while node and len(ctx) < n_ctx:
-            ctx.append(last[node])
-            node = parent[node]
-        ctx = tuple(reversed(ctx))
-        found = increments.get(ctx)
-        if found is None:
-            hist = [vocab[i] for i in ctx]
-            inc = [lm.score(hist, vocab[k]) for k in range(blank)]
-            found = increments[ctx] = (inc, best_inc(inc, default=0.0))
-        return found
+    def terms_of(node):
+        # a node's stay's LM and word terms; its extensions' LM term per token,
+        # their highest (rounding is monotone) and word term; its increments
+        inc = [0.0] * blank
+        if lm is not None:
+            ctx, n = [], node
+            while n and len(ctx) < n_ctx:
+                ctx.append(last[n])
+                n = parent[n]
+            ctx = tuple(reversed(ctx))
+            inc = increments.get(ctx)
+            if inc is None:
+                hist = [vocab[i] for i in ctx]
+                inc = increments[ctx] = [lm.score(hist, vocab[k])
+                                         for k in range(blank)]
+        ext = [lm_weight * (lm_score[node] + x) for x in inc]
+        return (lm_weight * lm_score[node], word_score * length[node], ext,
+                max(ext, default=NEG_INF), word_score * (length[node] + 1),
+                inc)
+
+    node_terms = [terms_of(0)]
 
     # (score, node, log p(blank-terminated), log p(non-blank-terminated),
-    #  log p(prefix)), best first
-    beams = [(0.0, 0, 0.0, NEG_INF, 0.0)]
+    #  log p(prefix), -1), best first
+    beams = [(0.0, 0, 0.0, NEG_INF, 0.0, -1)]
     for row in rows:
         p_blank = row[blank]
         row_hi = max(row[:blank], default=NEG_INF)
@@ -266,7 +269,7 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
         kids: list[Optional[dict[int, int]]] = [None] * n_beams
         # False: the parent's extension is inserted first, and so is the stay
         own = [True] * n_beams
-        for i, (_, node, pb, pnb, total) in enumerate(beams):
+        for i, (_, node, pb, pnb, total, _) in enumerate(beams):
             # blank keeps the prefix; repeating the last symbol keeps it too
             # (merge of repeats). A cell with one mass stores it as it is,
             # since _logaddexp(-inf, v) is v + 0.0, which is v.
@@ -277,7 +280,7 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
                 stay_pnb = pnb + row[k]
                 j = at.get(parent[node])
                 if j is not None:  # the only merge: parent's extension by k
-                    _, up, up_pb, _, up_total = beams[j]
+                    _, up, up_pb, _, up_total, _ = beams[j]
                     mass = (up_pb + row[k] if k == last[up]
                             else up_total + row[k])
                     # _logaddexp is commutative bit for bit
@@ -288,8 +291,8 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
                     own[i] = j > i
             cell = (stay_pnb if stay_pb == NEG_INF
                     else _logaddexp(stay_pb, stay_pnb))
-            stays.append((cell + lm_weight * lm_score[node]
-                          + word_score * length[node],
+            terms = node_terms[node]
+            stays.append((cell + terms[0] + terms[1],
                           node, stay_pb, stay_pnb, cell, -1))
         floor = (min(s[0] for s in stays) if n_beams >= beam_size
                  else NEG_INF)
@@ -297,20 +300,14 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
         # candidates in the order a full pass inserts them: each beam's stay
         # (unless its parent's extension came first), then its extensions
         cands = []
-        for i, (_, node, pb, _, total) in enumerate(beams):
+        for i, (_, node, pb, _, total, _) in enumerate(beams):
             if own[i]:
                 cands.append(stays[i])
-            incs = node_incs[node]
-            if incs is None:
-                incs = node_incs[node] = incs_of(node)
-            inc, inc_hi = incs
-            lm_sc = lm_score[node]
-            words = word_score * (length[node] + 1)
+            _, _, ext, ext_hi, words, _ = node_terms[node]
             kid = kids[i]
             # every rounding step is monotone and pb <= total, so this
             # bounds each extension's score from above
-            if (kid is None and total + row_hi + lm_weight * (lm_sc + inc_hi)
-                    + words < floor):
+            if kid is None and total + row_hi + ext_hi + words < floor:
                 continue
             tail = last[node]
             for k in range(blank):
@@ -319,13 +316,14 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
                         cands.append(stays[kid[k]])
                     continue
                 mass = pb + row[k] if k == tail else total + row[k]
-                score = mass + lm_weight * (lm_sc + inc[k]) + words
+                score = mass + ext[k] + words
                 if score >= floor:
                     cands.append((score, node, NEG_INF, mass, mass, k))
-        # stable like sorted(reverse=True): ties keep insertion order
-        beams = []
-        for score, node, pb, pnb, total, k in heapq.nlargest(
-                beam_size, cands, key=itemgetter(0)):
+        # a stable sort: ties keep insertion order. The kept candidates are
+        # the next beams, an extension with its child node in place
+        cands.sort(key=itemgetter(0), reverse=True)
+        del cands[beam_size:]
+        for j, (score, node, pb, pnb, total, k) in enumerate(cands):
             if k >= 0:
                 key = node * blank + k
                 child = children.get(key)
@@ -334,13 +332,13 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
                     parent.append(node)
                     last.append(k)
                     length.append(length[node] + 1)
-                    lm_score.append(lm_score[node] + node_incs[node][0][k])
-                    node_incs.append(None)
-                node = child
-            beams.append((score, node, pb, pnb, total))
+                    lm_score.append(lm_score[node] + node_terms[node][5][k])
+                    node_terms.append(terms_of(child))
+                cands[j] = (score, child, pb, pnb, total, -1)
+        beams = cands
 
     hyps = []
-    for score, node, _, _, total in beams:
+    for score, node, _, _, total, _ in beams:
         tokens = []
         n = node
         while n:

@@ -103,8 +103,8 @@ class ModelScorer:
     ``vad_kernel_width - 1`` frames before it (zeros before the first), all
     the scorer carries. The weights are copied once, in the layout the
     forward uses. ``rows`` is the last block's (k, d) encoder rows, the
-    ``ModelDecoder``'s input.
-    """
+    ``ModelDecoder``'s input: a fresh array per call that the scorer never
+    writes, so a streamer may adopt it as its row buffer."""
 
     def __init__(self, model: ModelParams):
         self.model = model
@@ -130,9 +130,9 @@ class ModelScorer:
 
 class ModelDecoder:
     """Decode a flushed window, the (T, d) encoder rows a ``ModelScorer`` of
-    the same model made: the rest of the forward for the span's rows only,
-    with keys and values over span + splice context, then beam search (or
-    greedy) over those rows. A span must be non-empty and in the window."""
+    the same model made, a view a ``Streamer`` lends for the call only: the
+    rest of the forward for the span's rows, keys and values over the
+    window, then beam search (or greedy). The span must be non-empty, in it."""
 
     def __init__(self, model: ModelParams, beam: Optional[BeamConfig] = None):
         self.model = model
@@ -151,8 +151,8 @@ class ModelDecoder:
 
 
 class Streamer:
-    """Single-writer online VAD&ASR pipeline over pushed frames. Without a
-    decoder, any scorer will do and events carry no text."""
+    """Single-writer online VAD&ASR over pushed frames. A decoder reads views
+    of one row buffer; without one, any scorer will do and text is empty."""
 
     def __init__(self, config: StreamerConfig,
                  scorer: Callable[[np.ndarray, int], np.ndarray],
@@ -170,8 +170,8 @@ class Streamer:
         self._b = 0                 # trailing sub-threshold run
         self._speaking = False
         self._window_start = 0      # absolute index of the window's frame 0
-        self._rows: list[np.ndarray] = []  # the decoder's, one per frame
-        self._row_base = 0          # absolute index of _rows[0]
+        self._rows = np.empty((0, 0))  # the decoder's encoder rows
+        self._row0 = 0              # absolute index of _rows[0]
         self.events: list[SegmentEvent] = []
 
     @property
@@ -185,10 +185,9 @@ class Streamer:
         cfg = self.config
         text: tuple[str, ...] = ()
         if self.decoder is not None:
-            ws = max(self._row_base, start - cfg.splice_frames)
+            ws = max(0, start - cfg.splice_frames)
             we = min(self._t, end + cfg.splice_frames)
-            window = np.stack(self._rows[ws - self._row_base:
-                                         we - self._row_base])
+            window = self._rows[ws - self._row0:we - self._row0]
             text = self.decoder(window, start - ws, end - start)
         ev = SegmentEvent(start, end, text, cause)
         self.events.append(ev)
@@ -218,12 +217,11 @@ class Streamer:
         except Exception as exc:
             raise DataError(
                 f"VAD scorer failed at frame {start}: {exc}") from exc
-        rows = None if self.decoder is None else self.scorer.rows
+        if self.decoder is not None:
+            self._keep_rows(self.scorer.rows)
 
         events = []
-        for i, theta in enumerate(scores.tolist()):
-            if rows is not None:
-                self._rows.append(rows[i])
+        for theta in scores.tolist():
             self._t += 1
             self._c += 1
             if theta >= cfg.vad_threshold:
@@ -257,10 +255,21 @@ class Streamer:
         self._c = 0
         self._b = 0
         self._window_start = self._t
-        keep_from = max(0, self._t - self.config.splice_frames)
-        if keep_from > self._row_base:
-            del self._rows[:keep_from - self._row_base]
-            self._row_base = keep_from
+
+    def _keep_rows(self, rows: np.ndarray) -> None:
+        """Append a block's rows to the row buffer. A row is live, and kept,
+        from ``splice_frames`` before the window on."""
+        base = max(0, self._window_start - self.config.splice_frames)
+        i, k = self._t - self._row0, len(rows)
+        if self._t == base:  # no live row: adopt the fresh block
+            self._rows, self._row0 = rows, self._t
+        elif i + k <= len(self._rows):
+            self._rows[i:i + k] = rows
+        else:  # the live rows, then the block, in a buffer twice their size
+            live = self._rows[base - self._row0:i]
+            self._rows = np.empty((2 * (len(live) + k), rows.shape[1]))
+            np.concatenate((live, rows), out=self._rows[:len(live) + k])
+            self._row0 = base
 
     def finalize(self) -> Optional[SegmentEvent]:
         """Flush a trailing utterance once the stream has ended."""
@@ -272,6 +281,9 @@ class Streamer:
                                self._window_start + speech_len, FINALIZE)
         self._speaking = False
         self._reset_window()
+        # keep the live rows, at most splice_frames, and free the rest
+        n, end = min(self._t, cfg.splice_frames), self._t - self._row0
+        self._rows, self._row0 = self._rows[end - n:end].copy(), self._t - n
         return event
 
 

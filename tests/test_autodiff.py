@@ -443,8 +443,18 @@ class TestSameBitsAsUnfused:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
     def test_attention(self, rng, T, n_heads, cross):
+        # cross: keys and values of another length
+        self.check_attention(rng, T, T + 3 if cross else T, n_heads)
+
+    @pytest.mark.parametrize("T, S", [(1, 40), (7, 118)])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_attention_fewer_queries(self, rng, T, S, n_heads):
+        # a decoded window's span rows as queries, all its rows as keys
+        self.check_attention(rng, T, S, n_heads)
+
+    @staticmethod
+    def check_attention(rng, T, S, n_heads):
         d = 8
-        S = T + 3 if cross else T  # cross: keys and values of another length
         for zero_frac in (0.0, 0.5, 0.9, 1.0):
             q = signed_zeros(rng, (T, d), zero_frac)
             k, v = (signed_zeros(rng, (S, d), zero_frac) for _ in "kv")

@@ -685,6 +685,40 @@ class TestScore:
         rep = json.loads(capsys.readouterr().out)
         assert rep["cer"] == 0.0 and rep["deter"] == 0.0
 
+    def test_events_mode_reference_without_text(self, corpus_dir, model_ckpt,
+                                                tmp_path, capsys):
+        # segment writes events without text: DetER is defined, CER is not
+        from vadasr.audio import FRAME_DURATION_S
+        from vadasr.metrics import segments_to_mask, vad_metrics
+        from vadasr.streamer import read_events
+
+        root, _, _ = corpus_dir
+        ref = tmp_path / "seg.jsonl"
+        assert run_cli("segment", "--model", str(model_ckpt), "--wav",
+                       str(sorted(root.glob("*.wav"))[0]), "--out",
+                       str(ref)) == 0
+        ref_ev = read_events(ref)
+        assert ref_ev and not any(ev.text for ev in ref_ev)
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({**_EVENT, "text": "a b"}) + "\n")
+        capsys.readouterr()
+        assert run_cli("score", "--events", "--ref", str(ref),
+                       "--hyp", str(hyp)) == 0
+        n = max(ev.end for ev in ref_ev + read_events(hyp))
+        vr = vad_metrics(*(segments_to_mask(read_events(p), n,
+                                            FRAME_DURATION_S)
+                           for p in (ref, hyp)))
+        assert vr.deter > 0
+        assert json.loads(capsys.readouterr().out) == {
+            "deter": vr.deter, "fa": vr.fa, "miss": vr.miss, "cer": None,
+            "sub": None, "del": None, "ins": None, "n_utts": 1}
+        # a transcript reference without text still has no error rate
+        (tmp_path / "ref.txt").write_text("\n")
+        (tmp_path / "hyp.txt").write_text("a\n")
+        assert run_cli("score", "--ref", str(tmp_path / "ref.txt"),
+                       "--hyp", str(tmp_path / "hyp.txt")) == 2
+        assert "reference is empty" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("end_s", [1e300, 1e9])
     def test_event_past_longest_stream(self, end_s, tmp_path, capsys,

@@ -102,13 +102,18 @@ class TestHandTraces:
         assert run_online(scores, SMALL).events == []
 
     def test_no_decoder_keeps_no_frames(self):
-        # only a decoder reads the kept encoder rows
-        s = Streamer(SMALL, ExternalScores([0.9] * 25 + [0.1] * 5), None)
+        # only a decoder reads the kept encoder rows: without one, the
+        # streamer never asks its scorer for them
+        class RowlessScores(ExternalScores):
+            @property
+            def rows(self):
+                raise AssertionError("encoder rows read without a decoder")
+
+        s = Streamer(SMALL, RowlessScores([0.9] * 25 + [0.1] * 5), None)
         for _ in range(30):
             s.push_frame(DUMMY)
-            assert s._rows == []
         s.finalize()
-        assert s._rows == [] and len(s.events) == 3
+        assert len(s.events) == 3 and not any(ev.text for ev in s.events)
 
     def test_leading_silence_not_included(self):
         # long leading silence must not inflate the first segment: pure
@@ -258,7 +263,8 @@ def perturbed_stream(seed, width, n_runs=12):
 
 
 class RecordingDecoder(ModelDecoder):
-    """A ModelDecoder that records each call's arguments and text."""
+    """A ModelDecoder that records each call's arguments and text. The
+    window is a view valid for the call only, so it records a copy."""
 
     def __init__(self, model, beam=None):
         super().__init__(model, beam)
@@ -266,7 +272,7 @@ class RecordingDecoder(ModelDecoder):
 
     def __call__(self, window, span_start, span_len):
         text = super().__call__(window, span_start, span_len)
-        self.calls.append((window, span_start, span_len, text))
+        self.calls.append((window.copy(), span_start, span_len, text))
         return text
 
 
@@ -381,6 +387,47 @@ class TestSharedEncoderRows:
                     for window, _, span_len, _ in decoder.calls]
         assert shapes == [x for pair in zip(expected, expected) for x in pair]
         assert any(q < k for q, k in shapes)
+
+
+class TestRowBuffer:
+    """A decoding streamer keeps its encoder rows in one buffer that adopts
+    whole blocks, takes appends, and moves its live rows to the front of a
+    larger one when full; each window it decodes holds the stream's rows."""
+
+    def test_windows_are_the_streams_rows(self):
+        rng = np.random.default_rng(2024)
+        model, frames = perturbed_stream(0, 5, n_runs=40)
+        x = frames.frames
+        Z = encode_features(x, model)
+        scores = vad_score_frames(frames, model).data
+        for _ in range(12):
+            threshold = np.quantile(scores, rng.uniform(0.3, 0.7))
+            cfg = StreamerConfig(
+                vad_threshold=float(threshold),
+                min_speech_frames=int(rng.integers(1, 4)),
+                min_silence_frames=int(rng.integers(1, 6)),
+                max_chunk_frames=int(rng.integers(4, 12)),
+                splice_frames=int(rng.integers(0, 6)))
+            # some blocks are longer than any window's span plus splice
+            longest = (cfg.splice_frames + cfg.max_chunk_frames
+                       + cfg.min_silence_frames)
+            decoder = RecordingDecoder(model)
+            s = Streamer(cfg, ModelScorer(model), decoder)
+            a = 0
+            while a < len(x):
+                b = a + int(rng.integers(1, 2 * longest + 2))
+                s.push_frames(x[a:b])
+                a = b
+            s.finalize()
+            assert s.events and len(decoder.calls) == len(s.events)
+            assert len(s._rows) <= cfg.splice_frames
+            for (window, span_start, span_len, _), ev in zip(decoder.calls,
+                                                              s.events):
+                ws = ev.start - span_start
+                assert ws == max(0, ev.start - cfg.splice_frames)
+                assert ev.end <= ws + len(window) <= ev.end + cfg.splice_frames
+                assert np.array_equal(bits(window),
+                                      bits(Z[ws:ws + len(window)]))
 
 
 class TestBlockEquivalence:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -202,17 +202,52 @@ def log_softmax(a, axis: int = -1):
         g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
 
 
-def attention(q, k, v, n_heads: int):
+def attention(q, k, v, n_heads: int, blocks=None):
     """Multi-head attention of (T, d) queries over (S, d) keys and values:
     column block h is softmax(q_h k_h^T / sqrt(d / n_heads)) v_h. One tape
     node with the arithmetic of the per-head chain it replaces (slice,
-    transpose, matmul, scale, log-softmax, exp, matmul, concat)."""
+    transpose, matmul, scale, log-softmax, exp, matmul, concat).
+
+    ``blocks``, if given, are a ``ChunkLayout``'s (body, window) row ranges
+    (S == T): each runs the chain on its window's rows, as on that slice
+    alone, and keeps its body's rows, which so attend only to the window."""
     qv, kv, vv = value(q), value(k), value(v)
     if (qv.ndim != 2 or kv.shape != vv.shape or kv.shape[1:] != qv.shape[1:]
             or qv.shape[1] % n_heads):
         raise DimensionError("attention shapes", qv.shape, kv.shape, vv.shape)
+    c = 1.0 / math.sqrt(qv.shape[1] // n_heads)
+    if blocks is None:
+        out, saved = _attend(qv, kv, vv, n_heads, c)
+    else:
+        out, saved = np.empty(qv.shape), []
+        for (b0, b1), (w0, w1) in blocks:
+            o, step = _attend(qv[w0:w1], kv[w0:w1], vv[w0:w1], n_heads, c)
+            out[b0:b1] = o[b0 - w0:b1 - w0]
+            saved.append(step)
+    if not _ACTIVE_TAPES:
+        return out
+
+    def vjp(g):
+        if blocks is None:
+            dq, dk, dv = _attend_grads(g, *saved, c)
+        else:  # each window's chain; overlapping windows sum their rows
+            dq, (dk, dv) = np.empty(qv.shape), np.zeros((2, *kv.shape))
+            for ((b0, b1), (w0, w1)), step in zip(blocks, saved):
+                gw = np.zeros((w1 - w0, g.shape[1]))
+                gw[b0 - w0:b1 - w0] = g[b0:b1]
+                gq, gk, gv = _attend_grads(gw, *step, c)
+                dq[b0:b1] = gq[b0 - w0:b1 - w0]
+                dk[w0:w1] += gk
+                dv[w0:w1] += gv
+        # the chain summed the heads' zero-padded gradients: each entry + 0.0
+        return (dq, dk, dv) if n_heads == 1 else (dq + 0.0, dk + 0.0, dv + 0.0)
+
+    return custom(out, (q, k, v), vjp)
+
+
+def _attend(qv, kv, vv, n_heads: int, c: float):
+    """``attention`` of all of ``qv`` over all of ``kv``, and what vjp reads."""
     T, S, dh = len(qv), len(kv), qv.shape[1] // n_heads
-    c = 1.0 / math.sqrt(dh)
     # heads stacked (h, T, dh), (h, dh, S), (h, S, dh): each head's bits
     qs = np.ascontiguousarray(qv.reshape(T, n_heads, dh).transpose(1, 0, 2))
     kt = np.ascontiguousarray(kv.reshape(S, n_heads, dh).transpose(1, 2, 0))
@@ -223,26 +258,24 @@ def attention(q, k, v, n_heads: int):
     a -= a.max(axis=-1, keepdims=True)
     a -= np.log(np.exp(a).sum(-1, keepdims=True))
     out = (np.exp(a, out=a) @ vs).transpose(1, 0, 2).reshape(T, -1)
-    if not _ACTIVE_TAPES:
-        return out
+    return out, (qs, kt, vs, a)
 
-    def vjp(g):
-        # the arrays the chain's vjps return, per head (stacked rounds apart)
-        dq, dk, dv = np.empty(qv.shape), np.empty(kv.shape), np.empty(vv.shape)
-        for h in range(n_heads):
-            b = slice(h * dh, (h + 1) * dh)
-            gh = g[:, b].copy()
-            dv[:, b] = a[h].T @ gh
-            ga = gh @ vs[h].T
-            ga *= a[h]
-            ga -= a[h] * ga.sum(-1, keepdims=True)
-            ga *= c
-            dq[:, b] = ga @ kt[h].T
-            dk[:, b] = (qs[h].T @ ga).T
-        # the chain summed the heads' zero-padded gradients: each entry + 0.0
-        return (dq, dk, dv) if n_heads == 1 else (dq + 0.0, dk + 0.0, dv + 0.0)
 
-    return custom(out, (q, k, v), vjp)
+def _attend_grads(g, qs, kt, vs, a, c: float):
+    """The arrays the chain's vjps return, per head (stacked rounds apart)."""
+    dh = qs.shape[2]
+    dq, dk, dv = (np.empty((x.shape[1], g.shape[1])) for x in (qs, vs, vs))
+    for h in range(len(qs)):
+        b = slice(h * dh, (h + 1) * dh)
+        gh = g[:, b].copy()
+        dv[:, b] = a[h].T @ gh
+        ga = gh @ vs[h].T
+        ga *= a[h]
+        ga -= a[h] * ga.sum(-1, keepdims=True)
+        ga *= c
+        dq[:, b] = ga @ kt[h].T
+        dk[:, b] = (qs[h].T @ ga).T
+    return dq, dk, dv
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -287,15 +320,6 @@ def slice_axis(a, start: int, stop: int, axis: int = 0):
         return (full,)
 
     return custom(out, (a,), vjp)
-
-
-def concat(parts: Sequence, axis: int = 0):
-    arrays = [value(p) for p in parts]
-    out = np.concatenate(arrays, axis=axis)
-    if not _ACTIVE_TAPES:
-        return out
-    cuts = np.cumsum([x.shape[axis] for x in arrays[:-1]])
-    return custom(out, parts, lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import autodiff as ad
 from .audio import draw_frames
 from .errors import InvalidSpecError, LayoutError
 
@@ -57,22 +54,3 @@ def plan_chunks(total_T: int, body_len: int, left_len: int = 0,
                             window=(max(0, start - left_len),
                                     min(total_T, stop + right_len))))
     return ChunkLayout(chunks=tuple(chunks), total_T=total_T)
-
-
-def stitch_outputs(per_chunk_outputs, layout: ChunkLayout):
-    """Join per-body outputs (tensors or arrays), in chunk order, into one
-    output of full stream length: a Tensor on a tape, where each body gets
-    its rows of the gradient, and an array without one. A lone body is
-    returned as it is, with no copy."""
-    if len(per_chunk_outputs) != len(layout.chunks):
-        raise LayoutError(f"{len(per_chunk_outputs)} outputs for "
-                          f"{len(layout.chunks)} chunks")
-    for out, ch in zip(per_chunk_outputs, layout.chunks):
-        if out.shape[0] != ch.body[1] - ch.body[0]:
-            raise LayoutError(f"chunk output rows {out.shape[0]} != body "
-                              f"length {ch.body[1] - ch.body[0]}")
-    if not per_chunk_outputs:
-        return ad.Tensor(np.zeros((0,)))
-    if len(per_chunk_outputs) == 1:
-        return per_chunk_outputs[0]
-    return ad.concat(per_chunk_outputs, axis=0)

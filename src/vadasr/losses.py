@@ -9,6 +9,7 @@ gives its exact gradient when it was taped.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -28,60 +29,72 @@ def extend_with_blanks(targets: np.ndarray, blank: int) -> np.ndarray:
 
 def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
                          blank: int) -> tuple[float, np.ndarray]:
-    """log_probs: (T, K); targets: (L,) int indices, no blanks.
+    """log_probs: (T, K), T >= 1; targets: (L,) int indices, no blanks.
+    Returns (loss, grad): -log p_CTC(targets | log_probs) and its gradient
+    w.r.t. log_probs, or (inf, zeros) for an infeasible target."""
+    return ctc_batch([log_probs], [targets], blank)[0]
 
-    Log-space alpha/beta recursion over the blank-extended target (Graves et
-    al. 2006). Returns (loss, grad) where loss = -log p_CTC(targets |
-    log_probs) and grad = d loss / d log_probs. Infeasible targets yield
-    (inf, zeros).
+
+def ctc_batch(log_probs: list[np.ndarray], targets: list[np.ndarray],
+              blank: int) -> list[tuple[float, np.ndarray]]:
+    """``ctc_forward_backward`` of each pair, from one log-space alpha/beta
+    recursion over the blank-extended targets (Graves et al. 2006).
 
     Alpha and beta advance together, one step of each per iteration: row 0
     is alpha, row 1 is beta with both time and states reversed, so each row
-    reads states s, s-1 and s-2 of its previous step.
-    """
-    T, K = log_probs.shape
-    ext = extend_with_blanks(np.asarray(targets, dtype=np.int64), blank)
-    S = len(ext)
-    ext2 = np.stack((ext, ext[::-1]))  # (2, S)
+    reads states s, s-1 and s-2 of its previous step. Frames and states are
+    padded with -inf emissions to the longest pair's; a state reads only
+    itself and lower states, and a pair's results read only its own frames
+    and states, so each pair keeps the bits it has alone."""
+    exts = [extend_with_blanks(np.asarray(t, dtype=np.int64), blank)
+            for t in targets]
+    B, T, S = len(exts), max(map(len, log_probs)), max(map(len, exts))
+    ext2 = np.full((B, 2, S), blank)
+    emit = np.full((T, B, 2, S), NEG_INF)
+    for b, (lp, ext) in enumerate(zip(log_probs, exts)):
+        ext2[b, :, :len(ext)] = ext, ext[::-1]
+        emit[:len(lp), b, :, :len(ext)] = np.stack(
+            (lp[:, ext], lp[::-1, ext[::-1]]), axis=1)
 
     # transitions: s -> s (stay), s-1 -> s, and s-2 -> s when the skip does
     # not jump over a required blank (distinct consecutive labels)
-    can_skip = np.zeros((2, S), dtype=bool)
-    can_skip[:, 2:] = (ext2[:, 2:] != blank) & (ext2[:, 2:] != ext2[:, :-2])
-
-    emit = np.stack((log_probs[:, ext], log_probs[::-1, ext[::-1]]), axis=1)
+    can_skip = np.zeros((B, 2, S), dtype=bool)
+    can_skip[..., 2:] = (ext2[..., 2:] != blank) & (ext2[..., 2:]
+                                                    != ext2[..., :-2])
 
     # state[t] is alpha[t] and beta[T-1-t] + emit[T-1-t] (reversed), after
     # two -inf pad columns that turn the s-1 and s-2 reads into views;
     # merged[t] is the logaddexp of the reads, before the emission
-    state = np.full((T, 2, S + 2), NEG_INF)
-    merged = np.empty((T, 2, S))
-    state[0, 0, 2:4] = emit[0, 0, :2]
-    merged[0, 1] = NEG_INF
-    merged[0, 1, :2] = 0.0
-    np.add(merged[0, 1], emit[0, 1], out=state[0, 1, 2:])
+    state = np.full((T, B, 2, S + 2), NEG_INF)
+    merged = np.empty((T, B, 2, S))
+    state[0, :, 0, 2:4] = emit[0, :, 0, :2]
+    merged[0, :, 1] = NEG_INF
+    merged[0, :, 1, :2] = 0.0
+    np.add(merged[0, :, 1], emit[0, :, 1], out=state[0, :, 1, 2:])
     for t in range(1, T):
         prev, out = state[t - 1], merged[t]
-        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=out)
-        np.logaddexp(out, prev[:, :-2], out=out, where=can_skip)
-        np.add(out, emit[t], out=state[t, :, 2:])
-    alpha = state[:, 0, 2:]
-    beta = merged[::-1, 1, ::-1]
+        np.logaddexp(prev[..., 2:], prev[..., 1:-1], out=out)
+        np.logaddexp(out, prev[..., :-2], out=out, where=can_skip)
+        np.add(out, emit[t], out=state[t, ..., 2:])
 
-    tail = alpha[T - 1, S - 1]
-    if S > 1:
-        tail = np.logaddexp(tail, alpha[T - 1, S - 2])
-    log_z = tail
-    if not np.isfinite(log_z):
-        return float("inf"), np.zeros_like(log_probs)
-
-    # occupancy gamma[t, s] = P(path passes (t, s) | target) in log space
-    gamma = alpha + beta - log_z
-    occ = np.exp(gamma)
-    grad = np.zeros_like(log_probs)
-    # scatter-add marginals onto their emitting symbols
-    np.add.at(grad, (np.arange(T)[:, None], ext[None, :]), occ)
-    return float(-log_z), -grad
+    results = []
+    for b, (lp, ext) in enumerate(zip(log_probs, exts)):
+        n, S = len(lp), len(ext)
+        alpha = state[:n, b, 0, 2:S + 2]
+        beta = merged[n - 1::-1, b, 1, S - 1::-1]
+        log_z = alpha[n - 1, S - 1]
+        if S > 1:
+            log_z = np.logaddexp(log_z, alpha[n - 1, S - 2])
+        if not np.isfinite(log_z):
+            results.append((float("inf"), np.zeros_like(lp)))
+            continue
+        # occupancy gamma[t, s] = P(path passes (t, s) | target) in log space
+        occ = np.exp(alpha + beta - log_z)
+        grad = np.zeros_like(lp)
+        # scatter-add marginals onto their emitting symbols
+        np.add.at(grad, (np.arange(n)[:, None], ext[None, :]), occ)
+        results.append((float(-log_z), -grad))
+    return results
 
 
 def _target_indices(grid, target) -> np.ndarray:
@@ -105,19 +118,28 @@ def min_frames_required(target_idx: np.ndarray) -> int:
     return len(target_idx) + repeats
 
 
-def ctc_loss(grid, target) -> ad.Tensor:
+def ctc_loss(grid, target, tapes=None):
     """Negative log-likelihood of ``target`` under the posterior grid,
-    marginalized over all collapsing alignments."""
-    logp = grid.log_probs
-    tensor_in = ad.tensor(logp)
-    arr = tensor_in.data
-    T = arr.shape[0]
-    idx = _target_indices(grid, target)
-    if T < min_frames_required(idx):
+    marginalized over all collapsing alignments, as a node on the active
+    tape. With ``tapes`` (a training step), ``grid`` and ``target`` are lists
+    and ``tapes[b]`` recorded ``grid[b]``: one recursion serves them all,
+    node b goes on ``tapes[b]``, and an infeasible target's node is None."""
+    grids, targets = (grid, target) if tapes else ([grid], [target])
+    idx = [_target_indices(g, t) for g, t in zip(grids, targets)]
+    kept = [b for b, (g, i) in enumerate(zip(grids, idx))
+            if len(g) >= min_frames_required(i)]
+    if not (tapes or kept):
+        need = min_frames_required(idx[0])
         raise InfeasibleTargetError(
-            f"target needs >= {min_frames_required(idx)} frames, grid has {T}")
-    loss, grad = ctc_forward_backward(arr, idx, grid.blank_index)
-    return ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
+            f"target needs >= {need} frames, grid has {len(grid)}")
+    nodes = [None] * len(grids)
+    for b, (loss, grad) in zip(kept, ctc_batch(
+            [grids[b].array for b in kept], [idx[b] for b in kept],
+            grids[0].blank_index) if kept else ()):
+        with tapes[b] if tapes else contextlib.nullcontext():
+            nodes[b] = ad.custom(loss, (grids[b].log_probs,),
+                                 lambda g, grad=grad: (g * grad,))
+    return nodes if tapes else nodes[0]
 
 
 def bce_loss(speech_probs, speech_mask) -> ad.Tensor:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import FRAME_SAMPLES, FrameSequence, parse_vocab
-from .chunking import ChunkLayout, stitch_outputs
+from .chunking import ChunkLayout
 from .errors import (
     DataError,
     DimensionError,
@@ -361,17 +361,18 @@ def vad_score_frames(frames: FrameSequence, model: ModelParams) -> ad.Tensor:
     return ad.tensor(probs)
 
 
-def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams):
+def _mha(x_q, x_kv, wq, wk, wv, wo, n_heads: int, model: ModelParams,
+         blocks=None):
     model.attention_evals += 1
     heads = ad.attention(ad.matmul(x_q, wq), ad.matmul(x_kv, wk),
-                         ad.matmul(x_kv, wv), n_heads)
+                         ad.matmul(x_kv, wv), n_heads, blocks)
     return ad.matmul(heads, wo)
 
 
-def _context_layer(x_q, x_kv, model: ModelParams):
+def _context_layer(x_q, x_kv, model: ModelParams, blocks=None):
     p = model.params
     a = _mha(x_q, x_kv, p["ctx_wq"], p["ctx_wk"], p["ctx_wv"], p["ctx_wo"],
-             model.dims.n_heads, model)
+             model.dims.n_heads, model, blocks)
     x1 = ad.layer_norm(ad.add(x_q, a), p["ctx_ln1_g"], p["ctx_ln1_b"])
     ff = ad.matmul(ad.matmul(x1, p["ffn_w1"], p["ffn_b1"], "relu"),
                    p["ffn_w2"], p["ffn_b2"])
@@ -380,10 +381,10 @@ def _context_layer(x_q, x_kv, model: ModelParams):
 
 def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None,
                     span: tuple[int, int] | None = None):
-    """Transformer block over encoder latents; with a layout, attention for
-    each chunk sees only its window and only body positions produce output.
-    With ``span``, a (start, stop) pair in place of a layout, only the
-    span's rows are computed, with keys and values over every row: the
+    """Transformer block over encoder latents; with a layout, a chunk's body
+    rows attend only to its window (``ad.attention``'s blocks), all else once
+    per row. With ``span``, a (start, stop) pair in place of a layout, only
+    the span's rows are computed, with keys and values over every row: the
     block's one layer joins rows only through attention."""
     T, d = Z.shape
     zp = ad.add(Z, positional_encoding(T, d))
@@ -392,18 +393,10 @@ def context_forward(Z, model: ModelParams, layout: ChunkLayout | None = None,
             raise DimensionError(f"span {span} must be non-empty, within "
                                  f"the {T} rows and given without a layout")
         return _context_layer(ad.slice_axis(zp, *span), zp, model)
-    if layout is None:
-        return _context_layer(zp, zp, model)
-    if layout.total_T != T:
+    if layout is not None and layout.total_T != T:
         raise LayoutError(f"layout covers {layout.total_T} frames, Z has {T}")
-    bodies = []
-    for ch in layout.chunks:
-        ws, we = ch.window
-        xw = ad.slice_axis(zp, ws, we)
-        x2 = _context_layer(xw, xw, model)
-        b0, b1 = ch.body
-        bodies.append(ad.slice_axis(x2, b0 - ws, b1 - ws))
-    return stitch_outputs(bodies, layout)
+    return _context_layer(zp, zp, model, None if layout is None else
+                          [(ch.body, ch.window) for ch in layout.chunks])
 
 
 def cross_task_attend(C, H_vad, model: ModelParams,

@@ -22,7 +22,7 @@ from .audio import (FRAME_SAMPLES, FrameSequence, SampleBuffer, Utterance,
                     draw_frames, frame_stream, to_frames)
 from .chunking import plan_chunks, sample_chunk_len
 from .decode import BeamConfig, beam_search, greedy_decode
-from .errors import DataError, InfeasibleTargetError, NumericError
+from .errors import DataError, NumericError
 from .losses import bce_loss, ctc_loss, mtl_loss
 from .metrics import corpus_error_rate, score_events, vad_metrics
 from .model import ModelDims, ModelParams, forward, vad_score_frames
@@ -131,23 +131,38 @@ def clip_gradients(grad: np.ndarray, parts: Sequence[np.ndarray],
 # shared loop
 
 
+def _forward(model: ModelParams, frames: FrameSequence, config: TrainConfig,
+             layout):
+    """What ``config.stage``'s loss reads of one utterance's forward, on the
+    active tape: the speech probabilities if VAD-only, else every artifact."""
+    return (vad_score_frames(frames, model) if config.stage == "vad_only"
+            else forward(frames, model, layout))
+
+
+def _loss(out, utt: Utterance, config: TrainConfig, ctc
+          ) -> tuple[ad.Tensor, float, float]:
+    """The loss node ``config.stage`` minimises for one utterance, from its
+    ``_forward`` output and its CTC node (None when VAD-only), and the CTC
+    and BCE values for the curves (CTC 0 when VAD-only)."""
+    if config.stage == "vad_only":
+        bce = bce_loss(out, utt.speech_mask)
+        return bce, 0.0, float(bce.data)
+    if config.stage == "asr_only":  # BCE for its curve, on a tape of its own
+        with ad.Tape():
+            bce = bce_loss(out.speech_probs, utt.speech_mask)
+        return ctc, float(ctc.data), float(bce.data)
+    bce = bce_loss(out.speech_probs, utt.speech_mask)
+    return (mtl_loss(ctc, bce, config.vad_weight), float(ctc.data),
+            float(bce.data))
+
+
 def _utterance_loss(model: ModelParams, utt: Utterance, frames: FrameSequence,
                     config: TrainConfig, layout
                     ) -> tuple[ad.Tensor, float, float]:
-    """The loss node ``config.stage`` minimises for one utterance, given its
-    frames, and the CTC and BCE values for the curves (CTC 0 when VAD-only)."""
-    if config.stage == "vad_only":
-        bce = bce_loss(vad_score_frames(frames, model), utt.speech_mask)
-        return bce, 0.0, float(bce.data)
-    art = forward(frames, model, layout)
-    ctc = ctc_loss(art.log_posteriors, utt.transcript)
-    if config.stage == "asr_only":  # BCE for its curve, on a tape of its own
-        with ad.Tape():
-            bce = bce_loss(art.speech_probs, utt.speech_mask)
-        return ctc, float(ctc.data), float(bce.data)
-    bce = bce_loss(art.speech_probs, utt.speech_mask)
-    return (mtl_loss(ctc, bce, config.vad_weight), float(ctc.data),
-            float(bce.data))
+    """``_loss`` of one utterance on the active tape: a step of one."""
+    out = _forward(model, frames, config, layout)
+    return _loss(out, utt, config, None if config.stage == "vad_only"
+                 else ctc_loss(out.log_posteriors, utt.transcript))
 
 
 def _run_training(model: ModelParams, corpus: Sequence[Utterance],
@@ -181,6 +196,8 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                            if config.stage == "mtl" else None)
             grad.fill(0.0)
             counted_before = ep_count
+            # forwards each on a tape, one CTC recursion, backwards in order
+            taped = []
             for ui in batch:
                 utt = corpus[int(ui)]
                 frames = frame_stream(utt.audio)
@@ -188,12 +205,18 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                                       splice_frames)
                           if body_frames is not None else None)
                 with ad.Tape() as tape:
-                    try:
-                        node, ctc_val, ce_val = _utterance_loss(
-                            model, utt, frames, config, layout)
-                    except InfeasibleTargetError:
-                        report.skipped_infeasible += 1
-                        continue
+                    taped.append((tape, utt,
+                                  _forward(model, frames, config, layout)))
+            ctcs = ([None] * len(taped) if config.stage == "vad_only" else
+                    ctc_loss([out.log_posteriors for _, _, out in taped],
+                             [utt.transcript for _, utt, _ in taped],
+                             [tape for tape, _, _ in taped]))
+            for (tape, utt, out), ctc in zip(taped, ctcs):
+                if ctc is None and config.stage != "vad_only":  # infeasible
+                    report.skipped_infeasible += 1
+                    continue
+                with tape:
+                    node, ctc_val, ce_val = _loss(out, utt, config, ctc)
                     gmap = ad.backward(tape, node)
                 for t, part in zip(trained.values(), parts):
                     g = gmap.get(t)

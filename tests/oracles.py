@@ -2,7 +2,7 @@
 product and reductions for building test losses on the tape, the unfused
 ops (reshape, transpose, relu, ...) that a fused ``ad.matmul`` and
 ``ad.attention``, and the model's fused encoder and VAD nodes, must match
-bit for bit, brute-force CTC, a scorer that replays precomputed VAD scores,
+bit for bit, the per-window chunked context block, brute-force CTC, a scorer that replays precomputed VAD scores,
 and a writer of the posterior files that ``decode-posteriors`` reads."""
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 import vadasr.autodiff as ad
-from vadasr.errors import DataError, DimensionError, NumericError, UsageError
+from vadasr.errors import (DataError, DimensionError, LayoutError,
+                           NumericError, UsageError)
+from vadasr.chunking import ChunkLayout
 from vadasr.losses import _target_indices
-from vadasr.model import CONV1_WIDTH, CONV2_WIDTH
+from vadasr.model import (CONV1_WIDTH, CONV2_WIDTH, _context_layer,
+                          positional_encoding)
 
 BRUTEFORCE_LIMIT = 10 ** 6
 
@@ -84,7 +87,52 @@ def attention_unfused(q, k, v, n_heads: int):
         scores = ad.scale(ad.matmul(qs, transpose(ks)),
                           1.0 / math.sqrt(dh))
         heads.append(ad.matmul(softmax(scores, axis=-1), vs))
-    return ad.concat(heads, axis=1)
+    return concat(heads, axis=1)
+
+
+def concat(parts: Sequence, axis: int = 0):
+    """``np.concatenate`` of the parts' arrays; on a tape, a node whose
+    vjp splits the gradient back into the parts' shapes."""
+    arrays = [ad.value(p) for p in parts]
+    out = np.concatenate(arrays, axis=axis)
+    if not ad.taping():
+        return out
+    cuts = np.cumsum([x.shape[axis] for x in arrays[:-1]])
+    return ad.custom(out, parts, lambda g: tuple(np.split(g, cuts, axis=axis)))
+
+
+def stitch_outputs(per_chunk_outputs, layout: ChunkLayout):
+    """Join per-body outputs (tensors or arrays), in chunk order, into one
+    output of full stream length: a Tensor on a tape, where each body gets
+    its rows of the gradient, and an array without one. A lone body is
+    returned as it is, with no copy."""
+    if len(per_chunk_outputs) != len(layout.chunks):
+        raise LayoutError(f"{len(per_chunk_outputs)} outputs for "
+                          f"{len(layout.chunks)} chunks")
+    for out, ch in zip(per_chunk_outputs, layout.chunks):
+        if out.shape[0] != ch.body[1] - ch.body[0]:
+            raise LayoutError(f"chunk output rows {out.shape[0]} != body "
+                              f"length {ch.body[1] - ch.body[0]}")
+    if not per_chunk_outputs:
+        return ad.Tensor(np.zeros((0,)))
+    if len(per_chunk_outputs) == 1:
+        return per_chunk_outputs[0]
+    return concat(per_chunk_outputs, axis=0)
+
+
+def context_forward_per_window(Z, model, layout: ChunkLayout):
+    """``model.context_forward(Z, model, layout)`` as each chunk's own
+    chain: slice the chunk's window, run the whole layer on it, slice the
+    body's rows out, and stitch the bodies."""
+    T, d = ad.value(Z).shape
+    zp = ad.add(Z, positional_encoding(T, d))
+    bodies = []
+    for ch in layout.chunks:
+        (b0, b1), (w0, w1) = ch.body, ch.window
+        xw = ad.slice_axis(zp, w0, w1)
+        bodies.append(ad.slice_axis(_context_layer(xw, xw, model),
+                                    b0 - w0, b1 - w0))
+    return stitch_outputs(bodies, layout)
 
 
 def transpose(a) -> ad.Tensor:

@@ -24,7 +24,7 @@ from vadasr.audio import (
     frame_stream,
     gen_synthetic_corpus,
 )
-from vadasr.chunking import plan_chunks, stitch_outputs
+from vadasr.chunking import plan_chunks
 from vadasr.errors import InfeasibleTargetError
 from vadasr.losses import bce_loss, ctc_loss, mtl_loss
 from vadasr.metrics import (corpus_error_rate, error_report_from_counts,
@@ -52,7 +52,7 @@ from vadasr.trainer import (
 )
 
 from oracles import (ExternalScores, ctc_loss_bruteforce, finite_diff_check,
-                     mul, sum_all)
+                     mul, stitch_outputs, sum_all)
 
 
 def report(n: int, ok: bool, detail: str) -> None:

@@ -7,7 +7,7 @@ import vadasr.autodiff as ad
 from vadasr.errors import DimensionError, FormatError, NumericError, UsageError
 from vadasr.model import (ModelDims, ModelParams, encode_features,
                           encoder_weights, param_layout, vad_forward)
-from oracles import (attention_unfused, depthwise_conv1d,
+from oracles import (attention_unfused, concat, depthwise_conv1d,
                      depthwise_conv1d_taps, encode_unfused, exp,
                      finite_diff_check, matmul_unfused, mean_all, mul, relu,
                      reshape, sigmoid, signed_zeros, softmax, stacked_matmul,
@@ -135,6 +135,21 @@ class TestOpGradients:
         w = rng.normal(size=(3, 4))
         fd(lambda p: sum_all(mul(ad.attention(*p, n_heads), w)), [q, k, v])
 
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_attention_blocks(self, rng, n_heads):
+        # overlapping windows, a one-row body, a window clipped at each end
+        blocks = [((0, 1), (0, 3)), ((1, 4), (0, 6)), ((4, 5), (2, 5)),
+                  ((5, 7), (3, 7))]
+        q, k, v = (ad.Tensor(rng.normal(size=(7, 4))) for _ in "qkv")
+        w = rng.normal(size=(7, 4))
+        fd(lambda p: sum_all(mul(ad.attention(*p, n_heads, blocks), w)),
+           [q, k, v])
+        # a body's rows are its window's chain, sliced
+        out = ad.attention(q, k, v, n_heads, blocks)
+        for (b0, b1), (w0, w1) in blocks:
+            alone = ad.attention(*(t.data[w0:w1] for t in (q, k, v)), n_heads)
+            assert np.array_equal(out[b0:b1], alone[b0 - w0:b1 - w0])
+
     @pytest.mark.parametrize("shapes,n_heads", [
         (((3, 4), (5, 4), (6, 4)), 2),   # keys and values disagree
         (((3, 4), (5, 6), (5, 6)), 2),   # queries and keys disagree
@@ -177,7 +192,7 @@ class TestOpGradients:
         fd(f, [a])
         parts = [ad.Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
         wc = rng.normal(size=(6, 3))
-        fd(lambda p: sum_all(mul(ad.concat(p, axis=0), wc)), parts)
+        fd(lambda p: sum_all(mul(concat(p, axis=0), wc)), parts)
 
     def test_slice_bounds(self):
         a = ad.Tensor(np.ones((3, 3)))

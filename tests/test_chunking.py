@@ -1,4 +1,4 @@
-"""Chunk layout planning and output stitching."""
+"""Chunk layout planning, and the stitching of the per-window oracle."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,10 @@ from vadasr.chunking import (
     ChunkLayout,
     plan_chunks,
     sample_chunk_len,
-    stitch_outputs,
 )
 from vadasr.errors import InvalidSpecError, LayoutError
 
-from oracles import mul, sum_all
+from oracles import mul, stitch_outputs, sum_all
 
 
 class TestPlanChunks:
@@ -115,7 +114,7 @@ class TestStitch:
             assert np.array_equal(stitch_outputs(parts, layout), full)
 
     def test_tensors_join_on_the_tape(self, rng):
-        # the model stitches its chunk bodies with this function
+        # the per-window oracle stitches its chunk bodies with this function
         layout = plan_chunks(10, 4, 2, 2)
         full = rng.normal(size=(10, 3))
         weights = rng.normal(size=(10, 3))

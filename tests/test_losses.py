@@ -15,6 +15,7 @@ from vadasr.errors import (
 )
 from vadasr.losses import (
     bce_loss,
+    ctc_batch,
     ctc_forward_backward,
     ctc_loss,
     extend_with_blanks,
@@ -247,6 +248,55 @@ class TestCtcMatchesReference:
         logp = random_grid(rng, 6, 2).array
         logp[:, 1] = NEG_INF
         assert math.isinf(self.check(logp, np.array([0, 1]), 2)[0])
+
+
+    def test_step_batch_matches_single_pairs(self, rng):
+        # one recursion for a training step's pairs, padded to the longest:
+        # each pair gets its own single-pair call's loss and gradient bits
+        seen = {"T=1": 0, "empty": 0, "repeat": 0, "infeasible": 0,
+                "nan_row": 0, "neg_inf": 0, "mixed_T": 0}
+        for _ in range(400):
+            vocab_size = int(rng.integers(1, 6))
+            pairs = []
+            for _ in range(int(rng.integers(1, 7))):
+                T = 1 if rng.random() < 0.2 else int(rng.integers(2, 12))
+                logp, targets = draw_ctc_instance(
+                    rng, T, int(rng.integers(0, 5)), vocab_size)
+                if rng.random() < 0.1:
+                    logp[rng.integers(0, T)] = np.nan
+                pairs.append((logp, targets))
+            with np.errstate(invalid="ignore"):
+                batch = ctc_batch(*zip(*pairs), vocab_size)
+            assert len(batch) == len(pairs)
+            for (logp, targets), (loss, grad) in zip(pairs, batch):
+                single = self.check(logp, targets, vocab_size)
+                assert loss == single[0]
+                assert np.array_equal(grad, single[1], equal_nan=True)
+                seen["T=1"] += len(logp) == 1
+                seen["empty"] += len(targets) == 0
+                seen["repeat"] += bool(np.any(targets[1:] == targets[:-1]))
+                seen["infeasible"] += math.isinf(loss)
+                seen["nan_row"] += bool(np.isnan(logp).all(axis=1).any())
+                seen["neg_inf"] += bool(np.isneginf(logp).any())
+            seen["mixed_T"] += len({len(p[0]) for p in pairs}) > 1
+        assert min(seen.values()) > 0, seen
+
+    def test_step_nodes_on_their_tapes(self, rng):
+        # each node on the tape that recorded its grid, with the loss and
+        # gradient of its own call; a too-short grid gives None
+        grids = [random_grid(rng, T, 3) for T in (5, 2, 1, 8)]
+        targets = [("a", "b"), ("a", "a"), (), ("c", "c", "b")]
+        tapes = [ad.Tape() for _ in grids]
+        nodes = ctc_loss(grids, targets, tapes)
+        assert nodes[1] is None and len(tapes[1]) == 0
+        for grid, target, tape, node in zip(grids, targets, tapes, nodes):
+            if node is None:
+                continue
+            assert len(tape) == 1
+            one = gradient(lambda: ctc_loss(grid, target), grid.log_probs)
+            assert loss_value(node) == loss_value(ctc_loss(grid, target))
+            assert np.array_equal(ad.backward(tape, node)[grid.log_probs],
+                                  one)
 
 
 class TestCtcValidation:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import vadasr.autodiff as ad
+import vadasr.model as model_module
 from vadasr.audio import FrameSequence
-from vadasr.chunking import plan_chunks
+from vadasr.chunking import Chunk, ChunkLayout, plan_chunks
 from vadasr.errors import (
     DataError,
     DimensionError,
@@ -33,7 +34,8 @@ from vadasr.model import (
 )
 from vadasr.streamer import ModelDecoder, ModelScorer
 
-from oracles import finite_diff_check, mul, sum_all
+from oracles import (context_forward_per_window, finite_diff_check, mul,
+                     sum_all)
 
 VOCAB = ["a", "b", "c"]
 
@@ -309,6 +311,58 @@ class TestChunkedAttention:
         pert_frames = FrameSequence(frames=mod)
         pert = forward(pert_frames, model, layout).C.data
         assert np.allclose(base[:5], pert[:5], atol=1e-12)
+
+    @staticmethod
+    def random_layout(rng, T):
+        """Bodies tiling [0, T) at random cuts, each window reaching a
+        random number of rows (zero too) past its body, clipped at the
+        ends."""
+        cuts = rng.choice(np.arange(1, T), int(rng.integers(0, min(T, 7))),
+                          replace=False) if T > 1 else []
+        edges = [0, *sorted(int(c) for c in cuts), T]
+        return ChunkLayout(tuple(
+            Chunk((b0, b1), (max(0, b0 - int(rng.integers(0, T + 1))),
+                             min(T, b1 + int(rng.integers(0, T + 1)))))
+            for b0, b1 in zip(edges, edges[1:])), T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_layer_matches_per_window_oracle(self, monkeypatch, seed):
+        # the one-layer chunked block against the per-window chain (slice
+        # the window, run the layer, slice the body, stitch): C and the
+        # log-posteriors bit for bit, every parameter gradient to 1e-12
+        rng = np.random.default_rng(seed)
+        layouts = [plan_chunks(9, 1, 2, 2),     # one-row bodies
+                   plan_chunks(11, 3, 11, 11),  # windows clipped at both ends
+                   plan_chunks(7, 7),           # one covering chunk
+                   plan_chunks(10, 4)]          # zero context
+        layouts += [self.random_layout(rng, int(rng.integers(1, 31)))
+                    for _ in range(6)]
+        model = perturbed_model(seed=seed, n_heads=1 + seed % 2)
+        per_window = (lambda Z, m, layout, span:
+                      context_forward_per_window(Z, m, layout))
+        for layout in layouts:
+            frames = random_frames(rng, layout.total_T)
+            w = rng.normal(size=(layout.total_T, len(VOCAB) + 1))
+            runs = []
+            for patch in (False, True):
+                if patch:
+                    monkeypatch.setattr(model_module, "context_forward",
+                                        per_window)
+                with ad.Tape() as tape:
+                    art = forward(frames, model, layout)
+                    loss = sum_all(mul(art.log_posteriors.log_probs, w))
+                runs.append((art, ad.backward(tape, loss)))
+                monkeypatch.undo()
+            (art, grads), (ref, ref_grads) = runs
+            assert np.array_equal(art.C.data, ref.C.data)
+            assert np.array_equal(art.log_posteriors.array,
+                                  ref.log_posteriors.array)
+            for name, p in model.params.items():
+                assert (p in grads) == (p in ref_grads), name
+                if p in grads:
+                    scale = np.abs(ref_grads[p]).max()
+                    assert (np.abs(grads[p] - ref_grads[p]).max()
+                            <= 1e-12 * scale), name
 
     def test_layout_length_mismatch(self, rng):
         model = small_model()

@@ -366,9 +366,10 @@ class TestSharedEncoderRows:
         shapes = []
         attention = ad.attention
 
-        def spy(q, k, v, n_heads):
+        def spy(q, k, v, n_heads, blocks):
+            assert blocks is None  # a decoded window is one block
             shapes.append((len(ad.value(q)), len(ad.value(k))))
-            return attention(q, k, v, n_heads)
+            return attention(q, k, v, n_heads, blocks)
 
         monkeypatch.setattr(ad, "attention", spy)
         scores = vad_score_frames(frames, model).data

@@ -164,8 +164,7 @@ class Hypothesis:
 def _grid_array(grid) -> np.ndarray:
     """The grid's log-probabilities; a NaN ranks arbitrarily and +inf makes
     NaN masses, so both raise DataError, while -inf is probability 0."""
-    lp = grid.log_probs
-    arr = lp.data if hasattr(lp, "data") else np.asarray(lp)
+    arr = grid.array
     if not (arr < math.inf).all():
         raise DataError("posterior grid holds NaN or +inf")
     return arr

@@ -27,18 +27,13 @@ def extend_with_blanks(targets: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
-def ctc_forward_backward(log_probs: np.ndarray, targets: np.ndarray,
-                         blank: int) -> tuple[float, np.ndarray]:
-    """log_probs: (T, K), T >= 1; targets: (L,) int indices, no blanks.
-    Returns (loss, grad): -log p_CTC(targets | log_probs) and its gradient
-    w.r.t. log_probs, or (inf, zeros) for an infeasible target."""
-    return ctc_batch([log_probs], [targets], blank)[0]
-
-
 def ctc_batch(log_probs: list[np.ndarray], targets: list[np.ndarray],
               blank: int) -> list[tuple[float, np.ndarray]]:
-    """``ctc_forward_backward`` of each pair, from one log-space alpha/beta
-    recursion over the blank-extended targets (Graves et al. 2006).
+    """Each pair's (loss, grad), for log_probs (T, K), T >= 1, and targets
+    (L,) int indices, no blanks: -log p_CTC(targets | log_probs) and its
+    gradient w.r.t. log_probs, or (inf, zeros) for an infeasible target.
+    One log-space alpha/beta recursion over the blank-extended targets
+    serves the batch (Graves et al. 2006).
 
     Alpha and beta advance together, one step of each per iteration: row 0
     is alpha, row 1 is beta with both time and states reversed, so each row

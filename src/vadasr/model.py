@@ -16,8 +16,8 @@ hidden features; its speech probability), each running its numpy
 arithmetic in one function for both; the rest is ``autodiff`` primitives.
 The fused nodes read their weights as the arrays ``encoder_weights`` and
 ``vad_weights`` lay out, record the stored parameters as their parents and
-return gradients in the stored shapes. ``forward`` and
-``vad_score_frames`` return Tensors either way.
+return gradients in the stored shapes. The speech probabilities of
+``forward`` and ``vad_score_frames`` are Tensors either way.
 """
 
 from __future__ import annotations
@@ -90,16 +90,6 @@ class PosteriorGrid:
 
     def __len__(self):
         return self.log_probs.shape[0]
-
-
-@dataclass
-class ForwardArtifacts:
-    Z: ad.Tensor                 # (T, d) encoder latents
-    H_vad: ad.Tensor             # (T, d) VAD hidden features
-    speech_probs: ad.Tensor | None  # (T,); None from a span's forward
-    C: ad.Tensor                 # (T, d) context vectors, or the span's rows
-    G: ad.Tensor                 # (T, d) fused vectors, or the span's rows
-    log_posteriors: PosteriorGrid  # the span's rows from a span's forward
 
 
 _POSENC_CACHE: dict[int, np.ndarray] = {}
@@ -422,22 +412,15 @@ def asr_head(G, model: ModelParams) -> PosteriorGrid:
                          blank_index=len(model.vocab))
 
 
-def forward(frames: FrameSequence | None, model: ModelParams,
-            layout: ChunkLayout | None = None, Z=None,
-            span: tuple[int, int] | None = None) -> ForwardArtifacts:
-    """The whole network. On a tape every artifact is a taped Tensor;
-    without one it runs on plain arrays, wrapped as Tensors only here.
-    ``Z``, if given, is the frames' (T, d) encoder rows, already made (the
-    encoder is frame-local, so row by row); ``frames`` is then not read.
-    ``span`` (see ``context_forward``) gives ``C``, ``G`` and the
-    posteriors of the span's rows only, and no speech probabilities."""
-    if Z is None:
-        Z = encode_features(frames, model)
+def forward(Z, model: ModelParams, layout: ChunkLayout | None = None,
+            span: tuple[int, int] | None = None
+            ) -> tuple[PosteriorGrid, ad.Tensor | None]:
+    """The network after the encoder, from the (T, d) encoder rows ``Z``:
+    the posterior grid and the (T,) speech probabilities. On a tape both
+    are taped; without one it runs on plain arrays, and the probabilities
+    are wrapped as a Tensor only here. ``span`` (see ``context_forward``)
+    gives the grid of the span's rows only, and no speech probabilities."""
     h_vad, probs = vad_forward(Z, model, probs=span is None)
     C = context_forward(Z, model, layout, span)
-    G = cross_task_attend(C, h_vad, model, span)
-    grid = asr_head(G, model)
-    t = ad.tensor
-    return ForwardArtifacts(Z=t(Z), H_vad=t(h_vad),
-                            speech_probs=probs if probs is None else t(probs),
-                            C=t(C), G=t(G), log_posteriors=grid)
+    grid = asr_head(cross_task_attend(C, h_vad, model, span), model)
+    return grid, probs if probs is None else ad.tensor(probs)

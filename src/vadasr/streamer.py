@@ -141,7 +141,7 @@ class ModelDecoder:
     def __call__(self, window: np.ndarray, span_start: int,
                  span_len: int) -> tuple[str, ...]:
         span = (span_start, span_start + span_len)
-        grid = forward(None, self.model, Z=window, span=span).log_posteriors
+        grid = forward(window, self.model, span=span)[0]
         return (greedy_decode(grid) if self.beam is None
                 else beam_search(grid, self.beam)[0].tokens)
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, model as net
 from .audio import (FRAME_SAMPLES, FrameSequence, SampleBuffer, Utterance,
                     draw_frames, frame_stream, to_frames)
 from .chunking import plan_chunks, sample_chunk_len
@@ -133,36 +133,27 @@ def clip_gradients(grad: np.ndarray, parts: Sequence[np.ndarray],
 
 def _forward(model: ModelParams, frames: FrameSequence, config: TrainConfig,
              layout):
-    """What ``config.stage``'s loss reads of one utterance's forward, on the
-    active tape: the speech probabilities if VAD-only, else every artifact."""
-    return (vad_score_frames(frames, model) if config.stage == "vad_only"
-            else forward(frames, model, layout))
+    """One utterance's posterior grid (None if VAD-only) and speech
+    probabilities, on the active tape."""
+    if config.stage == "vad_only":
+        return None, vad_score_frames(frames, model)
+    return forward(net.encode_features(frames, model), model, layout)
 
 
-def _loss(out, utt: Utterance, config: TrainConfig, ctc
+def _loss(probs, utt: Utterance, config: TrainConfig, ctc
           ) -> tuple[ad.Tensor, float, float]:
     """The loss node ``config.stage`` minimises for one utterance, from its
-    ``_forward`` output and its CTC node (None when VAD-only), and the CTC
+    speech probabilities and its CTC node (None when VAD-only), and the CTC
     and BCE values for the curves (CTC 0 when VAD-only)."""
-    if config.stage == "vad_only":
-        bce = bce_loss(out, utt.speech_mask)
-        return bce, 0.0, float(bce.data)
     if config.stage == "asr_only":  # BCE for its curve, on a tape of its own
         with ad.Tape():
-            bce = bce_loss(out.speech_probs, utt.speech_mask)
+            bce = bce_loss(probs, utt.speech_mask)
         return ctc, float(ctc.data), float(bce.data)
-    bce = bce_loss(out.speech_probs, utt.speech_mask)
+    bce = bce_loss(probs, utt.speech_mask)
+    if config.stage == "vad_only":
+        return bce, 0.0, float(bce.data)
     return (mtl_loss(ctc, bce, config.vad_weight), float(ctc.data),
             float(bce.data))
-
-
-def _utterance_loss(model: ModelParams, utt: Utterance, frames: FrameSequence,
-                    config: TrainConfig, layout
-                    ) -> tuple[ad.Tensor, float, float]:
-    """``_loss`` of one utterance on the active tape: a step of one."""
-    out = _forward(model, frames, config, layout)
-    return _loss(out, utt, config, None if config.stage == "vad_only"
-                 else ctc_loss(out.log_posteriors, utt.transcript))
 
 
 def _run_training(model: ModelParams, corpus: Sequence[Utterance],
@@ -206,17 +197,17 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
                           if body_frames is not None else None)
                 with ad.Tape() as tape:
                     taped.append((tape, utt,
-                                  _forward(model, frames, config, layout)))
+                                  *_forward(model, frames, config, layout)))
             ctcs = ([None] * len(taped) if config.stage == "vad_only" else
-                    ctc_loss([out.log_posteriors for _, _, out in taped],
-                             [utt.transcript for _, utt, _ in taped],
-                             [tape for tape, _, _ in taped]))
-            for (tape, utt, out), ctc in zip(taped, ctcs):
+                    ctc_loss([grid for _, _, grid, _ in taped],
+                             [utt.transcript for _, utt, _, _ in taped],
+                             [tape for tape, _, _, _ in taped]))
+            for (tape, utt, _, probs), ctc in zip(taped, ctcs):
                 if ctc is None and config.stage != "vad_only":  # infeasible
                     report.skipped_infeasible += 1
                     continue
                 with tape:
-                    node, ctc_val, ce_val = _loss(out, utt, config, ctc)
+                    node, ctc_val, ce_val = _loss(probs, utt, config, ctc)
                     gmap = ad.backward(tape, node)
                 for t, part in zip(trained.values(), parts):
                     g = gmap.get(t)
@@ -370,11 +361,12 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
     if mode == "segmented":
         pairs, probs = [], []
         for utt in corpus:
-            art = forward(frame_stream(utt.audio), model)
-            hyp = (greedy_decode(art.log_posteriors) if beam is None
-                   else beam_search(art.log_posteriors, beam)[0].tokens)
+            grid, speech = forward(
+                net.encode_features(frame_stream(utt.audio), model), model)
+            hyp = (greedy_decode(grid) if beam is None
+                   else beam_search(grid, beam)[0].tokens)
             pairs.append((utt.transcript, hyp))
-            probs.append(art.speech_probs.data)
+            probs.append(speech.data)
         rep = corpus_error_rate(pairs)
         return {**rep.as_dict(), **_vad_report(corpus, probs),
                 "n_utts": len(corpus)}

@@ -2,7 +2,9 @@
 product and reductions for building test losses on the tape, the unfused
 ops (reshape, transpose, relu, ...) that a fused ``ad.matmul`` and
 ``ad.attention``, and the model's fused encoder and VAD nodes, must match
-bit for bit, the per-window chunked context block, brute-force CTC, a scorer that replays precomputed VAD scores,
+bit for bit, the per-window chunked context block, the network's
+intermediate outputs by stage, brute-force CTC, a scorer that replays
+precomputed VAD scores,
 and a writer of the posterior files that ``decode-posteriors`` reads."""
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from vadasr.errors import (DataError, DimensionError, LayoutError,
 from vadasr.chunking import ChunkLayout
 from vadasr.losses import _target_indices
 from vadasr.model import (CONV1_WIDTH, CONV2_WIDTH, _context_layer,
-                          positional_encoding)
+                          context_forward, cross_task_attend, forward,
+                          positional_encoding, vad_forward)
 
 BRUTEFORCE_LIMIT = 10 ** 6
 
@@ -133,6 +136,18 @@ def context_forward_per_window(Z, model, layout: ChunkLayout):
         bodies.append(ad.slice_axis(_context_layer(xw, xw, model),
                                     b0 - w0, b1 - w0))
     return stitch_outputs(bodies, layout)
+
+
+def forward_stages(Z, model, layout: ChunkLayout | None = None) -> dict:
+    """The encoder rows ``Z``; the VAD hidden features, context vectors and
+    fused vectors that the stages make from them; and ``forward``'s
+    log-posteriors and speech probabilities, by name."""
+    H_vad = vad_forward(Z, model)[0]
+    C = context_forward(Z, model, layout)
+    grid, probs = forward(Z, model, layout)
+    return {"Z": Z, "H_vad": H_vad, "C": C,
+            "G": cross_task_attend(C, H_vad, model),
+            "log_posteriors": grid.log_probs, "speech_probs": probs}
 
 
 def transpose(a) -> ad.Tensor:

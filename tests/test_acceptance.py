@@ -35,6 +35,7 @@ from vadasr.model import (
     ModelParams,
     PosteriorGrid,
     cross_task_attend,
+    encode_features,
     forward,
 )
 from vadasr.streamer import (
@@ -157,9 +158,9 @@ def test_criterion_2_gradient_checks():
         picked = [model.params[n] for n in rng.choice(names, 2, replace=False)]
 
         def f_mtl(params):
-            art = forward(frames, model)
-            ctc = ctc_loss(art.log_posteriors, target)
-            ce = bce_loss(art.speech_probs, mask)
+            grid, probs = forward(encode_features(frames, model), model)
+            ctc = ctc_loss(grid, target)
+            ce = bce_loss(probs, mask)
             return mtl_loss(ctc, ce, vad_weight=1.5)
 
         worst["mtl"] = max(worst["mtl"], finite_diff_check(f_mtl, picked))
@@ -306,9 +307,9 @@ def test_criterion_5_chunking_identity():
     rng = np.random.default_rng(505)
     model = ModelParams.init(default_vocab(3), seed=5)
     frames = FrameSequence(rng.normal(0.0, 0.1, size=(12, FRAME_SAMPLES)))
-    plain = forward(frames, model).log_posteriors.array
-    single = forward(frames, model,
-                     layout=plan_chunks(12, 12)).log_posteriors.array
+    Z = encode_features(frames, model)
+    plain = forward(Z, model)[0].array
+    single = forward(Z, model, layout=plan_chunks(12, 12))[0].array
     max_diff = float(np.max(np.abs(plain - single)))
 
     coverage_failures = 0

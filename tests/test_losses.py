@@ -16,7 +16,6 @@ from vadasr.errors import (
 from vadasr.losses import (
     bce_loss,
     ctc_batch,
-    ctc_forward_backward,
     ctc_loss,
     extend_with_blanks,
     min_frames_required,
@@ -32,8 +31,8 @@ NEG_INF = -np.inf
 
 def reference_ctc_forward_backward(log_probs, targets, blank):
     """Oracle: the CTC kernel as first written, alpha over all frames and
-    then beta, each step concatenating its shifted states.
-    ``ctc_forward_backward`` must return exactly this."""
+    then beta, each step concatenating its shifted states. ``ctc_batch``
+    must return exactly this for a batch of one."""
     T, K = log_probs.shape
     ext = extend_with_blanks(np.asarray(targets, dtype=np.int64), blank)
     S = len(ext)
@@ -200,13 +199,13 @@ def draw_ctc_instance(rng, T, n_tokens, vocab_size):
 
 
 class TestCtcMatchesReference:
-    """``ctc_forward_backward`` returns the two-loop kernel's loss and
+    """``ctc_batch`` of one pair returns the two-loop kernel's loss and
     gradient bit for bit, NaN entries included, not just close ones."""
 
     @staticmethod
     def check(logp, targets, blank):
         with np.errstate(invalid="ignore"):  # NaN entries
-            loss, grad = ctc_forward_backward(logp, targets, blank)
+            loss, grad = ctc_batch([logp], [targets], blank)[0]
             ref_loss, ref_grad = reference_ctc_forward_backward(
                 logp, targets, blank)
         assert loss == ref_loss
@@ -373,8 +372,8 @@ class TestMtl:
         ctc = ctc_loss(grid, ("a",))
         ce = bce_loss(probs, y)
         # the parts are the plain CTC and BCE values
-        assert loss_value(ctc) == ctc_forward_backward(
-            grid.array, np.array([0]), grid.blank_index)[0]
+        assert loss_value(ctc) == ctc_batch(
+            [grid.array], [np.array([0])], grid.blank_index)[0][0]
         assert loss_value(ce) == pytest.approx(
             -np.mean(np.where(y, np.log(probs), np.log(1.0 - probs))),
             abs=1e-12)
@@ -398,8 +397,8 @@ class TestMtl:
             m = mtl_loss(ctc_loss(grid, ("a", "b")), bce_loss(probs, y),
                          vad_weight=w)
             grads = ad.backward(tape, m)
-        _, ctc_grad = ctc_forward_backward(grid.array, np.array([0, 1]),
-                                           grid.blank_index)
+        _, ctc_grad = ctc_batch([grid.array], [np.array([0, 1])],
+                                grid.blank_index)[0]
         assert np.allclose(grads[grid.log_probs], ctc_grad)
         assert np.allclose(grads[probs],
                            w * gradient(lambda: bce_loss(probs, y), probs))
@@ -413,6 +412,6 @@ def test_extend_with_blanks():
 def test_infeasible_returns_inf(rng):
     # the kernel itself, below ctc_loss's frame-count check
     logp = random_grid(rng, 2, 2).array
-    loss, grad = ctc_forward_backward(logp, np.array([0, 0]), 2)
+    loss, grad = ctc_batch([logp], [np.array([0, 0])], 2)[0]
     assert np.isinf(loss)
     assert np.all(grad == 0.0)

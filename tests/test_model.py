@@ -1,7 +1,6 @@
 """Shape contracts, structural identities, and chunked-attention equivalence."""
 
 import ast
-import dataclasses
 import json
 from pathlib import Path
 
@@ -21,10 +20,10 @@ from vadasr.errors import (
 )
 from vadasr.model import (
     FRAME_SAMPLES,
-    ForwardArtifacts,
     ModelDims,
     ModelParams,
     _mha,
+    context_forward,
     cross_task_attend,
     encode_features,
     forward,
@@ -34,8 +33,8 @@ from vadasr.model import (
 )
 from vadasr.streamer import ModelDecoder, ModelScorer
 
-from oracles import (context_forward_per_window, finite_diff_check, mul,
-                     sum_all)
+from oracles import (context_forward_per_window, finite_diff_check,
+                     forward_stages, mul, sum_all)
 
 VOCAB = ["a", "b", "c"]
 
@@ -78,18 +77,21 @@ class TestShapes:
     def test_forward_shapes(self, rng):
         model = small_model()
         T = 9
-        art = forward(random_frames(rng, T), model)
+        Z = encode_features(random_frames(rng, T), model)
+        H_vad = vad_forward(Z, model)[0]
+        C = context_forward(Z, model)
+        grid, probs = forward(Z, model)
         d = model.dims.d_model
-        assert art.Z.shape == (T, d)
-        assert art.H_vad.shape == (T, d)
-        assert art.speech_probs.shape == (T,)
-        assert art.C.shape == (T, d)
-        assert art.G.shape == (T, d)
-        assert art.log_posteriors.array.shape == (T, len(VOCAB) + 1)
+        assert Z.shape == (T, d)
+        assert H_vad.shape == (T, d)
+        assert probs.shape == (T,)
+        assert C.shape == (T, d)
+        assert cross_task_attend(C, H_vad, model).shape == (T, d)
+        assert grid.array.shape == (T, len(VOCAB) + 1)
         # posterior rows normalize
-        assert np.allclose(np.exp(art.log_posteriors.array).sum(axis=1), 1.0)
+        assert np.allclose(np.exp(grid.array).sum(axis=1), 1.0)
         # speech probs are probabilities
-        p = art.speech_probs.data
+        p = probs.data
         assert np.all((p > 0) & (p < 1))
 
     def test_empty_input_rejected(self):
@@ -164,7 +166,7 @@ class TestStructuralIdentities:
         before = model.attention_evals
         vad_score_frames(random_frames(rng, 6), model)
         assert model.attention_evals == before
-        forward(random_frames(rng, 6), model)
+        forward(encode_features(random_frames(rng, 6), model), model)
         assert model.attention_evals == before + 2  # context + cross-task
         # streaming: scoring a stream frame by frame never attends, and
         # each decoded window attends twice
@@ -225,7 +227,7 @@ class TestStructuralIdentities:
         model = small_model()
         frames = random_frames(rng, 7)
         cheap = vad_score_frames(frames, model).data
-        full = forward(frames, model).speech_probs.data
+        full = forward(encode_features(frames, model), model)[1].data
         assert np.array_equal(cheap, full)
 
     def test_zero_value_projection_makes_fusion_identity(self, rng):
@@ -233,19 +235,24 @@ class TestStructuralIdentities:
         model = small_model()
         model.params["xattn_wv"] = ad.Tensor(
             np.zeros_like(model.params["xattn_wv"].data), name="xattn_wv")
-        art = forward(random_frames(rng, 6), model)
-        assert np.allclose(art.G.data, art.C.data, atol=1e-14)
+        Z = encode_features(random_frames(rng, 6), model)
+        C = context_forward(Z, model)
+        G = cross_task_attend(C, vad_forward(Z, model)[0], model)
+        assert np.allclose(G, C, atol=1e-14)
 
     def test_single_frame_attention_is_identity_weight(self, rng):
         # with T = 1 the attention weight is exactly 1, so fused output is
         # C + (v W_o) for the single value row
         model = small_model()
         frames = random_frames(rng, 1)
-        art = forward(frames, model)
+        Z = encode_features(frames, model)
+        H_vad = vad_forward(Z, model)[0]
+        C = context_forward(Z, model)
         p = model.params
-        v = art.H_vad.data @ p["xattn_wv"].data
-        expect = art.C.data + v @ p["xattn_wo"].data
-        assert np.allclose(art.G.data, expect, atol=1e-12)
+        v = H_vad @ p["xattn_wv"].data
+        expect = C + v @ p["xattn_wo"].data
+        assert np.allclose(cross_task_attend(C, H_vad, model), expect,
+                           atol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_mha_records_five_nodes(self, rng, n_heads):
@@ -270,33 +277,30 @@ class TestStructuralIdentities:
 class TestChunkedAttention:
     def test_single_covering_chunk_equals_unchunked(self, rng):
         model = small_model()
-        frames = random_frames(rng, 12)
-        whole = forward(frames, model, plan_chunks(12, 12))
-        default = forward(frames, model, None)
-        assert np.allclose(whole.log_posteriors.array,
-                           default.log_posteriors.array, atol=1e-12)
+        Z = encode_features(random_frames(rng, 12), model)
+        whole = forward(Z, model, plan_chunks(12, 12))[0]
+        default = forward(Z, model, None)[0]
+        assert np.allclose(whole.array, default.array, atol=1e-12)
 
     def test_full_context_chunks_equal_unchunked(self, rng):
         # chunks whose contexts reach both stream ends see everything, so
         # the result must match the unchunked forward
         model = small_model()
         T = 10
-        frames = random_frames(rng, T)
+        Z = encode_features(random_frames(rng, T), model)
         layout = plan_chunks(T, body_len=4, left_len=T, right_len=T)
-        chunked = forward(frames, model, layout)
-        whole = forward(frames, model, None)
-        assert np.allclose(chunked.log_posteriors.array,
-                           whole.log_posteriors.array, atol=1e-9)
+        chunked = forward(Z, model, layout)[0]
+        whole = forward(Z, model, None)[0]
+        assert np.allclose(chunked.array, whole.array, atol=1e-9)
 
     def test_narrow_context_changes_output(self, rng):
         model = small_model()
         T = 20
-        frames = random_frames(rng, T)
+        Z = encode_features(random_frames(rng, T), model)
         layout = plan_chunks(T, body_len=5, left_len=2, right_len=2)
-        chunked = forward(frames, model, layout)
-        whole = forward(frames, model, None)
-        assert not np.allclose(chunked.log_posteriors.array,
-                               whole.log_posteriors.array, atol=1e-6)
+        chunked = forward(Z, model, layout)[0]
+        whole = forward(Z, model, None)[0]
+        assert not np.allclose(chunked.array, whole.array, atol=1e-6)
 
     def test_body_rows_depend_only_on_window(self, rng):
         # perturbing a frame outside a chunk's window leaves that chunk's
@@ -305,11 +309,12 @@ class TestChunkedAttention:
         T = 20
         layout = plan_chunks(T, body_len=5, left_len=3, right_len=3)
         frames = random_frames(rng, T)
-        base = forward(frames, model, layout).C.data
+        base = context_forward(encode_features(frames, model), model, layout)
         mod = frames.frames.copy()
         mod[19] += 1.0  # outside window of chunk 0 ([0, 8))
         pert_frames = FrameSequence(frames=mod)
-        pert = forward(pert_frames, model, layout).C.data
+        pert = context_forward(encode_features(pert_frames, model), model,
+                               layout)
         assert np.allclose(base[:5], pert[:5], atol=1e-12)
 
     @staticmethod
@@ -349,14 +354,16 @@ class TestChunkedAttention:
                     monkeypatch.setattr(model_module, "context_forward",
                                         per_window)
                 with ad.Tape() as tape:
-                    art = forward(frames, model, layout)
-                    loss = sum_all(mul(art.log_posteriors.log_probs, w))
-                runs.append((art, ad.backward(tape, loss)))
+                    grid = forward(encode_features(frames, model), model,
+                                   layout)[0]
+                    loss = sum_all(mul(grid.log_probs, w))
+                C = model_module.context_forward(
+                    encode_features(frames, model), model, layout, None)
+                runs.append((C, grid, ad.backward(tape, loss)))
                 monkeypatch.undo()
-            (art, grads), (ref, ref_grads) = runs
-            assert np.array_equal(art.C.data, ref.C.data)
-            assert np.array_equal(art.log_posteriors.array,
-                                  ref.log_posteriors.array)
+            (C, grid, grads), (ref_C, ref, ref_grads) = runs
+            assert np.array_equal(ad.value(C), ad.value(ref_C))
+            assert np.array_equal(grid.array, ref.array)
             for name, p in model.params.items():
                 assert (p in grads) == (p in ref_grads), name
                 if p in grads:
@@ -366,15 +373,16 @@ class TestChunkedAttention:
 
     def test_layout_length_mismatch(self, rng):
         model = small_model()
-        frames = random_frames(rng, 8)
+        Z = encode_features(random_frames(rng, 8), model)
         with pytest.raises(LayoutError):
-            forward(frames, model, plan_chunks(9, 9))
+            forward(Z, model, plan_chunks(9, 9))
 
 
 class TestSpanQueries:
     """A span's forward computes C, G and the posteriors for the span's rows
     only, attending over every row's keys and values: its rows are the full
-    forward's rows of the span."""
+    forward's rows of the span. C and G are read from the stages that make
+    them, with the span's arguments."""
 
     T = 23
     SPANS = {"from-row-0": (0, 7), "to-last-row": (15, 23),
@@ -386,40 +394,47 @@ class TestSpanQueries:
     def test_span_rows_match_full_forward(self, seed, n_heads):
         rng = np.random.default_rng(seed)
         model = perturbed_model(seed=seed, n_heads=n_heads)
-        full = forward(random_frames(rng, self.T), model)
-        Z = full.Z.data
+        Z = encode_features(random_frames(rng, self.T), model)
+        H_vad = vad_forward(Z, model)[0]
+        # a span's forward runs the VAD head without its probabilities
+        assert np.array_equal(vad_forward(Z, model, probs=False)[0], H_vad)
+
+        def rows(span):
+            C = context_forward(Z, model, span=span)
+            grid, probs = forward(Z, model, span=span)
+            return probs, {"C": C, "G": cross_task_attend(C, H_vad, model, span),
+                           "log_posteriors": grid.log_probs}
+
+        full = rows(None)[1]
         for name, (a, b) in self.SPANS.items():
-            part = forward(None, model, Z=Z, span=(a, b))
+            probs, part = rows((a, b))
             with ad.Tape() as tape:
-                taped = forward(None, model, Z=Z, span=(a, b))
+                taped_probs, taped = rows((a, b))
             assert len(tape) > 0
-            assert part.speech_probs is None and taped.speech_probs is None
-            assert np.array_equal(part.H_vad.data, full.H_vad.data)
+            assert probs is None and taped_probs is None
             for field in ("C", "G", "log_posteriors"):
-                got, on_tape, ref = (getattr(x, field)
+                got, on_tape, ref = (ad.value(x[field])
                                      for x in (part, taped, full))
-                if field == "log_posteriors":
-                    got, on_tape, ref = (x.log_probs
-                                         for x in (got, on_tape, ref))
                 assert got.shape[0] == b - a, (name, field)
-                assert np.array_equal(got.data, on_tape.data), (name, field)
+                assert np.array_equal(got, on_tape), (name, field)
                 if name == "whole-window":
-                    assert np.array_equal(got.data, ref.data), field
+                    assert np.array_equal(got, ref), field
                 else:
-                    assert np.abs(got.data - ref.data[a:b]).max() <= 1e-12, (
+                    assert np.abs(got - ref[a:b]).max() <= 1e-12, (
                         name, field)
 
     @pytest.mark.parametrize("span", [(-1, 3), (3, 3), (5, 2), (4, 9)])
     def test_span_outside_rows_rejected(self, rng, span):
         model = small_model()
         with pytest.raises(DimensionError, match="span"):
-            forward(random_frames(rng, 8), model, span=span)
+            forward(encode_features(random_frames(rng, 8), model), model,
+                    span=span)
 
     def test_span_with_layout_rejected(self, rng):
         model = small_model()
         with pytest.raises(DimensionError, match="without a layout"):
-            forward(random_frames(rng, 8), model, plan_chunks(8, 8),
-                    span=(0, 4))
+            forward(encode_features(random_frames(rng, 8), model), model,
+                    plan_chunks(8, 8), span=(0, 4))
 
 
 class TestOffTheTape:
@@ -437,15 +452,16 @@ class TestOffTheTape:
         layouts = [None, plan_chunks(T, body_len=5, left_len=3, right_len=2)]
         for layout in layouts:
             with ad.Tape() as tape:
-                taped = forward(frames, model, layout)
+                taped = forward_stages(encode_features(frames, model), model,
+                                       layout)
             assert len(tape) > 0
-            plain = forward(frames, model, layout)
-            for field in dataclasses.fields(ForwardArtifacts):
-                a, b = getattr(taped, field.name), getattr(plain, field.name)
-                if field.name == "log_posteriors":
-                    a, b = a.log_probs, b.log_probs
-                assert isinstance(b, ad.Tensor), field.name
-                assert np.array_equal(a.data, b.data), field.name
+            plain = forward_stages(encode_features(frames, model), model,
+                                   layout)
+            for name in ("log_posteriors", "speech_probs"):
+                assert isinstance(plain[name], ad.Tensor), name
+            for name in taped:
+                assert np.array_equal(ad.value(taped[name]),
+                                      ad.value(plain[name])), name
         with ad.Tape():
             taped = vad_score_frames(frames, model)
         plain = vad_score_frames(frames, model)
@@ -480,10 +496,10 @@ class TestGradients:
         wp = rng.normal(size=4)
 
         def f(params):
-            art = forward(frames, model, layout)
-            return ad.add(
-                sum_all(mul(art.log_posteriors.log_probs, w)),
-                sum_all(mul(art.speech_probs, wp)))
+            grid, probs = forward(encode_features(frames, model), model,
+                                  layout)
+            return ad.add(sum_all(mul(grid.log_probs, w)),
+                          sum_all(mul(probs, wp)))
 
         assert finite_diff_check(f, tensors) < 1e-4
 
@@ -497,8 +513,8 @@ class TestSaveLoad:
         assert back.vocab == model.vocab
         assert back.dims == model.dims
         frames = random_frames(rng, 5)
-        a = forward(frames, model).log_posteriors.array
-        b = forward(frames, back).log_posteriors.array
+        a = forward(encode_features(frames, model), model)[0].array
+        b = forward(encode_features(frames, back), back)[0].array
         assert np.array_equal(a, b)
 
     def test_tensors_checked_against_sidecar_dims(self, tmp_path):

@@ -56,9 +56,9 @@ def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
     windows = []
     forward = streamer.forward
 
-    def spy(frames, m, layout=None, Z=None, span=None):
+    def spy(Z, m, layout=None, span=None):
         windows.append(len(Z))
-        return forward(frames, m, layout, Z, span)
+        return forward(Z, m, layout, span)
 
     monkeypatch.setattr(streamer, "forward", spy)
     rec = spans.Recorder()
@@ -109,7 +109,10 @@ def test_stream_checks_pass_on_a_model_scored_stream(perfbench):
 def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):
     # the plan_chunks hook reads each layout's chunks, their windows and
     # total_T: on a traced epoch its counts equal those of the layouts the
-    # trainer planned
+    # trainer planned. The encoder hook wraps vadasr.model.encode_features,
+    # and the forward hook reads the model at positional argument 1: every
+    # frame is encoded once through the wrapped name, and each utterance's
+    # forward attends twice
     _, layers, spans, _ = perfbench
     layouts = []
     plan = trainer.plan_chunks
@@ -135,6 +138,9 @@ def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):
         w1 - w0 for w0, w1 in (ch.window for ch in chunks))
     assert rec.counts["chunk_body_frames"] == sum(
         b1 - b0 for b0, b1 in (ch.body for ch in chunks))
+    assert rec.counts["encoded_frames"] == sum(
+        len(frame_stream(u.audio)) for u in corpus)
+    assert rec.counts["attention_evals"] == 2 * len(corpus)
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """The online state machine against its offline reference, invariants, and
 event file I/O."""
 
-import dataclasses
 import json
 import re
 
@@ -15,9 +14,8 @@ from vadasr.chunking import plan_chunks
 from vadasr.decode import BeamConfig, beam_search, greedy_decode
 from vadasr.errors import (DataError, DimensionError, InvalidSpecError,
                            UsageError)
-from vadasr.model import (ForwardArtifacts, ModelDims, ModelParams,
-                          PosteriorGrid, encode_features, forward,
-                          vad_score_frames)
+from vadasr.model import (ModelDims, ModelParams, PosteriorGrid,
+                          encode_features, vad_score_frames)
 from vadasr.streamer import (
     END_OF_UTT,
     FINALIZE,
@@ -34,7 +32,7 @@ from vadasr.streamer import (
     write_events,
 )
 
-from oracles import ExternalScores
+from oracles import ExternalScores, forward_stages
 
 SMALL = StreamerConfig(vad_threshold=0.5, min_speech_frames=2,
                        min_silence_frames=3, max_chunk_frames=10,
@@ -293,18 +291,16 @@ class TestSharedEncoderRows:
         T = len(frames)
         for layout in (None, plan_chunks(T, body_len=5, left_len=3,
                                          right_len=2)):
-            from_frames = forward(frames, model, layout)
-            from_rows = forward(None, model, layout, Z=Z)
-            for field in dataclasses.fields(ForwardArtifacts):
-                a = getattr(from_frames, field.name)
-                b = getattr(from_rows, field.name)
-                if field.name == "log_posteriors":
-                    a, b = a.log_probs, b.log_probs
-                assert np.array_equal(a.data, b.data), field.name
+            from_frames = forward_stages(encode_features(frames, model),
+                                         model, layout)
+            from_rows = forward_stages(Z, model, layout)
+            for name, a in from_frames.items():
+                assert np.array_equal(ad.value(a),
+                                      ad.value(from_rows[name])), name
 
         # each window that a model-scored stream, pushed frame by frame with
         # forced and end-of-utterance flushes, decodes from its scorer's rows
-        # has the artifacts and the text of the forward from its frames
+        # has the stages' outputs and the text of the forward from its frames
         cfg = StreamerConfig(vad_threshold=float(np.median(scores)),
                              min_speech_frames=2, min_silence_frames=3,
                              max_chunk_frames=6, splice_frames=2)
@@ -322,16 +318,13 @@ class TestSharedEncoderRows:
                 assert span_len == ev.end - ev.start
                 ws = ev.start - span_start
                 x = FrameSequence(frames.frames[ws:ws + len(window)])
-                from_frames = forward(x, model)
-                from_rows = forward(None, model, Z=window)
-                for field in dataclasses.fields(ForwardArtifacts):
-                    a = getattr(from_frames, field.name)
-                    c = getattr(from_rows, field.name)
-                    if field.name == "log_posteriors":
-                        a, c = a.log_probs, c.log_probs
-                    assert np.array_equal(bits(a.data), bits(c.data))
+                from_frames = forward_stages(encode_features(x, model), model)
+                from_rows = forward_stages(window, model)
+                for name, a in from_frames.items():
+                    assert np.array_equal(bits(ad.value(a)),
+                                          bits(ad.value(from_rows[name])))
                 grid = PosteriorGrid(
-                    log_probs=from_frames.log_posteriors.array[
+                    log_probs=ad.value(from_frames["log_posteriors"])[
                         span_start:span_start + span_len],
                     vocab=model.vocab, blank_index=len(model.vocab))
                 assert text == ev.text == (

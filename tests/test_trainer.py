@@ -12,13 +12,15 @@ import vadasr.autodiff as ad
 import vadasr.model as model_module
 import vadasr.trainer as trainer
 from vadasr.audio import (CorpusSpec, SampleBuffer, Utterance, default_vocab,
-                          frame_stream, gen_synthetic_corpus)
+                          frame_stream, gen_synthetic_corpus, to_frames)
 from vadasr.chunking import plan_chunks, sample_chunk_len
-from vadasr.decode import greedy_decode
+from vadasr.decode import BeamConfig, greedy_decode, train_ngram
 from vadasr.errors import DataError, NumericError
-from vadasr.losses import mtl_loss
+from vadasr.losses import ctc_loss, mtl_loss
 from vadasr.metrics import corpus_error_rate, vad_metrics
 from vadasr.model import ModelParams, forward, vad_score_frames
+from vadasr.streamer import (ModelDecoder, ModelScorer, Streamer,
+                             StreamerConfig, run_stream)
 from vadasr.trainer import (
     Adam,
     TrainConfig,
@@ -377,20 +379,25 @@ class TestSameBits:
         frames = frame_stream(utt.audio)
         layout = plan_chunks(len(frames), 50, 25, 25)
         assert (len(frames), len(layout.chunks)) == (98, 2)
+        config = TrainConfig(stage="mtl")
         with ad.Tape() as tape:
-            trainer._utterance_loss(ModelParams.init(default_vocab(5), seed=0),
-                                    utt, frames, TrainConfig(stage="mtl"),
-                                    layout)
+            grid, probs = trainer._forward(
+                ModelParams.init(default_vocab(5), seed=0), frames, config,
+                layout)
+            trainer._loss(probs, utt, config, ctc_loss(grid, utt.transcript))
         assert len(tape) == 27
 
     def test_asr_only_tape_reaches_all_but_the_vad_probability(self):
         # stage 1 differentiates CTC alone: it records no BCE node, and
         # backward skips only the speech-probability node
         utt = gen_synthetic_corpus(CorpusSpec(utterance_count=1, seed=3))[0]
+        config = TrainConfig()
         with ad.Tape() as tape:
-            node, _, ce = trainer._utterance_loss(
-                ModelParams.init(default_vocab(5), seed=0), utt,
-                frame_stream(utt.audio), TrainConfig(), None)
+            grid, probs = trainer._forward(
+                ModelParams.init(default_vocab(5), seed=0),
+                frame_stream(utt.audio), config, None)
+            node, _, ce = trainer._loss(probs, utt, config,
+                                        ctc_loss(grid, utt.transcript))
         reached = []
 
         def counted(i, vjp):
@@ -401,6 +408,90 @@ class TestSameBits:
         ad.backward(tape, node)
         assert ce > 0
         assert (len(tape), len(tape) - len(reached)) == (24, 1)
+
+
+# The benchmark fixture's outputs on perfbench's dev stream (the 50
+# utterances of the seed-8 corpus joined at gap seed 1, 7424 frames): the
+# sha256 of each event list's (start, end, cause, text) by ASR chunk
+# capacity and decoder, and of segmented ``evaluate``'s report on the
+# corpus, recorded before ``forward`` took encoder rows.
+SAME_EVENTS_SHA256 = {
+    ("greedy", 0.64): ("4e0ec1fa380c21d231c6394849cf78a3"
+                       "2445d1ee3f568f73544c30d490597073"),
+    ("greedy", 1.0): ("89346eed100e10db4fe9cbc144174a1b"
+                      "6ec9a5e1c068d9abce1d142e9be0268f"),
+    ("greedy", 3.0): ("6bd89cbfe99a2869b4dd969a34f1db9d"
+                      "d00715310399b95a912397523e4c741b"),
+    # every utterance is shorter than 3 s, so 5 s flushes as 3 s does
+    ("greedy", 5.0): ("6bd89cbfe99a2869b4dd969a34f1db9d"
+                      "d00715310399b95a912397523e4c741b"),
+    ("beam 20 + LM", 1.0): ("b9f337062f773cffa4af252f65e94dcd"
+                            "af2b1f743f45b2bdf8be72e9f528b6a9"),
+}
+SEGMENTED_REPORT_SHA256 = ("6b54281a32659373347ab8cc6ee2e9c6"
+                           "70247ad4790d5c2e7fe5ce0de75107a3")
+
+
+def events_sha256(events):
+    return hashlib.sha256(repr([(ev.start, ev.end, ev.cause, ev.text)
+                                for ev in events]).encode()).hexdigest()
+
+
+def capacity(seconds):
+    return StreamerConfig(max_chunk_frames=to_frames(seconds))
+
+
+@pytest.fixture(scope="module")
+def bench_dev():
+    """perfbench's dev corpus and its stream's frames."""
+    dev = gen_synthetic_corpus(CorpusSpec(utterance_count=50, seed=8))
+    return dev, frame_stream(SampleBuffer(build_dev_stream(dev, seed=1)[0]))
+
+
+class TestSameEvents:
+    """Streaming and segmented decoding of the benchmark fixture end at
+    pinned events and a pinned report, so a change meant to keep every
+    event is checked here. Like ``TestSameBits``, the values pin this
+    machine's numpy and BLAS; they are re-recorded from a commit known to
+    be good, never loosened."""
+
+    @pytest.mark.parametrize("capacity_s", [0.64, 1.0, 3.0, 5.0])
+    def test_greedy_events(self, perfbench, bench_dev, capacity_s):
+        frames = bench_dev[1]
+        assert len(frames) == 7424
+        streamer = run_stream(perfbench[0].load_fixture(), frames,
+                              capacity(capacity_s))
+        assert (events_sha256(streamer.events)
+                == SAME_EVENTS_SHA256["greedy", capacity_s])
+
+    def test_beam_with_lm_events(self, perfbench, bench_dev):
+        # perfbench's stream-beam-lm decoder: its 4-gram LM is trained on
+        # the 200 transcripts of the seed-7 corpus
+        train = gen_synthetic_corpus(CorpusSpec(utterance_count=200, seed=7))
+        beam = BeamConfig(beam_size=20, lm_weight=0.46, word_score=0.52,
+                          lm=train_ngram([u.transcript for u in train], 4))
+        streamer = run_stream(perfbench[0].load_fixture(), bench_dev[1],
+                              capacity(1.0), beam)
+        assert (events_sha256(streamer.events)
+                == SAME_EVENTS_SHA256["beam 20 + LM", 1.0])
+
+    def test_frame_by_frame_events(self, perfbench, bench_dev):
+        # pushed a frame at a time, as perfbench pushes them, the 3.0 s
+        # capacity gives the events it gives in one block
+        net = perfbench[0].load_fixture()
+        streamer = Streamer(capacity(3.0), ModelScorer(net),
+                            ModelDecoder(net))
+        for frame in bench_dev[1].frames:
+            streamer.push_frame(frame)
+        streamer.finalize()
+        assert (events_sha256(streamer.events)
+                == SAME_EVENTS_SHA256["greedy", 3.0])
+
+    def test_segmented_report(self, perfbench, bench_dev):
+        rep = evaluate(perfbench[0].load_fixture(), bench_dev[0],
+                       mode="segmented")
+        assert hashlib.sha256(repr(sorted(rep.items())).encode()
+                              ).hexdigest() == SEGMENTED_REPORT_SHA256
 
 
 class TestDevStream:
@@ -487,9 +578,9 @@ class TestEvaluate:
         monkeypatch.setattr(model_module, "encode_features", counted)
         rep = evaluate(net, tiny_corpus, mode="segmented")
         assert len(calls) == len(tiny_corpus)
-        pairs = [(u.transcript,
-                  greedy_decode(forward(frame_stream(u.audio),
-                                        net).log_posteriors))
+        pairs = [(u.transcript, greedy_decode(forward(
+                      model_module.encode_features(frame_stream(u.audio), net),
+                      net)[0]))
                  for u in tiny_corpus]
         vr = vad_metrics(
             np.concatenate([u.speech_mask for u in tiny_corpus]),

@@ -182,20 +182,6 @@ def greedy_decode(grid) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """``np.logaddexp`` for two Python floats. It copies numpy's
-    ``npy_logaddexp`` branch for branch, with the same libm ``exp`` and
-    ``log1p`` calls, so it returns the same bits without a numpy scalar."""
-    if x == y:
-        return x + LOG2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    if d <= 0:
-        return y + math.log1p(math.exp(d))
-    return d  # NaN
-
-
 def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     """Prefix beam search with blank/non-blank mass merging; returns
     hypotheses ranked by combined score.
@@ -203,12 +189,18 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     Each frame works on Python floats only, and prunes exactly: it returns
     what ranking every candidate cell would. A beam's "stay" cell (blank, or
     a repeat of its last token) can merge only with its parent beam's
-    extension, so the stays are built first. When there are ``beam_size``
-    of them, the lowest stay score is a floor: a candidate strictly below it
-    cannot make the cut and is dropped, and a beam whose best possible
-    extension is below it is not extended at all. The kept candidates stay
-    in the order a full pass would insert them, and the cut is a stable sort
-    by score truncated to ``beam_size``, so ties rank as before.
+    extension, so the stays are built first. Both of a stay's merges are
+    written inline, branch for branch as numpy's ``npy_logaddexp``, so they
+    have ``np.logaddexp``'s bits. With ``beam_size`` stays, the lowest stay
+    score is a floor: a candidate strictly below it cannot make the cut and
+    is dropped. Each beam's bound, built with its stay, is at least the
+    score of any of its extensions; a beam whose bound is below the floor
+    runs no token loop, and only its in-beam children's stays are inserted
+    in its place. When even the highest bound is below the floor, the
+    candidates are the stays alone and the trie is not touched. The kept
+    candidates stay in the order a full pass would insert them, and the cut
+    is a stable sort by score truncated to ``beam_size``, so ties rank as
+    before.
 
     Prefixes are nodes of a trie, so a dropped extension builds nothing. A
     node's score terms are computed once, when it is made. Its LM
@@ -221,6 +213,7 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     lm = config.lm
     beam_size = config.beam_size
     lm_weight, word_score = config.lm_weight, config.word_score
+    n_ctx = 0
     if lm is not None:
         missing = [t for t in vocab if t not in lm.vocab]
         if missing:
@@ -232,16 +225,16 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
     parent, last, length, lm_score = [-1], [-1], [0], [0.0]
     children: dict[int, int] = {}  # node * blank + token -> child node
 
+    no_lm = [0.0] * blank
+
     def terms_of(node):
         # a node's stay's LM and word terms; its extensions' LM term per token,
         # their highest (rounding is monotone) and word term; its increments
-        inc = [0.0] * blank
+        # and LM context, its parent's with its own token, at most n_ctx long
+        inc, ctx = no_lm, ()
+        if node and n_ctx:
+            ctx = (node_terms[parent[node]][6] + (last[node],))[-n_ctx:]
         if lm is not None:
-            ctx, n = [], node
-            while n and len(ctx) < n_ctx:
-                ctx.append(last[n])
-                n = parent[n]
-            ctx = tuple(reversed(ctx))
             inc = increments.get(ctx)
             if inc is None:
                 hist = [vocab[i] for i in ctx]
@@ -249,29 +242,34 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
                                          for k in range(blank)]
         ext = [lm_weight * (lm_score[node] + x) for x in inc]
         return (lm_weight * lm_score[node], word_score * length[node], ext,
-                max(ext, default=NEG_INF), word_score * (length[node] + 1),
-                inc)
+                max(ext) if ext else NEG_INF, word_score * (length[node] + 1),
+                inc, ctx)
 
     node_terms = [terms_of(0)]
 
     # (score, node, log p(blank-terminated), log p(non-blank-terminated),
     #  log p(prefix), -1), best first
     beams = [(0.0, 0, 0.0, NEG_INF, 0.0, -1)]
+    exp, log1p = math.exp, math.log1p
     for row in rows:
         p_blank = row[blank]
-        row_hi = max(row[:blank], default=NEG_INF)
+        row_hi = max(row[:blank]) if blank else NEG_INF
         n_beams = len(beams)
         at = {beam[1]: i for i, beam in enumerate(beams)}
         # candidate: (score, node, pb, pnb, total, token), where a token >= 0
         # marks a new extension of ``node``
         stays = []
+        # each beam's extension bound: every rounding step is monotone and
+        # pb <= total, so no extension of the beam scores above it
+        bounds = []
         kids: list[Optional[dict[int, int]]] = [None] * n_beams
         # False: the parent's extension is inserted first, and so is the stay
         own = [True] * n_beams
+        low = math.inf
         for i, (_, node, pb, pnb, total, _) in enumerate(beams):
             # blank keeps the prefix; repeating the last symbol keeps it too
-            # (merge of repeats). A cell with one mass stores it as it is,
-            # since _logaddexp(-inf, v) is v + 0.0, which is v.
+            # (merge of repeats). Each merge is npy_logaddexp's branches with
+            # the same libm calls; no mass is NaN, and -inf adds 0.0
             stay_pb = total + p_blank
             stay_pnb = NEG_INF
             if node:
@@ -282,32 +280,47 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
                     _, up, up_pb, _, up_total, _ = beams[j]
                     mass = (up_pb + row[k] if k == last[up]
                             else up_total + row[k])
-                    # _logaddexp is commutative bit for bit
-                    stay_pnb = _logaddexp(stay_pnb, mass)
+                    if stay_pnb == mass:
+                        stay_pnb += LOG2
+                    else:
+                        d = stay_pnb - mass
+                        stay_pnb = (stay_pnb + log1p(exp(-d)) if d > 0
+                                    else mass + log1p(exp(d)))
                     if kids[j] is None:
-                        kids[j] = {}
-                    kids[j][k] = i
+                        kids[j] = {k: i}
+                    else:
+                        kids[j][k] = i
                     own[i] = j > i
-            cell = (stay_pnb if stay_pb == NEG_INF
-                    else _logaddexp(stay_pb, stay_pnb))
-            terms = node_terms[node]
-            stays.append((cell + terms[0] + terms[1],
-                          node, stay_pb, stay_pnb, cell, -1))
-        floor = (min(s[0] for s in stays) if n_beams >= beam_size
-                 else NEG_INF)
+            if stay_pb == stay_pnb:
+                cell = stay_pb + LOG2
+            else:
+                d = stay_pb - stay_pnb
+                cell = (stay_pb + log1p(exp(-d)) if d > 0
+                        else stay_pnb + log1p(exp(d)))
+            lm_term, word_term, _, ext_hi, words, _, _ = node_terms[node]
+            score = cell + lm_term + word_term
+            stays.append((score, node, stay_pb, stay_pnb, cell, -1))
+            bounds.append(total + row_hi + ext_hi + words)
+            if score < low:
+                low = score
+        floor = low if n_beams >= beam_size else NEG_INF
 
         # candidates in the order a full pass inserts them: each beam's stay
         # (unless its parent's extension came first), then its extensions
+        # and, in their token's place, its in-beam children's stays
         cands = []
-        for i, (_, node, pb, _, total, _) in enumerate(beams):
+        for i in range(n_beams):
             if own[i]:
                 cands.append(stays[i])
-            _, _, ext, ext_hi, words, _ = node_terms[node]
             kid = kids[i]
-            # every rounding step is monotone and pb <= total, so this
-            # bounds each extension's score from above
-            if kid is None and total + row_hi + ext_hi + words < floor:
+            if bounds[i] < floor:
+                if kid is not None:
+                    for _, c in sorted(kid.items()):
+                        if c > i:
+                            cands.append(stays[c])
                 continue
+            _, node, pb, _, total, _ = beams[i]
+            _, _, ext, _, words, _, _ = node_terms[node]
             tail = last[node]
             for k in range(blank):
                 if kid is not None and k in kid:
@@ -321,19 +334,21 @@ def beam_search(grid, config: BeamConfig = BeamConfig()) -> list[Hypothesis]:
         # a stable sort: ties keep insertion order. The kept candidates are
         # the next beams, an extension with its child node in place
         cands.sort(key=itemgetter(0), reverse=True)
-        del cands[beam_size:]
-        for j, (score, node, pb, pnb, total, k) in enumerate(cands):
-            if k >= 0:
-                key = node * blank + k
-                child = children.get(key)
-                if child is None:
-                    child = children[key] = len(parent)
-                    parent.append(node)
-                    last.append(k)
-                    length.append(length[node] + 1)
-                    lm_score.append(lm_score[node] + node_terms[node][5][k])
-                    node_terms.append(terms_of(child))
-                cands[j] = (score, child, pb, pnb, total, -1)
+        if len(cands) > n_beams:  # an extension passed the floor
+            del cands[beam_size:]
+            for j, (score, node, pb, pnb, total, k) in enumerate(cands):
+                if k >= 0:
+                    key = node * blank + k
+                    child = children.get(key)
+                    if child is None:
+                        child = children[key] = len(parent)
+                        parent.append(node)
+                        last.append(k)
+                        length.append(length[node] + 1)
+                        lm_score.append(lm_score[node]
+                                        + node_terms[node][5][k])
+                        node_terms.append(terms_of(child))
+                    cands[j] = (score, child, pb, pnb, total, -1)
         beams = cands
 
     hyps = []

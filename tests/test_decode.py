@@ -338,6 +338,33 @@ class TestBeamMatchesReference:
             self.assert_matches(grid, BeamConfig(beam_size=4 ** (T + 1),
                                                  lm=lm))
 
+    @staticmethod
+    def skip_grid(rng):
+        """Rows that reach each skip. Mixed rows fill the beam; rows peaked
+        on "a", with a blank between, keep "a" and its child "a a" in the
+        beam together; runs of blank-dominated rows, from near-certain blank
+        to likelier tokens, keep every beam's extensions below the floor,
+        then all but the best beam's, then fewer."""
+        mixed = rng.dirichlet(np.ones(4), size=6)
+        peaked = [[0.7, 0.05, 0.05, 0.2], [0.05, 0.05, 0.05, 0.85]] * 2
+        runs = [[[(1 - p) / 3] * 3 + [p]] * 4
+                for p in (0.9999, 0.999, 0.99, 0.9, 0.7)]
+        rows = np.vstack([mixed, peaked, *runs, peaked, *runs[:2]])
+        return grid_from_probs(rows, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("lm_weight", [0.46, 0.0, -0.3])
+    @pytest.mark.parametrize("beam_size", [1, 3, 20])
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_bounded_frames_and_beams(self, rng, lm_weight, beam_size,
+                                      order):
+        # frames where no extension can make the cut, beams with an in-beam
+        # child whose own extensions cannot, and frames where one beam's can
+        for _ in range(3):
+            grid = self.skip_grid(rng)
+            self.assert_matches(grid, BeamConfig(
+                beam_size=beam_size, lm=random_lm(rng, grid.vocab, order),
+                lm_weight=lm_weight, word_score=0.52))
+
     def test_fuzz(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from vadasr import autodiff, model, streamer, trainer
+from vadasr import autodiff, decode, model, streamer, trainer
 from vadasr.audio import (CorpusSpec, FrameSequence, SampleBuffer,
                           default_vocab, frame_stream, gen_synthetic_corpus)
 from vadasr.metrics import score_events, vad_metrics
@@ -39,10 +39,10 @@ def test_layer_hooks_install_and_uninstall(perfbench):
         assert getattr(owner, attr) is orig, attr
 
 
-def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
-    # the ModelDecoder hook reads the window at positional argument 1 and
-    # span_len at 3: on a traced model-scored stream its counts equal the
-    # rows each decoded window ran the network on and the spans' frames
+def traced_model_stream(perfbench, beam=None):
+    """A stream of loud and quiet frames through a small model's scorer and
+    decoder, pushed a frame at a time with perfbench's layer hooks on; the
+    streamer and the recorder."""
     _, layers, spans, _ = perfbench
     rng = np.random.default_rng(0)
     net = model.ModelParams.init(["a", "b", "c"],
@@ -53,6 +53,23 @@ def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
     cfg = streamer.StreamerConfig(
         vad_threshold=float(np.median(scores)), min_speech_frames=2,
         min_silence_frames=3, max_chunk_frames=6, splice_frames=2)
+    rec = spans.Recorder()
+    try:
+        layers.install(rec)
+        s = streamer.Streamer(cfg, streamer.ModelScorer(net),
+                              streamer.ModelDecoder(net, beam))
+        for fr in frames:
+            s.push_frame(fr)
+        s.finalize()
+    finally:
+        rec.uninstall()
+    return s, rec
+
+
+def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
+    # the ModelDecoder hook reads the window at positional argument 1 and
+    # span_len at 3: on a traced model-scored stream its counts equal the
+    # rows each decoded window ran the network on and the spans' frames
     windows = []
     forward = streamer.forward
 
@@ -61,21 +78,35 @@ def test_decoder_hook_counts_decoded_frames(perfbench, monkeypatch):
         return forward(Z, m, layout, span)
 
     monkeypatch.setattr(streamer, "forward", spy)
-    rec = spans.Recorder()
-    try:
-        layers.install(rec)
-        s = streamer.Streamer(cfg, streamer.ModelScorer(net),
-                              streamer.ModelDecoder(net))
-        for fr in frames:
-            s.push_frame(fr)
-        s.finalize()
-    finally:
-        rec.uninstall()
+    s, rec = traced_model_stream(perfbench)
     assert len(windows) == len(s.events) > 1
     assert rec.by_name()["streamer.ModelDecoder"][0] == len(s.events)
     assert rec.counts["window_frames"] == sum(windows)
     assert rec.counts["span_frames"] == sum(
         ev.end - ev.start for ev in s.events)
+
+
+def test_beam_hook_counts_decoded_frames(perfbench, monkeypatch):
+    # the beam_search hook wraps the name the streamer calls and reads the
+    # grid at positional argument 0: on a traced model-scored stream its
+    # frames are the spans' frames, and the LM calls it counts are the
+    # NgramLM.score calls a spy sees
+    lm = decode.train_ngram([("a", "b", "c"), ("c", "a"), ("b", "b")], 3)
+    scored = []
+    score = decode.NgramLM.score
+
+    def spy(self, history, token):
+        scored.append(token)
+        return score(self, history, token)
+
+    monkeypatch.setattr(decode.NgramLM, "score", spy)
+    s, rec = traced_model_stream(perfbench, decode.BeamConfig(beam_size=4,
+                                                              lm=lm))
+    assert len(s.events) > 1 and scored
+    assert rec.by_name()["decode.beam_search"][0] == len(s.events)
+    assert rec.counts["beam_frames"] == sum(
+        ev.end - ev.start for ev in s.events)
+    assert rec.counts["lm_scores"] == len(scored)
 
 
 def test_stream_checks_pass_on_a_model_scored_stream(perfbench):

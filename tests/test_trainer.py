@@ -10,6 +10,7 @@ import pytest
 
 import vadasr.autodiff as ad
 import vadasr.model as model_module
+import vadasr.streamer as streamer_module
 import vadasr.trainer as trainer
 from vadasr.audio import (CorpusSpec, SampleBuffer, Utterance, default_vocab,
                           frame_stream, gen_synthetic_corpus, to_frames)
@@ -428,6 +429,11 @@ SAME_EVENTS_SHA256 = {
     ("beam 20 + LM", 1.0): ("b9f337062f773cffa4af252f65e94dcd"
                             "af2b1f743f45b2bdf8be72e9f528b6a9"),
 }
+# the sha256 of every hypothesis ``beam_search`` returns on that beam-20 + LM
+# stream's events, recorded before the search skipped the frames and beams
+# whose extensions cannot make the cut
+SAME_HYPOTHESES_SHA256 = ("59c757e22c643161db4ecd3da2d1ac37"
+                          "e0445b54c70a4c8bd46b3b6ffb90edf2")
 SEGMENTED_REPORT_SHA256 = ("6b54281a32659373347ab8cc6ee2e9c6"
                            "70247ad4790d5c2e7fe5ce0de75107a3")
 
@@ -464,16 +470,39 @@ class TestSameEvents:
         assert (events_sha256(streamer.events)
                 == SAME_EVENTS_SHA256["greedy", capacity_s])
 
-    def test_beam_with_lm_events(self, perfbench, bench_dev):
-        # perfbench's stream-beam-lm decoder: its 4-gram LM is trained on
-        # the 200 transcripts of the seed-7 corpus
+    @pytest.fixture(scope="class")
+    def beam_lm(self):
+        """perfbench's stream-beam-lm decoder: its 4-gram LM is trained on
+        the 200 transcripts of the seed-7 corpus."""
         train = gen_synthetic_corpus(CorpusSpec(utterance_count=200, seed=7))
-        beam = BeamConfig(beam_size=20, lm_weight=0.46, word_score=0.52,
+        return BeamConfig(beam_size=20, lm_weight=0.46, word_score=0.52,
                           lm=train_ngram([u.transcript for u in train], 4))
+
+    def test_beam_with_lm_events(self, perfbench, bench_dev, beam_lm):
         streamer = run_stream(perfbench[0].load_fixture(), bench_dev[1],
-                              capacity(1.0), beam)
+                              capacity(1.0), beam_lm)
         assert (events_sha256(streamer.events)
                 == SAME_EVENTS_SHA256["beam 20 + LM", 1.0])
+
+    def test_beam_with_lm_hypotheses(self, perfbench, bench_dev, beam_lm,
+                                     monkeypatch):
+        # every hypothesis of every search, not only each event's best
+        # text: its tokens and the exact bits of its three scores
+        results = []
+        search = streamer_module.beam_search
+
+        def spy(grid, config):
+            results.append(search(grid, config))
+            return results[-1]
+
+        monkeypatch.setattr(streamer_module, "beam_search", spy)
+        run_stream(perfbench[0].load_fixture(), bench_dev[1], capacity(1.0),
+                   beam_lm)
+        hyps = [[(h.tokens, h.score.hex(), h.ctc_score.hex(),
+                  h.lm_score.hex()) for h in hs] for hs in results]
+        assert len(results) > 1
+        assert (hashlib.sha256(repr(hyps).encode()).hexdigest()
+                == SAME_HYPOTHESES_SHA256)
 
     def test_frame_by_frame_events(self, perfbench, bench_dev):
         # pushed a frame at a time, as perfbench pushes them, the 3.0 s

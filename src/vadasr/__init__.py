@@ -9,7 +9,6 @@ from .errors import (
     DataError,
     DimensionError,
     FormatError,
-    InfeasibleTargetError,
     InvalidSpecError,
     LayoutError,
     NumericError,
@@ -29,7 +28,6 @@ __all__ = [
     "DataError",
     "DimensionError",
     "FormatError",
-    "InfeasibleTargetError",
     "InvalidSpecError",
     "LayoutError",
     "NumericError",

@@ -90,8 +90,7 @@ def load_external_posteriors(path) -> PosteriorGrid:
     if not np.all(np.abs(rowsums - 1.0) <= 1e-3):  # a NaN row fails too
         worst = float(np.abs(rowsums - 1.0).max())
         raise FormatError(f"{path}: rows not normalized (max dev {worst:.2e})")
-    return PosteriorGrid(log_probs=arr, vocab=vocab,
-                         blank_index=blank)
+    return PosteriorGrid(log_probs=arr, vocab=vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -173,10 +173,11 @@ def _grid_array(grid) -> np.ndarray:
 def greedy_decode(grid) -> tuple[str, ...]:
     """Per-frame argmax, collapse adjacent repeats, strip blanks."""
     path = _grid_array(grid).argmax(axis=-1).tolist()
+    blank = grid.blank_index
     out = []
     prev = -1
     for k in path:
-        if k != prev and k != grid.blank_index:
+        if k != prev and k != blank:
             out.append(grid.vocab[k])
         prev = k
     return tuple(out)

@@ -42,10 +42,6 @@ class LayoutError(VadAsrError):
     """Chunk layout violates coverage/bounds invariants."""
 
 
-class InfeasibleTargetError(VadAsrError):
-    """CTC target cannot be aligned within the given number of frames."""
-
-
 class VocabularyError(VadAsrError):
     """Token outside the expected vocabulary."""
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, DimensionError, InfeasibleTargetError, VocabularyError
+from .errors import DataError, DimensionError, VocabularyError
 
 PROB_CLAMP = 1e-7
 NEG_INF = -np.inf
@@ -27,11 +27,12 @@ def extend_with_blanks(targets: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
-def ctc_batch(log_probs: list[np.ndarray], targets: list[np.ndarray],
-              blank: int) -> list[tuple[float, np.ndarray]]:
-    """Each pair's (loss, grad), for log_probs (T, K), T >= 1, and targets
-    (L,) int indices, no blanks: -log p_CTC(targets | log_probs) and its
-    gradient w.r.t. log_probs, or (inf, zeros) for an infeasible target.
+def ctc_batch(log_probs: list[np.ndarray], targets: list[np.ndarray]
+              ) -> list[tuple[float, np.ndarray]]:
+    """Each pair's (loss, grad), for log_probs (T, K), T >= 1, whose last
+    column is the blank, and targets (L,) int indices, no blanks:
+    -log p_CTC(targets | log_probs) and its gradient w.r.t. log_probs, or
+    (inf, zeros) for an infeasible target.
     One log-space alpha/beta recursion over the blank-extended targets
     serves the batch (Graves et al. 2006).
 
@@ -41,6 +42,7 @@ def ctc_batch(log_probs: list[np.ndarray], targets: list[np.ndarray],
     padded with -inf emissions to the longest pair's; a state reads only
     itself and lower states, and a pair's results read only its own frames
     and states, so each pair keeps the bits it has alone."""
+    blank = log_probs[0].shape[1] - 1
     exts = [extend_with_blanks(np.asarray(t, dtype=np.int64), blank)
             for t in targets]
     B, T, S = len(exts), max(map(len, log_probs)), max(map(len, exts))
@@ -95,16 +97,10 @@ def ctc_batch(log_probs: list[np.ndarray], targets: list[np.ndarray],
 def _target_indices(grid, target) -> np.ndarray:
     idx = []
     for tok in target:
-        if isinstance(tok, str):
-            try:
-                idx.append(grid.vocab.index(tok))
-            except ValueError:
-                raise VocabularyError(f"target token {tok!r} not in vocabulary")
-        else:
-            tok = int(tok)
-            if not (0 <= tok < grid.blank_index):
-                raise VocabularyError(f"target index {tok} out of range")
-            idx.append(tok)
+        try:
+            idx.append(grid.vocab.index(tok))
+        except ValueError:
+            raise VocabularyError(f"target token {tok!r} not in vocabulary")
     return np.asarray(idx, dtype=np.int64)
 
 
@@ -113,28 +109,23 @@ def min_frames_required(target_idx: np.ndarray) -> int:
     return len(target_idx) + repeats
 
 
-def ctc_loss(grid, target, tapes=None):
-    """Negative log-likelihood of ``target`` under the posterior grid,
-    marginalized over all collapsing alignments, as a node on the active
-    tape. With ``tapes`` (a training step), ``grid`` and ``target`` are lists
-    and ``tapes[b]`` recorded ``grid[b]``: one recursion serves them all,
-    node b goes on ``tapes[b]``, and an infeasible target's node is None."""
-    grids, targets = (grid, target) if tapes else ([grid], [target])
+def ctc_loss(grids, targets, tapes=None) -> list:
+    """Each target's negative log-likelihood under its posterior grid,
+    marginalized over all collapsing alignments: one recursion serves every
+    pair, and node b goes on ``tapes[b]`` (the tape that recorded
+    ``grids[b]``), or on the active tape without ``tapes``. A grid with
+    fewer frames than its target needs gets None and records nothing."""
     idx = [_target_indices(g, t) for g, t in zip(grids, targets)]
     kept = [b for b, (g, i) in enumerate(zip(grids, idx))
             if len(g) >= min_frames_required(i)]
-    if not (tapes or kept):
-        need = min_frames_required(idx[0])
-        raise InfeasibleTargetError(
-            f"target needs >= {need} frames, grid has {len(grid)}")
     nodes = [None] * len(grids)
     for b, (loss, grad) in zip(kept, ctc_batch(
-            [grids[b].array for b in kept], [idx[b] for b in kept],
-            grids[0].blank_index) if kept else ()):
+            [grids[b].array for b in kept], [idx[b] for b in kept])
+            if kept else ()):
         with tapes[b] if tapes else contextlib.nullcontext():
             nodes[b] = ad.custom(loss, (grids[b].log_probs,),
                                  lambda g, grad=grad: (g * grad,))
-    return nodes if tapes else nodes[0]
+    return nodes
 
 
 def bce_loss(speech_probs, speech_mask) -> ad.Tensor:
@@ -155,7 +146,7 @@ def bce_loss(speech_probs, speech_mask) -> ad.Tensor:
     return ad.custom(loss, (tensor_in,), lambda g: (g * grad,))
 
 
-def mtl_loss(ctc, bce, vad_weight: float = 1.0):
+def mtl_loss(ctc, bce, vad_weight: float):
     """Joint objective ctc + vad_weight * bce, from the two loss nodes: a
     Tensor on a tape, else an array."""
     c, b = float(ad.value(ctc)), float(ad.value(bce))

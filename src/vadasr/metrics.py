@@ -22,11 +22,6 @@ class VadReport:
     n_fa: int
     n_miss: int
 
-    def as_dict(self):
-        return {"deter": self.deter, "fa": self.fa, "miss": self.miss,
-                "n_total": self.n_total, "n_fa": self.n_fa,
-                "n_miss": self.n_miss}
-
 
 @dataclass(frozen=True)
 class ErrorRateReport:

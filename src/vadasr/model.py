@@ -74,15 +74,16 @@ class PosteriorGrid:
 
     log_probs: ad.Tensor  # (T, |V|+1); an array is wrapped as a Tensor
     vocab: list[str]
-    blank_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "log_probs", ad.tensor(self.log_probs))
-        if self.blank_index != len(self.vocab):
-            raise UsageError("blank must be the last grid column")
         if self.log_probs.shape[-1] != len(self.vocab) + 1:
             raise DimensionError("grid width != |V|+1",
                                  self.log_probs.shape, len(self.vocab) + 1)
+
+    @property
+    def blank_index(self) -> int:
+        return len(self.vocab)
 
     @property
     def array(self) -> np.ndarray:
@@ -408,8 +409,7 @@ def asr_head(G, model: ModelParams) -> PosteriorGrid:
     p = model.params
     logits = ad.matmul(G, p["asr_w"], p["asr_b"])
     return PosteriorGrid(log_probs=ad.log_softmax(logits, axis=-1),
-                         vocab=model.vocab,
-                         blank_index=len(model.vocab))
+                         vocab=model.vocab)
 
 
 def forward(Z, model: ModelParams, layout: ChunkLayout | None = None,

@@ -375,7 +375,8 @@ def evaluate(model: ModelParams, corpus: Sequence[Utterance],
         raise DataError(f"unknown evaluation mode {mode!r}")
     samples, ref_mask, ref_tokens = build_dev_stream(corpus)
     frames = frame_stream(SampleBuffer(samples))
-    cfg = StreamerConfig(max_chunk_frames=max(to_frames(l_asr_s), 5))
+    cfg = StreamerConfig(max_chunk_frames=max(
+        to_frames(l_asr_s), StreamerConfig.min_speech_frames))
     streamer = run_stream(model, frames, cfg, beam)
     rep, vad = score_events(ref_tokens, ref_mask, streamer.events)
     return {**rep.as_dict(), "deter": vad.deter, "fa": vad.fa,

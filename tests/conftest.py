@@ -13,8 +13,7 @@ def random_grid(rng, T, vocab_size) -> PosteriorGrid:
     vocab = [chr(ord("a") + i) for i in range(vocab_size)]
     logits = rng.normal(size=(T, vocab_size + 1))
     logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab,
-                         blank_index=vocab_size)
+    return PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab)
 
 
 @pytest.fixture

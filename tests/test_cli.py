@@ -190,7 +190,7 @@ def _posteriors(tmp, blob=None, sidecar=None, lm=None):
     path = tmp / "p.bin"
     save_posteriors(path, PosteriorGrid(
         log_probs=ad.Tensor(np.log(np.full((3, 3), 1 / 3))),
-        vocab=["a", "b"], blank_index=2))
+        vocab=["a", "b"]))
     if blob is not None:
         path.write_bytes(blob)
     if sidecar is not None:
@@ -225,7 +225,7 @@ def _nan_row_posteriors(tmp, *_):
     lp = np.log(np.full((3, 3), 1 / 3))
     lp[1] = np.nan
     save_posteriors(tmp / "p.bin", PosteriorGrid(
-        log_probs=ad.Tensor(lp), vocab=["a", "b"], blank_index=2))
+        log_probs=ad.Tensor(lp), vocab=["a", "b"]))
     return argv
 
 
@@ -309,6 +309,9 @@ MALFORMED_INPUTS = [
     ("posterior-sidecar-fractional-blank-index", _blank_index("2.9"), 2),
     ("posterior-sidecar-float-blank-index", _blank_index("2.0"), 2),
     ("posterior-sidecar-string-blank-index", _blank_index('"2"'), 2),
+    # the blank is the grid's last column: only the loader checks the
+    # sidecar's blank_index, since a grid derives its own
+    ("posterior-sidecar-blank-not-last", _blank_index("0"), 2),
     ("vocab-file-string", _vocab_file("abcde"), 2),
     ("vocab-file-repeated-token", _vocab_file([*default_vocab(5), "a"]), 2),
     ("vocab-file-empty-token", _vocab_file([*default_vocab(5), ""]), 2),
@@ -560,8 +563,7 @@ class TestPosteriorFormat:
         logits = rng.normal(size=(T, V + 1))
         logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         return PosteriorGrid(log_probs=ad.Tensor(logp),
-                             vocab=[chr(ord("a") + i) for i in range(V)],
-                             blank_index=V)
+                             vocab=[chr(ord("a") + i) for i in range(V)])
 
     def test_round_trip(self, rng, tmp_path):
         grid = self.make_grid(rng)
@@ -613,8 +615,7 @@ class TestPosteriorFormat:
             [0.05, 0.05, 0.9],
             [0.05, 0.9, 0.05],
         ]))
-        grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=["a", "b"],
-                             blank_index=2)
+        grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=["a", "b"])
         path = tmp_path / "p.bin"
         save_posteriors(path, grid)
         assert run_cli("decode-posteriors", "--posteriors", str(path),

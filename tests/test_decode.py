@@ -28,8 +28,7 @@ from conftest import random_grid
 
 def grid_from_probs(probs, vocab):
     probs = np.asarray(probs, dtype=float)
-    return PosteriorGrid(log_probs=ad.Tensor(np.log(probs)), vocab=vocab,
-                         blank_index=len(vocab))
+    return PosteriorGrid(log_probs=ad.Tensor(np.log(probs)), vocab=vocab)
 
 
 def exhaustive_prefix_scores(grid):
@@ -281,8 +280,7 @@ class TestBeamMatchesReference:
         for _ in range(3):
             logits = rng.normal(size=(101, 6)) * 4.0
             logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab,
-                                 blank_index=5)
+            grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab)
             cfg = BeamConfig(beam_size=20, lm=lm)
             assert beam_search(grid, cfg) == reference_beam_search(grid, cfg)
 
@@ -324,7 +322,7 @@ class TestBeamMatchesReference:
         for _ in range(3):
             grid = PosteriorGrid(
                 log_probs=ad.Tensor(rng.choice(levels, size=(16, 5))),
-                vocab=vocab, blank_index=4)
+                vocab=vocab)
             for lm_weight, word_score in ((0.0, 0.0), (0.5, 0.5)):
                 self.assert_matches(grid, BeamConfig(
                     beam_size=beam_size, lm=lm, lm_weight=lm_weight,
@@ -377,8 +375,7 @@ class TestBeamMatchesReference:
             if rng.random() < 0.3:
                 logp[rng.random(logp.shape) < 0.2] = NEG_INF
             vocab = [chr(ord("a") + i) for i in range(V)]
-            grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab,
-                                 blank_index=V)
+            grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab)
             order = int(rng.integers(0, 5))
             lm = random_lm(rng, vocab, order) if order else None
             if lm is not None and set(vocab) - set(lm.vocab):

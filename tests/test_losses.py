@@ -10,7 +10,6 @@ import vadasr.autodiff as ad
 from vadasr.errors import (
     DataError,
     DimensionError,
-    InfeasibleTargetError,
     VocabularyError,
 )
 from vadasr.losses import (
@@ -103,43 +102,41 @@ def uniform_grid(T, vocab_size):
     K = vocab_size + 1
     logp = np.full((T, K), -np.log(K))
     vocab = [chr(ord("a") + i) for i in range(vocab_size)]
-    return PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab,
-                         blank_index=vocab_size)
+    return PosteriorGrid(log_probs=ad.Tensor(logp), vocab=vocab)
 
 
 class TestCtcHandValues:
     def test_two_frame_uniform_single_token(self):
         # paths a-, -a, aa out of 4 equally likely -> p = 3/4
         grid = uniform_grid(2, 1)
-        loss = loss_value(ctc_loss(grid, ("a",)))
+        loss = loss_value(ctc_loss([grid], [("a",)])[0])
         assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_single_frame_single_token(self):
         grid = uniform_grid(1, 1)
-        loss = loss_value(ctc_loss(grid, ("a",)))
+        loss = loss_value(ctc_loss([grid], [("a",)])[0])
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_repeat_needs_blank(self):
         # target "aa" over 3 uniform frames: only path a-a, p = 1/8
         grid = uniform_grid(3, 1)
-        loss = loss_value(ctc_loss(grid, ("a", "a")))
+        loss = loss_value(ctc_loss([grid], [("a", "a")])[0])
         assert loss == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
     def test_empty_target(self):
         # all-blank path only
         grid = uniform_grid(3, 1)
-        loss = loss_value(ctc_loss(grid, ()))
+        loss = loss_value(ctc_loss([grid], [()])[0])
         assert loss == pytest.approx(3 * math.log(2.0), abs=1e-12)
 
     def test_deterministic_grid_certain_path(self):
         logp = np.log(np.array([[0.7, 0.2, 0.1],
                                 [0.1, 0.2, 0.7]]))
-        grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=["a", "b"],
-                             blank_index=2)
+        grid = PosteriorGrid(log_probs=ad.Tensor(logp), vocab=["a", "b"])
         # target "a": alignments a-, aa, -a
         expect = -math.log(0.7 * 0.7 + 0.7 * 0.1 + 0.1 * 0.1)
-        assert loss_value(ctc_loss(grid, ("a",))) == pytest.approx(expect,
-                                                                 abs=1e-12)
+        assert loss_value(ctc_loss([grid], [("a",)])[0]) == pytest.approx(
+            expect, abs=1e-12)
 
 
 class TestCtcOracle:
@@ -153,17 +150,16 @@ class TestCtcOracle:
             target = tuple(rng.choice(grid.vocab) for _ in range(L))
             idx = np.array([grid.vocab.index(t) for t in target], dtype=int)
             if T < min_frames_required(idx):
-                with pytest.raises(InfeasibleTargetError):
-                    ctc_loss(grid, target)
+                assert ctc_loss([grid], [target])[0] is None
                 continue
-            loss = loss_value(ctc_loss(grid, target))
+            loss = loss_value(ctc_loss([grid], [target])[0])
             oracle = ctc_loss_bruteforce(grid, target)
             assert loss == pytest.approx(oracle, abs=1e-9)
 
     def test_gradient_rows_are_posteriors(self, rng):
         for _ in range(20):
             grid = random_grid(rng, 6, 3)
-            grad = gradient(lambda: ctc_loss(grid, ("a", "b")),
+            grad = gradient(lambda: ctc_loss([grid], [("a", "b")])[0],
                             grid.log_probs)
             rowsums = (-grad).sum(axis=1)
             assert np.allclose(rowsums, 1.0, atol=1e-12)
@@ -174,9 +170,8 @@ class TestCtcOracle:
         target = ("a", "b")
 
         def f(params):
-            g = PosteriorGrid(log_probs=params[0], vocab=grid.vocab,
-                              blank_index=grid.blank_index)
-            return ctc_loss(g, target)
+            g = PosteriorGrid(log_probs=params[0], vocab=grid.vocab)
+            return ctc_loss([g], [target])[0]
 
         err = finite_diff_check(f, [grid.log_probs])
         assert err < 1e-6
@@ -205,7 +200,7 @@ class TestCtcMatchesReference:
     @staticmethod
     def check(logp, targets, blank):
         with np.errstate(invalid="ignore"):  # NaN entries
-            loss, grad = ctc_batch([logp], [targets], blank)[0]
+            loss, grad = ctc_batch([logp], [targets])[0]
             ref_loss, ref_grad = reference_ctc_forward_backward(
                 logp, targets, blank)
         assert loss == ref_loss
@@ -265,7 +260,7 @@ class TestCtcMatchesReference:
                     logp[rng.integers(0, T)] = np.nan
                 pairs.append((logp, targets))
             with np.errstate(invalid="ignore"):
-                batch = ctc_batch(*zip(*pairs), vocab_size)
+                batch = ctc_batch(*zip(*pairs))
             assert len(batch) == len(pairs)
             for (logp, targets), (loss, grad) in zip(pairs, batch):
                 single = self.check(logp, targets, vocab_size)
@@ -281,20 +276,36 @@ class TestCtcMatchesReference:
         assert min(seen.values()) > 0, seen
 
     def test_step_nodes_on_their_tapes(self, rng):
-        # each node on the tape that recorded its grid, with the loss and
-        # gradient of its own call; a too-short grid gives None
-        grids = [random_grid(rng, T, 3) for T in (5, 2, 1, 8)]
-        targets = [("a", "b"), ("a", "a"), (), ("c", "c", "b")]
+        # a step's mixed list: grids too short for their targets (a repeat
+        # without a frame for its blank, more tokens than frames) get None
+        # and record nothing; an empty target, a one-frame grid and repeats
+        # that fit each get the loss and gradient bits of a call of their
+        # own, on the tape that recorded the grid or, without tapes, on the
+        # active one
+        grids = [random_grid(rng, T, 3) for T in (5, 2, 6, 3, 1, 8)]
+        targets = [("a", "b"), ("a", "a"), (), ("a", "b", "c", "a"), ("c",),
+                   ("c", "c", "b")]
         tapes = [ad.Tape() for _ in grids]
         nodes = ctc_loss(grids, targets, tapes)
-        assert nodes[1] is None and len(tapes[1]) == 0
-        for grid, target, tape, node in zip(grids, targets, tapes, nodes):
+        with ad.Tape() as active:
+            untaped = ctc_loss(grids, targets)
+        too_short = [False, True, False, True, False, False]
+        assert [n is None for n in nodes] == too_short
+        assert [n is None for n in untaped] == too_short
+        assert len(active) == 4
+        for grid, target, tape, node, other in zip(grids, targets, tapes,
+                                                   nodes, untaped):
             if node is None:
+                assert len(tape) == 0
                 continue
             assert len(tape) == 1
-            one = gradient(lambda: ctc_loss(grid, target), grid.log_probs)
-            assert loss_value(node) == loss_value(ctc_loss(grid, target))
+            one = gradient(lambda: ctc_loss([grid], [target])[0],
+                           grid.log_probs)
+            assert loss_value(node) == loss_value(other) == loss_value(
+                ctc_loss([grid], [target])[0])
             assert np.array_equal(ad.backward(tape, node)[grid.log_probs],
+                                  one)
+            assert np.array_equal(ad.backward(active, other)[grid.log_probs],
                                   one)
 
 
@@ -302,19 +313,11 @@ class TestCtcValidation:
     def test_unknown_token(self, rng):
         grid = random_grid(rng, 4, 2)
         with pytest.raises(VocabularyError):
-            ctc_loss(grid, ("z",))
-
-    def test_integer_targets(self, rng):
-        grid = random_grid(rng, 4, 2)
-        assert (loss_value(ctc_loss(grid, (0, 1)))
-                == loss_value(ctc_loss(grid, ("a", "b"))))
-        with pytest.raises(VocabularyError):
-            ctc_loss(grid, (5,))
+            ctc_loss([grid], [("z",)])
 
     def test_infeasible(self, rng):
         grid = random_grid(rng, 2, 2)
-        with pytest.raises(InfeasibleTargetError):
-            ctc_loss(grid, ("a", "a"))  # needs 3 frames
+        assert ctc_loss([grid], [("a", "a")])[0] is None  # needs 3 frames
 
     def test_bruteforce_size_guard(self, rng):
         grid = random_grid(rng, 30, 3)
@@ -369,11 +372,11 @@ class TestMtl:
     def test_weighted_sum(self, rng):
         grid = random_grid(rng, 5, 2)
         probs, y = rng.uniform(0.1, 0.9, 5), rng.random(5) > 0.5
-        ctc = ctc_loss(grid, ("a",))
+        ctc = ctc_loss([grid], [("a",)])[0]
         ce = bce_loss(probs, y)
         # the parts are the plain CTC and BCE values
-        assert loss_value(ctc) == ctc_batch(
-            [grid.array], [np.array([0])], grid.blank_index)[0][0]
+        assert loss_value(ctc) == ctc_batch([grid.array],
+                                            [np.array([0])])[0][0]
         assert loss_value(ce) == pytest.approx(
             -np.mean(np.where(y, np.log(probs), np.log(1.0 - probs))),
             abs=1e-12)
@@ -386,7 +389,7 @@ class TestMtl:
         ce = bce_loss(rng.uniform(0.1, 0.9, 5), rng.random(5) > 0.5)
         inf = ad.Tensor(float("inf"))
         with pytest.raises(DataError):
-            mtl_loss(inf, ce)
+            mtl_loss(inf, ce, 1.0)
 
     def test_node_gradient_composes(self, rng):
         grid = random_grid(rng, 5, 2)
@@ -394,11 +397,10 @@ class TestMtl:
         y = rng.random(5) > 0.5
         w = 0.7
         with ad.Tape() as tape:
-            m = mtl_loss(ctc_loss(grid, ("a", "b")), bce_loss(probs, y),
-                         vad_weight=w)
+            m = mtl_loss(ctc_loss([grid], [("a", "b")])[0],
+                         bce_loss(probs, y), vad_weight=w)
             grads = ad.backward(tape, m)
-        _, ctc_grad = ctc_batch([grid.array], [np.array([0, 1])],
-                                grid.blank_index)[0]
+        _, ctc_grad = ctc_batch([grid.array], [np.array([0, 1])])[0]
         assert np.allclose(grads[grid.log_probs], ctc_grad)
         assert np.allclose(grads[probs],
                            w * gradient(lambda: bce_loss(probs, y), probs))
@@ -412,6 +414,6 @@ def test_extend_with_blanks():
 def test_infeasible_returns_inf(rng):
     # the kernel itself, below ctc_loss's frame-count check
     logp = random_grid(rng, 2, 2).array
-    loss, grad = ctc_batch([logp], [np.array([0, 0])], 2)[0]
+    loss, grad = ctc_batch([logp], [np.array([0, 0])])[0]
     assert np.isinf(loss)
     assert np.all(grad == 0.0)

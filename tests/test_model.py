@@ -22,6 +22,7 @@ from vadasr.model import (
     FRAME_SAMPLES,
     ModelDims,
     ModelParams,
+    PosteriorGrid,
     _mha,
     context_forward,
     cross_task_attend,
@@ -93,6 +94,16 @@ class TestShapes:
         # speech probs are probabilities
         p = probs.data
         assert np.all((p > 0) & (p < 1))
+
+    def test_grid_blank_is_the_column_after_the_vocabulary(self, rng):
+        # the grid checks its width; its blank is the column after the
+        # vocabulary
+        grid = PosteriorGrid(log_probs=rng.normal(size=(4, len(VOCAB) + 1)),
+                             vocab=VOCAB)
+        assert grid.blank_index == len(VOCAB) == grid.array.shape[1] - 1
+        with pytest.raises(DimensionError):
+            PosteriorGrid(log_probs=rng.normal(size=(4, len(VOCAB) + 2)),
+                          vocab=VOCAB)
 
     def test_empty_input_rejected(self):
         model = small_model()

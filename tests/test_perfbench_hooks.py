@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vadasr import autodiff, decode, model, streamer, trainer
-from vadasr.audio import (CorpusSpec, FrameSequence, SampleBuffer,
+from vadasr.audio import (CorpusSpec, FrameSequence, SampleBuffer, Utterance,
                           default_vocab, frame_stream, gen_synthetic_corpus)
 from vadasr.metrics import score_events, vad_metrics
 
@@ -143,7 +143,10 @@ def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):
     # trainer planned. The encoder hook wraps vadasr.model.encode_features,
     # and the forward hook reads the model at positional argument 1: every
     # frame is encoded once through the wrapped name, and each utterance's
-    # forward attends twice
+    # forward attends twice. The losses.ctc_loss span is one call per step
+    # (its per-layer time is a step's), and run.py reconciles one
+    # autodiff.backward per utterance minus skips: the epoch runs two steps,
+    # and one utterance's transcript is far longer than its audio
     _, layers, spans, _ = perfbench
     layouts = []
     plan = trainer.plan_chunks
@@ -154,12 +157,15 @@ def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):
 
     monkeypatch.setattr(trainer, "plan_chunks", spy)
     corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=4, seed=3))
+    corpus[2] = Utterance(audio=corpus[2].audio, transcript=("a",) * 500,
+                          speech_mask=corpus[2].speech_mask, id="long")
     net = model.ModelParams.init(default_vocab(5), seed=0)
     rec = spans.Recorder()
     try:
         layers.install(rec)
-        trainer.train_stage2_mtl(net, corpus, trainer.TrainConfig(
-            stage="mtl", epochs=1, chunk_min_s=0.5, chunk_max_s=0.5))
+        _, report = trainer.train_stage2_mtl(net, corpus, trainer.TrainConfig(
+            stage="mtl", epochs=1, batch_size=2, chunk_min_s=0.5,
+            chunk_max_s=0.5))
     finally:
         rec.uninstall()
     chunks = [ch for layout in layouts for ch in layout.chunks]
@@ -172,6 +178,10 @@ def test_training_hook_counts_planned_chunks(perfbench, monkeypatch):
     assert rec.counts["encoded_frames"] == sum(
         len(frame_stream(u.audio)) for u in corpus)
     assert rec.counts["attention_evals"] == 2 * len(corpus)
+    calls = {name: row[0] for name, row in rec.by_name().items()}
+    assert report.skipped_infeasible == 1
+    assert calls["losses.ctc_loss"] == 2
+    assert calls["autodiff.backward"] == len(corpus) - 1
 
 
 @pytest.fixture

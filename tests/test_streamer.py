@@ -326,7 +326,7 @@ class TestSharedEncoderRows:
                 grid = PosteriorGrid(
                     log_probs=ad.value(from_frames["log_posteriors"])[
                         span_start:span_start + span_len],
-                    vocab=model.vocab, blank_index=len(model.vocab))
+                    vocab=model.vocab)
                 assert text == ev.text == (
                     greedy_decode(grid) if beam is None
                     else beam_search(grid, beam)[0].tokens)

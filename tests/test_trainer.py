@@ -385,7 +385,8 @@ class TestSameBits:
             grid, probs = trainer._forward(
                 ModelParams.init(default_vocab(5), seed=0), frames, config,
                 layout)
-            trainer._loss(probs, utt, config, ctc_loss(grid, utt.transcript))
+            trainer._loss(probs, utt, config,
+                          ctc_loss([grid], [utt.transcript])[0])
         assert len(tape) == 27
 
     def test_asr_only_tape_reaches_all_but_the_vad_probability(self):
@@ -397,8 +398,8 @@ class TestSameBits:
             grid, probs = trainer._forward(
                 ModelParams.init(default_vocab(5), seed=0),
                 frame_stream(utt.audio), config, None)
-            node, _, ce = trainer._loss(probs, utt, config,
-                                        ctc_loss(grid, utt.transcript))
+            node, _, ce = trainer._loss(
+                probs, utt, config, ctc_loss([grid], [utt.transcript])[0])
         reached = []
 
         def counted(i, vjp):

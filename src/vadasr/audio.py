@@ -102,6 +102,8 @@ class CorpusSpec:
                 raise InvalidSpecError(f"{name} range invalid: [{lo}, {hi}]")
         if not 0 <= self.noise_amplitude < math.inf:
             raise InvalidSpecError("noise_amplitude must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         # the longest utterance the draws allow must fit in one WAV
         n = self.symbols_per_utterance[1]
         if (n * max(1, to_frames(self.tone_duration_s[1]))

@@ -47,7 +47,7 @@ from .streamer import (
     validate_events,
     write_events,
 )
-from .trainer import TrainConfig, train_stage1_asr, train_stage2_mtl, train_vad_stl_baseline
+from .trainer import TrainConfig, train
 
 _POST_MAGIC = b"VAP1"
 
@@ -248,18 +248,9 @@ def _cmd_train(o):
         raise UsageError(f"lm_order {o['lm_order']} is above the corpus's "
                          f"longest transcript + 2, {bound}")
     dev = read_corpus(o["dev_manifest"])[0] if o["dev_manifest"] else None
-    if stage == "vad_only":
-        model, report = train_vad_stl_baseline(corpus, config, vocab,
-                                               dev_corpus=dev)
-    else:
-        if o["init"]:
-            model = ModelParams.load(o["init"])
-        else:
-            model = ModelParams.init(vocab, seed=o["seed"])
-        if stage == "asr_only":
-            model, report = train_stage1_asr(model, corpus, config, dev)
-        else:
-            model, report = train_stage2_mtl(model, corpus, config, dev)
+    model = (ModelParams.load(o["init"]) if o["init"]
+             else ModelParams.init(vocab, seed=o["seed"]))
+    model, report = train(model, corpus, config, dev)
     model.save(o["out"])
     if o["lm_out"]:
         train_ngram([u.transcript for u in corpus],

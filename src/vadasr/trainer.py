@@ -25,7 +25,7 @@ from .decode import BeamConfig, beam_search, greedy_decode
 from .errors import DataError, NumericError
 from .losses import bce_loss, ctc_loss, mtl_loss
 from .metrics import corpus_error_rate, score_events, vad_metrics
-from .model import ModelDims, ModelParams, forward, vad_score_frames
+from .model import ModelParams, forward, vad_score_frames
 from .streamer import StreamerConfig, run_stream
 
 # warmup, hold and decay shares of the tri-stage schedule's steps
@@ -54,6 +54,8 @@ class TrainConfig:
             raise DataError(f"unknown training stage {self.stage!r}")
         if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("learning_rate, epochs, batch_size must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         for name in ("splice_s", "vad_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise DataError(f"{name} must be finite and >= 0, "
@@ -237,59 +239,27 @@ def _run_training(model: ModelParams, corpus: Sequence[Utterance],
     return report
 
 
-def _train_stage(model: ModelParams, corpus: Sequence[Utterance],
-                 config: TrainConfig,
-                 dev_corpus: Optional[Sequence[Utterance]], stage: str
-                 ) -> tuple[ModelParams, TrainReport]:
-    """Train a copy of ``model`` on every parameter; attach segmented dev
-    metrics when there is a dev corpus."""
-    if config.stage != stage:
-        raise DataError(f"stage must be {stage}")
+def train(model: ModelParams, corpus: Sequence[Utterance], config: TrainConfig,
+          dev_corpus: Optional[Sequence[Utterance]] = None
+          ) -> tuple[ModelParams, TrainReport]:
+    """Train a copy of ``model`` on the objective ``config.stage`` names;
+    attach dev metrics when there is a dev corpus: segmented ``evaluate``,
+    or for ``vad_only``, whose ASR head is untrained, the VAD report."""
     model = model.copy()
     report = _run_training(model, corpus, config)
-    if dev_corpus:
+    if dev_corpus and config.stage == "vad_only":
+        report.final_dev_vad = _vad_report(dev_corpus, [
+            vad_score_frames(frame_stream(u.audio), model).data
+            for u in dev_corpus])
+    elif dev_corpus:
         ev = evaluate(model, dev_corpus, mode="segmented")
         report.final_dev_cer = ev["cer"]
         report.final_dev_vad = {k: ev[k] for k in ("deter", "fa", "miss")}
     return model, report
 
 
-# ---------------------------------------------------------------------------
-# stages
-
-
-def train_stage1_asr(model: ModelParams, corpus: Sequence[Utterance],
-                     config: TrainConfig,
-                     dev_corpus: Optional[Sequence[Utterance]] = None
-                     ) -> tuple[ModelParams, TrainReport]:
-    """Single-task ASR: CTC only; cross-task attention stays in the graph
-    with whatever the untrained VAD branch produces."""
-    return _train_stage(model, corpus, config, dev_corpus, "asr_only")
-
-
-def train_stage2_mtl(model: ModelParams, corpus: Sequence[Utterance],
-                     config: TrainConfig,
-                     dev_corpus: Optional[Sequence[Utterance]] = None
-                     ) -> tuple[ModelParams, TrainReport]:
-    """Joint CTC + VAD finetuning with freshly sampled chunk layouts."""
-    return _train_stage(model, corpus, config, dev_corpus, "mtl")
-
-
-def train_vad_stl_baseline(corpus: Sequence[Utterance], config: TrainConfig,
-                           vocab: list[str],
-                           dims: Optional[ModelDims] = None,
-                           dev_corpus: Optional[Sequence[Utterance]] = None
-                           ) -> tuple[ModelParams, TrainReport]:
-    """Single-task VAD on the same CNN architecture (encoder + VAD head)."""
-    if config.stage != "vad_only":
-        raise DataError("stage must be vad_only")
-    model = ModelParams.init(vocab, dims, seed=config.seed)
-    report = _run_training(model, corpus, config)
-    if dev_corpus:
-        report.final_dev_vad = _vad_report(dev_corpus, [
-            vad_score_frames(frame_stream(u.audio), model).data
-            for u in dev_corpus])
-    return model, report
+# the names perfbench imports and times; they go when it calls ``train``
+train_stage1_asr = train_stage2_mtl = train
 
 
 # ---------------------------------------------------------------------------

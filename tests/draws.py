@@ -1,10 +1,10 @@
 """Acceptance criteria 6-9 over rounding-level redraws of the acceptance
 recipe.
 
-A draw is the recipe of ``tests/test_acceptance.py``'s ``trained`` fixture
-with every initial parameter multiplied by ``1 + 1e-14 * N(0, 1)``, drawn by
-``np.random.default_rng(draw)`` over the parameters in ``param_layout``
-order. Draw 0 is unperturbed: it is the model Tier-1 checks. A change that
+A draw is ``tests/test_acceptance.py``'s ``recipe``, which its ``trained``
+fixture runs, with every initial parameter multiplied by
+``1 + 1e-14 * N(0, 1)``, drawn by ``np.random.default_rng(draw)`` over the
+parameters in ``param_layout`` order. Draw 0 is unperturbed: it is the model Tier-1 checks. A change that
 rounds differently reports draws 0-5 before and after (see the README's
 "Rounding changes" section); no threshold, seed or dev-set size moves.
 
@@ -19,17 +19,15 @@ criteria 6-9 as the acceptance tests compute them, and whether each passes.
 from __future__ import annotations
 
 import sys
-import time
 
 import numpy as np
 
 from vadasr.audio import CorpusSpec, default_vocab, gen_synthetic_corpus
 from vadasr.metrics import vad_metrics
 from vadasr.model import ModelParams
-from vadasr.trainer import (TrainConfig, evaluate, train_stage1_asr,
-                            train_stage2_mtl, train_vad_stl_baseline)
+from vadasr.trainer import evaluate
 
-from test_acceptance import _mask_pair
+from test_acceptance import _mask_pair, recipe
 
 PERTURBATION = 1e-14
 CAPACITIES = (0.64, 1.0, 3.0, 5.0)
@@ -49,20 +47,8 @@ def initial_model(draw: int) -> ModelParams:
 def run_draw(draw: int) -> dict:
     """Criteria 6-9's values for one draw, trained as the ``trained``
     fixture trains and evaluated as criteria 6-9 evaluate."""
-    train = gen_synthetic_corpus(CorpusSpec(utterance_count=200, seed=7))
     dev = gen_synthetic_corpus(CorpusSpec(utterance_count=50, seed=8))
-    t0 = time.time()
-    stage1, _ = train_stage1_asr(
-        initial_model(draw), train,
-        TrainConfig(stage="asr_only", epochs=24, learning_rate=5e-3,
-                    batch_size=4, seed=7))
-    mtl, _ = train_stage2_mtl(
-        stage1, train, TrainConfig(stage="mtl", epochs=8, learning_rate=2e-3,
-                                   batch_size=4, seed=8, vad_weight=2.0))
-    train_s = time.time() - t0
-    stl, _ = train_vad_stl_baseline(
-        train, TrainConfig(stage="vad_only", epochs=4, learning_rate=5e-3,
-                           batch_size=4, seed=9), default_vocab(5))
+    mtl, stl, train_s = recipe(initial_model(draw))
     seg = evaluate(mtl, dev, mode="segmented")
     stl_deter = vad_metrics(*_mask_pair(stl, dev)).deter
     stream = {c: evaluate(mtl, dev, mode="streaming", l_asr_s=c)["cer"]

@@ -4,10 +4,10 @@ Each test prints exactly one ``[ACCEPTANCE n] PASS/FAIL`` line (run with
 ``pytest -s`` to see them on passing runs) and then asserts the same
 condition, so a red test and a FAIL line always agree.
 
-The trained-model criteria (6-9) share one module-scoped training run:
-stage 1 (ASR only) then stage 2 (joint fine-tuning with chunked attention)
-on the default synthetic corpus, plus a VAD-only baseline for the
-multi-task comparison.
+The trained-model criteria (6-9) share one module-scoped training run,
+``recipe`` (``tests/draws.py`` redraws it): stage 1 (ASR only) then stage
+2 (joint fine-tuning with chunked attention) on the default synthetic
+corpus, plus a VAD-only baseline for the multi-task comparison.
 """
 
 import math
@@ -43,13 +43,7 @@ from vadasr.streamer import (
     StreamerConfig,
     run_offline_reference,
 )
-from vadasr.trainer import (
-    TrainConfig,
-    evaluate,
-    train_stage1_asr,
-    train_stage2_mtl,
-    train_vad_stl_baseline,
-)
+from vadasr.trainer import TrainConfig, evaluate, train
 
 from oracles import (ExternalScores, ctc_loss_bruteforce, finite_diff_check,
                      mul, stitch_outputs, sum_all)
@@ -337,22 +331,31 @@ def test_criterion_5_chunking_identity():
 # 6-9. Trained-model criteria (one shared training run)
 
 
+def recipe(init: ModelParams):
+    """The acceptance recipe from initial model ``init`` on the seed-7
+    corpus: stage 1, then stage 2, and the VAD-only baseline from its own
+    seed-9 model. Returns the stage-2 model, the baseline and the two
+    stages' training time."""
+    corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=200, seed=7))
+    t0 = time.time()
+    stage1, _ = train(
+        init, corpus, TrainConfig(stage="asr_only", epochs=24,
+                                  learning_rate=5e-3, batch_size=4, seed=7))
+    mtl, _ = train(
+        stage1, corpus, TrainConfig(stage="mtl", epochs=8, learning_rate=2e-3,
+                                    batch_size=4, seed=8, vad_weight=2.0))
+    train_s = time.time() - t0
+    stl, _ = train(
+        ModelParams.init(default_vocab(5), seed=9), corpus,
+        TrainConfig(stage="vad_only", epochs=4, learning_rate=5e-3,
+                    batch_size=4, seed=9))
+    return mtl, stl, train_s
+
+
 @pytest.fixture(scope="module")
 def trained():
-    train = gen_synthetic_corpus(CorpusSpec(utterance_count=200, seed=7))
     dev = gen_synthetic_corpus(CorpusSpec(utterance_count=50, seed=8))
-    t0 = time.time()
-    init = ModelParams.init(default_vocab(5), seed=7)
-    stage1, _ = train_stage1_asr(
-        init, train, TrainConfig(stage="asr_only", epochs=24,
-                                 learning_rate=5e-3, batch_size=4, seed=7))
-    mtl, _ = train_stage2_mtl(
-        stage1, train, TrainConfig(stage="mtl", epochs=8, learning_rate=2e-3,
-                                   batch_size=4, seed=8, vad_weight=2.0))
-    train_s = time.time() - t0
-    stl, _ = train_vad_stl_baseline(
-        train, TrainConfig(stage="vad_only", epochs=4, learning_rate=5e-3,
-                           batch_size=4, seed=9), default_vocab(5))
+    mtl, stl, train_s = recipe(ModelParams.init(default_vocab(5), seed=7))
     seg = evaluate(mtl, dev, mode="segmented")
     stl_vad = vad_metrics(*_mask_pair(stl, dev))
     return {"dev": dev, "mtl": mtl, "stl": stl, "train_s": train_s,

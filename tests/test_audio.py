@@ -153,6 +153,7 @@ class TestCorpusSpec:
         # the longest utterance the draws allow must fit in one WAV
         {"gap_duration_s": (0.1, 1e300)},
         {"symbols_per_utterance": (2, 10 ** 11)},
+        {"seed": -1},  # numpy's generators take no negative seed
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidSpecError):

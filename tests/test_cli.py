@@ -107,6 +107,15 @@ def _empty_dev_manifest(tmp, corpus_dir, model_ckpt):
             "--out", str(tmp / "o.ckpt")]
 
 
+def _train_flags(*flags):
+    # a None flag value stands for the test checkpoint
+    def build(tmp, corpus_dir, model_ckpt):
+        return ["train", "--corpus", str(corpus_dir[1]), "--epochs", "1",
+                "--out", str(tmp / "o.ckpt"),
+                *(str(model_ckpt) if f is None else f for f in flags)]
+    return build
+
+
 def _string_for_int(tmp, corpus_dir, model_ckpt):
     (tmp / "cfg.json").write_text(json.dumps({"beam_size": "20"}))
     return ["decode-posteriors", "--posteriors", str(tmp / "p.bin"),
@@ -249,6 +258,16 @@ MALFORMED_INPUTS = [
     ("dev-manifest-empty", _empty_dev_manifest, 2),
     ("config-string-for-int", _string_for_int, 1),
     ("config-vad-weight-for-vad-stage", _vad_weight_for_vad_stage, 1),
+    # numpy's generators take no negative seed
+    ("train-asr-negative-seed", _train_flags("--stage", "asr", "--seed", "-1"),
+     1),
+    ("train-vad-negative-seed", _train_flags("--stage", "vad", "--seed", "-1"),
+     1),
+    ("train-mtl-init-negative-seed", _train_flags(
+        "--stage", "mtl", "--init", None, "--seed", "-2"), 1),
+    ("gen-corpus-negative-seed",
+     lambda tmp, *_: ["gen-corpus", "--out", str(tmp / "c"), "--seed", "-1"],
+     1),
     ("checkpoint-sidecar-not-json", _checkpoint_sidecar_not_json, 2),
     # the shape check reads no more than the checkpoint holds, so a huge
     # d_model fails as cheaply as a small one
@@ -832,11 +851,11 @@ class TestTrainCommand:
 
         configs = []
 
-        def recording_stage2(model, corpus, config, dev=None):
+        def recording_train(model, corpus, config, dev=None):
             configs.append(config)
             return model, TrainReport()
 
-        monkeypatch.setattr(cli, "train_stage2_mtl", recording_stage2)
+        monkeypatch.setattr(cli, "train", recording_train)
         _, manifest, _ = corpus_dir
         assert run_cli("train", "--corpus", str(manifest), "--stage", "mtl",
                        "--out", str(tmp_path / "m.ckpt")) == 0
@@ -898,13 +917,10 @@ class TestBuiltConfigs:
             record["spec"] = dataclasses.asdict(spec)
             return []
 
-        def stage(model, corpus, config, dev=None):
-            record.update(train=dataclasses.asdict(config), dev=dev)
+        def train(model, corpus, config, dev=None):
+            record.update(train=dataclasses.asdict(config), model=model,
+                          dev=dev)
             return model, TrainReport()
-
-        def vad_baseline(corpus, config, vocab, dev_corpus=None):
-            record.update(train=dataclasses.asdict(config), dev=dev_corpus)
-            return ModelParams.load(model_ckpt), TrainReport()
 
         def ngram(transcripts, order):
             record["lm_order"] = order
@@ -920,9 +936,7 @@ class TestBuiltConfigs:
             return [SimpleNamespace(tokens=())]
 
         for name, fake in [("gen_synthetic_corpus", corpus),
-                           ("train_stage1_asr", stage),
-                           ("train_stage2_mtl", stage),
-                           ("train_vad_stl_baseline", vad_baseline),
+                           ("train", train),
                            ("train_ngram", ngram), ("run_stream", stream),
                            ("beam_search", beam_search)]:
             monkeypatch.setattr(cli, name, fake)
@@ -970,6 +984,20 @@ class TestBuiltConfigs:
         built.clear()
         assert run_cli(*_posteriors(tmp_path)) == 0
         assert self.beam_fields(built["beam"]) == DEFAULT_BEAM
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("stage", ["asr", "mtl", "vad"])
+    def test_fresh_model_from_seed(self, built, corpus_dir, tmp_path, stage,
+                                   capsys):
+        # without --init every stage starts from the --seed initial model
+        _, manifest, _ = corpus_dir
+        assert run_cli("train", "--corpus", str(manifest), "--out",
+                       str(tmp_path / "m.ckpt"), "--stage", stage,
+                       "--seed", "3") == 0
+        fresh = ModelParams.init(default_vocab(5), seed=3)
+        assert built["model"].params.keys() == fresh.params.keys()
+        for name, t in fresh.params.items():
+            assert np.array_equal(built["model"].params[name].data, t.data)
         capsys.readouterr()
 
     def test_config_file_sets_every_key(self, built, corpus_dir, model_ckpt,

@@ -1,9 +1,11 @@
 """Optimizer behavior, schedule shape, and short deterministic training runs."""
 
+import ast
 import hashlib
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +30,7 @@ from vadasr.trainer import (
     build_dev_stream,
     clip_gradients,
     evaluate,
-    train_stage1_asr,
-    train_stage2_mtl,
-    train_vad_stl_baseline,
+    train,
     tri_stage_lr,
 )
 
@@ -114,12 +114,37 @@ class TestConfig:
     def test_zero_splice_allowed(self):
         assert TrainConfig(stage="mtl", splice_s=0.0).splice_s == 0.0
 
-    def test_stage_guards(self, tiny_corpus):
-        model = ModelParams.init(default_vocab(5), seed=0)
-        with pytest.raises(DataError):
-            train_stage1_asr(model, tiny_corpus, TrainConfig(stage="mtl"))
-        with pytest.raises(DataError):
-            train_stage2_mtl(model, tiny_corpus, TrainConfig(stage="asr_only"))
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(DataError, match="seed"):
+            TrainConfig(seed=-1)
+
+
+class TestEntryPoint:
+    def test_stage_names_are_train(self):
+        # perfbench times these names: they cannot grow a second path
+        assert trainer.train_stage1_asr is trainer.train_stage2_mtl is train
+
+    def test_public_functions_have_callers(self):
+        # every public function of the trainer is named in src/ or
+        # perfbench/ beyond its own definition, so no dead wrapper stays
+        root = Path(__file__).resolve().parents[1]
+        source = root / "src" / "vadasr" / "trainer.py"
+        public = {node.name for node in ast.parse(source.read_text()).body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")}
+        assert {"train", "evaluate", "build_dev_stream"} <= public
+        used = set()
+        for path in [*(root / "src" / "vadasr").glob("*.py"),
+                     *(root / "perfbench").glob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        assert not public - used, f"no caller: {sorted(public - used)}"
 
 
 class TestTraining:
@@ -127,9 +152,8 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = ModelParams.init(default_vocab(5), seed=1)
-            m, rep = train_stage1_asr(model, tiny_corpus,
-                                      TrainConfig(stage="asr_only", epochs=2,
-                                                  seed=5))
+            m, rep = train(model, tiny_corpus,
+                           TrainConfig(stage="asr_only", epochs=2, seed=5))
             runs.append((m, rep))
         assert runs[0][1].ctc_curve == runs[1][1].ctc_curve
         for k in runs[0][0].params:
@@ -139,8 +163,8 @@ class TestTraining:
     def test_input_model_untouched(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)
         before = {k: v.data.copy() for k, v in model.params.items()}
-        train_stage1_asr(model, tiny_corpus,
-                         TrainConfig(stage="asr_only", epochs=1, seed=0))
+        train(model, tiny_corpus,
+              TrainConfig(stage="asr_only", epochs=1, seed=0))
         for k, v in before.items():
             assert np.array_equal(model.params[k].data, v)
 
@@ -186,29 +210,27 @@ class TestTraining:
         monkeypatch.setattr(ad, "backward", nan_backward)
         with pytest.raises(NumericError,
                            match=r"'vad_fc_w' at step 2 of 4$"):
-            train_stage2_mtl(ModelParams.init(default_vocab(5), seed=1),
-                             tiny_corpus, TrainConfig(stage="mtl", epochs=2,
-                                                      seed=0, batch_size=4))
+            train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus,
+                  TrainConfig(stage="mtl", epochs=2, seed=0, batch_size=4))
 
     def test_input_config_untouched(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)
         config = TrainConfig(stage="asr_only", epochs=1, seed=0,
                              vad_weight=0.7)
-        train_stage1_asr(model, tiny_corpus, config)
+        train(model, tiny_corpus, config)
         assert config == TrainConfig(stage="asr_only", epochs=1, seed=0,
                                      vad_weight=0.7)
 
     def test_loss_decreases(self, tiny_corpus):
         model = ModelParams.init(default_vocab(5), seed=1)
-        _, rep = train_stage1_asr(model, tiny_corpus,
-                                  TrainConfig(stage="asr_only", epochs=6,
-                                              seed=0))
+        _, rep = train(model, tiny_corpus,
+                       TrainConfig(stage="asr_only", epochs=6, seed=0))
         assert rep.ctc_curve[-1] < rep.ctc_curve[0]
 
     def test_vad_stl_trains_only_vad_branch(self, tiny_corpus):
         cfg = TrainConfig(stage="vad_only", epochs=2, seed=4)
-        model, rep = train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
-        fresh = ModelParams.init(default_vocab(5), seed=cfg.seed)
+        fresh = ModelParams.init(default_vocab(5), seed=4)
+        model, rep = train(fresh, tiny_corpus, cfg)
         for name in model.params:
             same = np.array_equal(model.params[name].data,
                                   fresh.params[name].data)
@@ -222,7 +244,8 @@ class TestTraining:
     def test_vad_total_curve_is_ce_curve(self, tiny_corpus):
         # the VAD-only stage minimises unweighted BCE, whatever vad_weight
         cfg = TrainConfig(stage="vad_only", epochs=2, seed=4, vad_weight=2.0)
-        _, rep = train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
+        _, rep = train(ModelParams.init(default_vocab(5), seed=4),
+                       tiny_corpus, cfg)
         assert rep.total_curve == rep.ce_curve
         assert rep.ctc_curve == [0.0, 0.0]
 
@@ -237,7 +260,6 @@ class TestTraining:
             return mtl_loss(*args)
 
         monkeypatch.setattr(trainer, "mtl_loss", counting_mtl_loss)
-        train = train_stage1_asr if stage == "asr_only" else train_stage2_mtl
         train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus[:3],
               TrainConfig(stage=stage, epochs=1, seed=0))
         assert len(calls) == 3 * per_utt
@@ -256,12 +278,7 @@ class TestTraining:
         monkeypatch.setattr(trainer, "sample_chunk_len",
                             counting_sample_chunk_len)
         cfg = TrainConfig(stage=stage, epochs=2, seed=0, batch_size=4)
-        if stage == "vad_only":
-            train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
-        else:
-            train = (train_stage1_asr if stage == "asr_only"
-                     else train_stage2_mtl)
-            train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus, cfg)
+        train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus, cfg)
         steps = 2 * math.ceil(len(tiny_corpus) / 4)
         assert len(draws) == steps * per_step
 
@@ -275,9 +292,8 @@ class TestTraining:
         bad = Utterance(audio=bad.audio, transcript=long_ref,
                         speech_mask=bad.speech_mask, id="bad")
         model = ModelParams.init(default_vocab(5), seed=1)
-        _, rep = train_stage1_asr(model, [bad, utts[1]],
-                                  TrainConfig(stage="asr_only", epochs=2,
-                                              seed=0))
+        _, rep = train(model, [bad, utts[1]],
+                       TrainConfig(stage="asr_only", epochs=2, seed=0))
         assert rep.skipped_infeasible == 2  # once per epoch
 
     def test_wall_clock_survives_clock_steps(self, tiny_corpus, monkeypatch):
@@ -285,9 +301,8 @@ class TestTraining:
         clock = itertools.count(1e9, -3600.0)
         monkeypatch.setattr(time, "time", lambda: next(clock))
         model = ModelParams.init(default_vocab(5), seed=1)
-        _, rep = train_stage1_asr(model, tiny_corpus[:2],
-                                  TrainConfig(stage="asr_only", epochs=1,
-                                              seed=0))
+        _, rep = train(model, tiny_corpus[:2],
+                       TrainConfig(stage="asr_only", epochs=1, seed=0))
         assert rep.wall_clock_s >= 0.0
 
     @pytest.mark.parametrize("stage", ["mtl", "vad_only"])
@@ -300,11 +315,7 @@ class TestTraining:
 
         monkeypatch.setattr(trainer, "frame_stream", counting_frame_stream)
         cfg = TrainConfig(stage=stage, epochs=2, seed=0)
-        if stage == "vad_only":
-            train_vad_stl_baseline(tiny_corpus, cfg, default_vocab(5))
-        else:
-            train_stage2_mtl(ModelParams.init(default_vocab(5), seed=1),
-                             tiny_corpus, cfg)
+        train(ModelParams.init(default_vocab(5), seed=1), tiny_corpus, cfg)
         assert len(calls) == 2 * len(tiny_corpus)
 
 
@@ -348,7 +359,7 @@ class TestSameBits:
         commit known to be good, never loosened."""
         fixture = perfbench[0]
         corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=40, seed=7))
-        model, rep = train_stage2_mtl(
+        model, rep = train(
             fixture.load_fixture(), corpus,
             TrainConfig(stage="mtl", epochs=1, learning_rate=2e-3,
                         batch_size=4, seed=1, vad_weight=2.0))
@@ -357,7 +368,7 @@ class TestSameBits:
 
     def test_asr_only_epochs(self):
         corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=12, seed=21))
-        model, rep = train_stage1_asr(
+        model, rep = train(
             ModelParams.init(default_vocab(5), seed=1), corpus,
             TrainConfig(stage="asr_only", epochs=2, seed=0))
         assert rep.total_curve == ASR_ONLY_TOTAL_CURVE
@@ -365,9 +376,9 @@ class TestSameBits:
 
     def test_vad_only_epochs(self):
         corpus = gen_synthetic_corpus(CorpusSpec(utterance_count=12, seed=21))
-        model, rep = train_vad_stl_baseline(
-            corpus, TrainConfig(stage="vad_only", epochs=2, seed=4),
-            default_vocab(5))
+        model, rep = train(
+            ModelParams.init(default_vocab(5), seed=4), corpus,
+            TrainConfig(stage="vad_only", epochs=2, seed=4))
         assert rep.total_curve == VAD_ONLY_TOTAL_CURVE
         assert params_sha256(model) == VAD_ONLY_PARAMS_SHA256
 
@@ -629,9 +640,10 @@ class TestEvaluate:
         assert rep["deter"] == rep["fa"] + rep["miss"]
 
     def test_vad_baseline_report_is_vad_metrics(self, tiny_corpus):
-        model, rep = train_vad_stl_baseline(
-            tiny_corpus[:2], TrainConfig(stage="vad_only", epochs=1),
-            default_vocab(5), dev_corpus=tiny_corpus)
+        # the ASR head is untrained, so no dev CER is reported
+        model, rep = train(
+            ModelParams.init(default_vocab(5), seed=0), tiny_corpus[:2],
+            TrainConfig(stage="vad_only", epochs=1), dev_corpus=tiny_corpus)
         hyp = np.concatenate([
             vad_score_frames(frame_stream(u.audio), model).data >= 0.5
             for u in tiny_corpus])
@@ -639,6 +651,7 @@ class TestEvaluate:
         vr = vad_metrics(ref, hyp)
         assert rep.final_dev_vad == {"deter": vr.deter, "fa": vr.fa,
                                      "miss": vr.miss}
+        assert rep.final_dev_cer is None
 
     def test_streaming_deter_is_segment_coverage(self, monkeypatch):
         # streaming deter scores event spans against the reference mask: a
